@@ -160,7 +160,8 @@ def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "space":
         space = load_space(args.inp)
-        print(f"valid space: {space.n} points, diameter {space.diam:.6g}")
+        print(f"valid space: {space.n} points, diameter {space.diam:.6g}, "
+              f"{space.triangle_check} triangle check")
         if args.out:
             save_space(space, args.out)
         return 0

@@ -7,7 +7,6 @@ by :func:`validate_space`.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -45,6 +44,9 @@ class FiniteMMSpace:
     labels: tuple
     dist: np.ndarray
     weight: np.ndarray
+    # "exhaustive" when every triplet was checked, "sampled" when the triangle
+    # inequality was only falsified on a random sample of triplets
+    triangle_check: str
     coords: np.ndarray | None = None
 
     @property
@@ -89,19 +91,35 @@ class LipFunction:
     lip_const: float
 
 
+def tail_mass(dev: np.ndarray, weight: np.ndarray, thresholds) -> np.ndarray:
+    """Mass ``weight[dev > t + 1e-15].sum()`` at every threshold t.
+
+    One stable sort of the deviations, one suffix sum of the sorted weights,
+    and one searchsorted per threshold: O((n + m) log n) for m thresholds.
+    """
+    order = np.argsort(dev, kind="stable")
+    dev_sorted = dev[order]
+    suffix = np.concatenate([np.cumsum(weight[order][::-1])[::-1], [0.0]])
+    first_above = np.searchsorted(dev_sorted, np.asarray(thresholds, float) + 1e-15, side="right")
+    return suffix[first_above]
+
+
 def _triangle_check(d: np.ndarray, tol: float, rng_seed: int = 0):
     """Return a violating (i, j, k, gap) or None.
 
-    Exhaustive for small matrices; for large ones a fixed random sample of
-    triplets is checked, which falsifies but does not certify.
+    Exhaustive for small matrices: one n x n buffer holds, pivot by pivot,
+    d[i, k] - d[i, j] - d[j, k], and the first violation in (j, i, k) order
+    is the witness.  For large matrices a fixed random sample of triplets is
+    checked, which falsifies but does not certify.  Entries must be finite.
     """
     n = d.shape[0]
     if n <= _EXHAUSTIVE_TRIANGLE_N:
+        slack = np.empty_like(d)
         for j in range(n):
-            slack = d - (d[:, j][:, None] + d[j][None, :])
-            bad = np.argwhere(slack > tol)
-            if bad.size:
-                i, k = bad[0]
+            np.add.outer(d[:, j], d[j], out=slack)
+            np.subtract(d, slack, out=slack)
+            if slack.max() > tol:
+                i, k = np.argwhere(slack > tol)[0]
                 return int(i), int(j), int(k), float(slack[i, k])
         return None
     rng = np.random.default_rng(rng_seed)
@@ -148,6 +166,10 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
         raise MMLabError("labels / dist / weight sizes disagree")
     if n > cap:
         raise CapExceeded(n, cap)
+    if not np.isfinite(dist).all():
+        raise MMLabError("distance matrix has a non-finite entry")
+    if not np.isfinite(weight).all():
+        raise MMLabError("weight vector has a non-finite entry")
 
     if np.abs(np.diagonal(dist)).max(initial=0.0) > METRIC_TOL:
         raise MMLabError("distance matrix has a nonzero diagonal entry")
@@ -184,6 +206,7 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
         dist=_readonly(dist),
         weight=_readonly(weight),
         coords=None if coords is None else _readonly(coords),
+        triangle_check="exhaustive" if n <= _EXHAUSTIVE_TRIANGLE_N else "sampled",
     )
 
 

@@ -21,6 +21,7 @@ from .core import (
     RealDistribution,
     mcshane_extend,
     real_distribution,
+    tail_mass,
     validate_space,
 )
 from .errors import HostMismatch, MMLabError, NotRational, TargetTooLarge, TooLarge
@@ -42,19 +43,23 @@ def _values_of(f) -> np.ndarray:
 
 
 def ky_fan(space: FiniteMMSpace, f, g) -> float:
-    """Infimum eps with mass{|f - g| > eps} <= eps, exact by threshold scan."""
+    """Infimum eps with mass{|f - g| > eps} <= eps, exact by threshold scan.
+
+    The infimum is attained at 0, at a deviation |f - g|, or at a tail mass
+    taken at one of those.  The tail masses at every candidate come from one
+    sort of the deviations, one suffix sum of the sorted weights and one
+    searchsorted (:func:`tail_mass`), so the scan is O(n log n); the first
+    candidate whose tail mass is at most itself is the value.
+    """
     fv, gv = _values_of(f), _values_of(g)
     if fv.shape != (space.n,) or gv.shape != (space.n,):
         raise HostMismatch("observables must live on the same space")
     dev = np.abs(fv - gv)
     w = space.weight
     candidates = np.unique(np.concatenate([[0.0], dev]))
-    tails = np.array([float(w[dev > c + 1e-15].sum()) for c in candidates])
-    candidates = np.unique(np.concatenate([candidates, tails]))
-    for c in candidates:
-        if float(w[dev > c + 1e-15].sum()) <= c + MASS_TOL:
-            return float(c)
-    return 1.0
+    candidates = np.unique(np.concatenate([candidates, tail_mass(dev, w, candidates)]))
+    ok = tail_mass(dev, w, candidates) <= candidates + MASS_TOL
+    return float(candidates[int(np.argmax(ok))]) if ok.any() else 1.0
 
 
 # ---------------------------------------------------------------------------

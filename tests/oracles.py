@@ -1,10 +1,13 @@
 """Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the library's vectorized code paths: plain Python
-recursion and subset loops, so agreement is a two-implementation check.
+recursion and subset loops, and the library's former one-mask-per-candidate
+scans, so agreement is a two-implementation check.
 """
 import itertools
 import math
+
+import numpy as np
 
 
 def pd_window_oracle(positions, masses, alpha, tol=1e-12):
@@ -93,3 +96,38 @@ def kappa_distance_oracle(space, A1, A2, kappa, tol=1e-12):
                     val = min(space.dist[i, j] for i in B1 for j in B2)
                     best = max(best, val)
     return best
+
+
+def ky_fan_loop(weight, f, g):
+    """Ky Fan metric by one masked tail sum per candidate threshold."""
+    w = np.asarray(weight, dtype=float)
+    dev = np.abs(np.asarray(f, dtype=float) - np.asarray(g, dtype=float))
+    candidates = np.unique(np.concatenate([[0.0], dev]))
+    tails = np.array([float(w[dev > c + 1e-15].sum()) for c in candidates])
+    candidates = np.unique(np.concatenate([candidates, tails]))
+    for c in candidates:
+        if float(w[dev > c + 1e-15].sum()) <= c + 1e-12:
+            return float(c)
+    return 1.0
+
+
+def levy_radius_loop(values, weights, kappa, center):
+    """Least deviation from center whose strict tail mass is at most kappa."""
+    dev = np.abs(np.asarray(values, dtype=float) - center)
+    w = np.asarray(weights, dtype=float)
+    for eps in np.unique(np.concatenate([[0.0], dev])):
+        if float(w[dev > eps + 1e-15].sum()) <= kappa + 1e-12:
+            return float(eps)
+    return float(dev.max())
+
+
+def triangle_check_loop(d, tol):
+    """First (i, j, k, gap) with d[i, k] - d[i, j] - d[j, k] > tol, pivot j outermost."""
+    n = d.shape[0]
+    for j in range(n):
+        slack = d - (d[:, j][:, None] + d[j][None, :])
+        bad = np.argwhere(slack > tol)
+        if bad.size:
+            i, k = bad[0]
+            return int(i), int(j), int(k), float(slack[i, k])
+    return None

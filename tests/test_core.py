@@ -2,16 +2,20 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mm_lab import core
 from mm_lab.errors import (
     HostMismatch,
+    MMLabError,
     NegativeWeight,
     NotNormalized,
     TooLarge,
     TriangleViolation,
 )
+
+from oracles import triangle_check_loop
+from strategies import weighted_deviations
 
 
 def test_validate_minimal_two_point():
@@ -41,6 +45,49 @@ def test_validate_weight_errors():
     with pytest.raises(NotNormalized):
         core.validate_space({"labels": ["a", "b"], "dist": [[0, 1], [1, 0]],
                              "weight": [0.6, 0.6]})
+
+
+@settings(max_examples=300)
+@given(weighted_deviations())
+def test_tail_mass_matches_masked_sums(case):
+    w, dev = case
+    thresholds = np.concatenate([[0.0], dev, dev - 5e-16, dev - 1e-15])
+    want = [w[dev > t + 1e-15].sum() for t in thresholds]
+    np.testing.assert_allclose(core.tail_mass(dev, w, thresholds), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dist, weight", [
+    ([[0, np.nan], [np.nan, 0]], [0.5, 0.5]),
+    ([[0, np.inf], [np.inf, 0]], [0.5, 0.5]),
+    ([[np.nan, 1], [1, 0]], [0.5, 0.5]),
+    ([[0, 1], [1, 0]], [np.nan, 1.0]),
+    ([[0, 1], [1, 0]], [np.inf, 1.0]),
+])
+def test_validate_rejects_non_finite(dist, weight):
+    with pytest.raises(MMLabError, match="non-finite"):
+        core.validate_space({"dist": dist, "weight": weight})
+
+
+@settings(max_examples=100)
+@given(st.integers(3, 24), st.integers(0, 3), st.integers(0, 10_000))
+def test_triangle_sweep_matches_loop(n, planted, seed):
+    # entries in [1, 2] always satisfy the triangle inequality and one entry
+    # planted above 4 breaks it; several planted entries may or may not
+    rng = np.random.default_rng(seed)
+    d = np.triu(1.0 + rng.random((n, n)), 1)
+    for _ in range(planted):
+        i, k = sorted(rng.choice(n, 2, replace=False))
+        d[i, k] = 4.5 + rng.random()
+    d = d + d.T
+    got = core._triangle_check(d, core.METRIC_TOL)
+    assert got == triangle_check_loop(d, core.METRIC_TOL)
+    if planted <= 1:
+        assert (got is None) == (planted == 0)
+
+
+def test_triangle_check_mode_recorded():
+    assert core.random_metric_space(512, seed=3).triangle_check == "exhaustive"
+    assert core.random_metric_space(513, seed=3).triangle_check == "sampled"
 
 
 @given(st.integers(2, 7), st.integers(0, 10_000))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mm_lab import core, distances as dst, invariants as inv, mpf
 from mm_lab.errors import NotRational, TooLarge
+
+from oracles import ky_fan_loop
+from strategies import weighted_deviations
 
 
 def two_point(d, w0=0.5):
@@ -23,6 +26,17 @@ def test_ky_fan_examples():
     assert dst.ky_fan(u4, f, np.full(4, 0.7)) == pytest.approx(0.7)
     assert dst.ky_fan(u4, f, np.full(4, 1.4)) == pytest.approx(1.0)
     assert dst.ky_fan(u4, f, np.array([0, 0, 0, 0.5])) == pytest.approx(0.25)
+
+
+@settings(max_examples=300)
+@given(weighted_deviations(), st.floats(-3.0, 3.0))
+def test_ky_fan_matches_loop(case, shift):
+    w, dev = case
+    n = len(w)
+    X = core.validate_space({"dist": np.ones((n, n)) - np.eye(n), "weight": w})
+    f = shift + dev
+    g = np.full(n, shift)
+    assert dst.ky_fan(X, f, g) == pytest.approx(ky_fan_loop(X.weight, f, g), abs=1e-12)
 
 
 def test_prokhorov_examples():

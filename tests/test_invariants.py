@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mm_lab import core, invariants as inv
 from mm_lab.errors import BadAlpha, BadKappa
 
-from oracles import kappa_distance_oracle, pd_window_oracle
+from oracles import kappa_distance_oracle, levy_radius_loop, pd_window_oracle
+from strategies import weighted_deviations
 
 
 def two_point(d, w0=0.5):
@@ -130,6 +136,15 @@ def test_levy_radius_examples():
     assert inv.levy_radius(two_point(2.0), 0.3) == pytest.approx(1.0)
 
 
+@settings(max_examples=300)
+@given(weighted_deviations(), st.one_of(st.floats(0.01, 0.99), st.sampled_from([0.125, 0.25, 0.5])))
+def test_levy_radius_of_values_matches_loop(case, kappa):
+    w, values = case
+    center = inv.levy_mean(core.real_distribution(zip(values, w / w.sum()))).mean
+    got = inv._levy_radius_of_values(values, w, kappa)
+    assert got == pytest.approx(levy_radius_loop(values, w, kappa, center), abs=1e-12)
+
+
 def test_levy_radius_below_od():
     for seed in range(5):
         X = core.random_metric_space(4, seed=90 + seed)
@@ -187,3 +202,17 @@ def test_mcshane_grid_family_members_are_lipschitz():
 def test_each_battery_smoke(name):
     rep = inv.run_inequality_battery(name, trials=3, seed=123)
     assert rep.all_pass, [(r.lhs, r.rhs, r.meta) for r in rep.failures]
+
+
+def test_battery_rows_same_across_hash_seeds():
+    src = str(Path(inv.__file__).resolve().parents[1])
+    code = ("from mm_lab import invariants as inv\n"
+            "rep = inv.run_inequality_battery('prok_le_ky', trials=3, seed=7)\n"
+            "print([(r.lhs, r.rhs, r.passed) for r in rep.rows])\n")
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
