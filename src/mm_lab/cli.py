@@ -32,8 +32,6 @@ from .mpf import builtin, classify_sequence, defect_table, family, family_limit,
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker hint; results are independent of it")
     p.add_argument("--tol", type=float, default=1e-9)
 
 

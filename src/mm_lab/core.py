@@ -104,6 +104,40 @@ def tail_mass(dev: np.ndarray, weight: np.ndarray, thresholds) -> np.ndarray:
     return suffix[first_above]
 
 
+def _merge_sorted(pos, mass):
+    """Sort atoms and merge each run whose neighbours lie within 1e-12 of each other."""
+    order = np.argsort(pos, kind="stable")
+    pos, mass = np.asarray(pos, float)[order], np.asarray(mass, float)[order]
+    keep = np.empty(len(pos), dtype=bool)
+    keep[0] = True
+    np.greater(np.diff(pos), 1e-12, out=keep[1:])
+    groups = np.cumsum(keep) - 1
+    out_p = pos[keep]
+    out_m = np.bincount(groups, weights=mass, minlength=keep.sum())
+    return out_p, out_m
+
+
+def _subset_table(rows, ufunc, empty) -> np.ndarray:
+    """Row m folds ``ufunc`` over ``rows[b]`` for every bit b set in m.
+
+    Filled one bit at a time, ``table[2^b : 2^(b+1)] = ufunc(table[:2^b], rows[b])``,
+    so row 0 (the empty set) holds ``empty``.
+    """
+    rows = np.asarray(rows, dtype=float)
+    table = np.empty((1 << len(rows),) + rows.shape[1:])
+    table[0] = empty
+    for b, row in enumerate(rows):
+        ufunc(table[: 1 << b], row, out=table[1 << b: 2 << b])
+    return table
+
+
+def _subset_masses(weight) -> np.ndarray:
+    """Mass of every subset, indexed by its bit mask."""
+    k = len(weight)
+    bits = ((np.arange(1 << k)[:, None] >> np.arange(k)[None, :]) & 1).astype(float)
+    return bits @ weight
+
+
 def _triangle_check(d: np.ndarray, tol: float, rng_seed: int = 0):
     """Return a violating (i, j, k, gap) or None.
 
@@ -259,8 +293,11 @@ def mcshane_extend(space: FiniteMMSpace, domain_idx, domain_values) -> np.ndarra
     return (vals[None, :] + space.dist[:, idx]).min(axis=1)
 
 
-def real_distribution(pairs, merge_tol: float = 1e-12) -> RealDistribution:
-    """Build a sorted, merged, normalized RealDistribution from (position, mass) pairs."""
+def real_distribution(pairs) -> RealDistribution:
+    """Build a sorted, merged, normalized RealDistribution from (position, mass) pairs.
+
+    Atoms closer than 1e-12 to their neighbour merge into the leftmost one.
+    """
     pairs = list(pairs)
     pos = np.asarray([p for p, _ in pairs], dtype=float)
     mass = np.asarray([m for _, m in pairs], dtype=float)
@@ -270,16 +307,8 @@ def real_distribution(pairs, merge_tol: float = 1e-12) -> RealDistribution:
     total = float(mass.sum())
     if abs(total - 1.0) > MASS_TOL:
         raise NotNormalized(total)
-    order = np.argsort(pos, kind="stable")
-    pos, mass = pos[order], mass[order]
-    out_p, out_m = [], []
-    for p, m in zip(pos, mass):
-        if out_p and p - out_p[-1] <= merge_tol:
-            out_m[-1] += m
-        else:
-            out_p.append(p)
-            out_m.append(m)
-    return RealDistribution(_readonly(np.array(out_p)), _readonly(np.array(out_m)))
+    pos, mass = _merge_sorted(pos, mass)
+    return RealDistribution(_readonly(pos), _readonly(mass))
 
 
 def pushforward(space: FiniteMMSpace, f: LipFunction) -> RealDistribution:

@@ -16,10 +16,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from .core import (
+    MASS_TOL,
     FiniteMMSpace,
     LipFunction,
     RealDistribution,
-    mcshane_extend,
+    _subset_masses,
+    _subset_table,
     real_distribution,
     tail_mass,
     validate_space,
@@ -28,9 +30,9 @@ from .errors import HostMismatch, MMLabError, NotRational, TargetTooLarge, TooLa
 from .invariants import _candidate_observables, levy_mean, EXACT_OD_BOUND
 from .mpf import MPF
 
-MASS_TOL = 1e-12
 _FLOW_SCALE = 10 ** 9  # int32 capacities for scipy maximum_flow
 _BRUTE_BOUND = 12
+_PROFILE_BOUND = 12  # subset tables of at most 4096 rows for the box lower bound
 _COVER_EXACT_BOUND = 16
 _CHUNK_CAP = 8
 
@@ -202,6 +204,13 @@ def prokhorov_bruteforce(space: FiniteMMSpace, mu, nu, lam: float = 1.0) -> floa
     return worst
 
 
+def _prokhorov_value(space: FiniteMMSpace, mu, nu, lam: float) -> float:
+    """Lambda-Prokhorov value: subset enumeration on small spaces, max-flow beyond."""
+    if space.n <= _BRUTE_BOUND:
+        return prokhorov_bruteforce(space, mu, nu, lam)
+    return prokhorov(space, mu, nu, lam)[0]
+
+
 def prokhorov_real(a: RealDistribution, b: RealDistribution, lam: float = 1.0) -> float:
     """Prokhorov distance between two real-atom distributions on their union carrier."""
     pos = np.unique(np.concatenate([a.positions, b.positions]))
@@ -215,10 +224,7 @@ def prokhorov_real(a: RealDistribution, b: RealDistribution, lam: float = 1.0) -
         np.add.at(v, idx, rd.masses)
         return v
 
-    mu, nu = spread(a), spread(b)
-    if len(pos) <= _BRUTE_BOUND:
-        return prokhorov_bruteforce(carrier, mu, nu, lam)
-    return prokhorov(carrier, mu, nu, lam)[0]
+    return _prokhorov_value(carrier, spread(a), spread(b), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +240,14 @@ def _chunk_indices(space: FiniteMMSpace, k: int):
     return np.repeat(np.arange(space.n), rounded.astype(int))
 
 
-def _common_chunking(x: FiniteMMSpace, y: FiniteMMSpace, cap: int = _CHUNK_CAP):
-    for k in range(1, cap + 1):
+def _common_chunking(x: FiniteMMSpace, y: FiniteMMSpace):
+    for k in range(1, _CHUNK_CAP + 1):
         cx = _chunk_indices(x, k)
         cy = _chunk_indices(y, k)
         if cx is not None and cy is not None:
             return k, cx, cy
     raise NotRational(
-        f"weights admit no common equal-mass refinement with at most {cap} chunks")
+        f"weights admit no common equal-mass refinement with at most {_CHUNK_CAP} chunks")
 
 
 def _pair_masks(k: int):
@@ -255,7 +261,7 @@ def _pair_masks(k: int):
 
 
 def box_distance(x: FiniteMMSpace, y: FiniteMMSpace, mode: str = "exact_tiny",
-                 max_chunks: int = _CHUNK_CAP, budget: int = 600, seed=0):
+                 budget: int = 600, seed=0):
     """Box distance: exact over equal-mass chunk bijections, or bounds.
 
     Exact mode splits both spaces into k equal-mass chunks (k <= 8) and
@@ -267,7 +273,7 @@ def box_distance(x: FiniteMMSpace, y: FiniteMMSpace, mode: str = "exact_tiny",
     (lower, upper) with the upper bound 3 * (best near-isomorphism epsilon).
     """
     if mode == "exact_tiny":
-        k, cx, cy = _common_chunking(x, y, max_chunks)
+        k, cx, cy = _common_chunking(x, y)
         dx = x.dist[np.ix_(cx, cx)]
         dy = y.dist[np.ix_(cy, cy)]
         pairs, sel, sizes = _pair_masks(k)
@@ -299,45 +305,29 @@ def box_distance(x: FiniteMMSpace, y: FiniteMMSpace, mode: str = "exact_tiny",
     raise MMLabError(f"unknown mode {mode!r}")
 
 
-def _subset_mass_diam(space: FiniteMMSpace):
-    n, w, d = space.n, space.weight, space.dist
-    masses = np.zeros(1 << n)
-    diams = np.zeros(1 << n)
-    for m in range(1, 1 << n):
-        low = (m & -m).bit_length() - 1
-        rest = m & (m - 1)
-        masses[m] = masses[rest] + w[low]
-        if rest:
-            worst = 0.0
-            mm = rest
-            while mm:
-                i = (mm & -mm).bit_length() - 1
-                worst = max(worst, d[low, i])
-                mm &= mm - 1
-            diams[m] = max(diams[rest], worst)
-    return masses, diams
-
-
-def _pd_from_table(masses, diams, diam, alpha):
-    ok = masses >= alpha - MASS_TOL
-    return float(diams[ok].min()) if ok.any() else float(diam)
+def _partial_diameters(space: FiniteMMSpace):
+    """Partial diameter of the space at any array of mass levels, from its subsets."""
+    far = _subset_table(space.dist, np.maximum, 0.0)  # far[m, j]: largest d(i, j), i in m
+    diams = np.zeros(1 << space.n)
+    for b in range(space.n):
+        np.maximum(diams[: 1 << b], far[: 1 << b, b], out=diams[1 << b: 2 << b])
+    masses = _subset_masses(space.weight)
+    order = np.argsort(masses, kind="stable")
+    # best[k]: smallest diameter from the k-th lightest subset on; best[2^n] = diam
+    best = np.append(np.minimum.accumulate(diams[order][::-1])[::-1], space.diam)
+    return lambda alpha: best[np.searchsorted(masses[order], alpha - MASS_TOL, side="left")]
 
 
 def _box_lower_profile(x: FiniteMMSpace, y: FiniteMMSpace) -> float:
-    if x.n > _BRUTE_BOUND or y.n > _BRUTE_BOUND:
+    if x.n > _PROFILE_BOUND or y.n > _PROFILE_BOUND:
         return 0.0
     alphas = np.linspace(0.15, 1.0, 18)
-    mx, dx = _subset_mass_diam(x)
-    my, dy = _subset_mass_diam(y)
-    pdx = np.array([_pd_from_table(mx, dx, x.diam, a) for a in alphas])
-    pdy = np.array([_pd_from_table(my, dy, y.diam, a) for a in alphas])
-    lower = 0.0
-    for eps in np.linspace(0.0, max(x.diam, y.diam), 64):
-        sx = np.array([_pd_from_table(mx, dx, x.diam, max(a - eps, 1e-9)) for a in alphas])
-        sy = np.array([_pd_from_table(my, dy, y.diam, max(a - eps, 1e-9)) for a in alphas])
-        if (sy > pdx + eps + 1e-9).any() or (sx > pdy + eps + 1e-9).any():
-            lower = float(eps)
-    return lower
+    eps = np.linspace(0.0, max(x.diam, y.diam), 64)[:, None]
+    pdx, pdy = _partial_diameters(x), _partial_diameters(y)
+    shrunk = np.maximum(alphas - eps, 1e-9)
+    sep = ((pdy(shrunk) > pdx(alphas) + eps + 1e-9).any(axis=1)
+           | (pdx(shrunk) > pdy(alphas) + eps + 1e-9).any(axis=1))
+    return float(eps[sep].max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -622,13 +612,6 @@ def concentration_certificate(source: FiniteMMSpace, target: FiniteMMSpace,
         meta={"seed": seed, "budget": budget, "samples": len(pool)})
 
 
-def lipschitz_up_to_extension(space: FiniteMMSpace, values, domain_idx, eps: float):
-    """Genuine 1-Lipschitz function within Ky Fan distance eps of the input,
-    built by McShane extension from the nonexceptional domain."""
-    values = np.asarray(values, dtype=float)
-    return mcshane_extend(space, domain_idx, values[np.asarray(domain_idx, int)])
-
-
 # ---------------------------------------------------------------------------
 # product compatibility checks
 
@@ -639,12 +622,9 @@ def lprok_product_check(x: FiniteMMSpace, mu, mu2, y: FiniteMMSpace, nu, nu2,
     prod = product(ProductSpec((x, y), F, check_samples=0))
     pm = np.outer(mu, nu).ravel()
     pm2 = np.outer(mu2, nu2).ravel()
-    if prod.n <= _BRUTE_BOUND:
-        lhs = prokhorov_bruteforce(prod, pm, pm2, lam)
-    else:
-        lhs = prokhorov(prod, pm, pm2, lam)[0]
-    px = prokhorov_bruteforce(x, mu, mu2, lam) if x.n <= _BRUTE_BOUND else prokhorov(x, mu, mu2, lam)[0]
-    py = prokhorov_bruteforce(y, nu, nu2, lam) if y.n <= _BRUTE_BOUND else prokhorov(y, nu, nu2, lam)[0]
+    lhs = _prokhorov_value(prod, pm, pm2, lam)
+    px = _prokhorov_value(x, mu, mu2, lam)
+    py = _prokhorov_value(y, nu, nu2, lam)
     rhs = max(px + py, 2.0 * float(F(px, py)))
     return {"lhs": float(lhs), "rhs": float(rhs), "pass": bool(lhs <= rhs + tol),
             "prok_x": px, "prok_y": py}

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,7 +61,15 @@ def sample_sphere(n: int, r: float, N: int, metric: str = "chordal",
         pts = _sphere_points(n, r, N, seed)
         if cache_file is not None:
             cache_file.parent.mkdir(parents=True, exist_ok=True)
-            np.save(cache_file, pts)
+            # write a private file, then rename it: readers never see a partial file
+            fd, tmp = tempfile.mkstemp(dir=cache_file.parent, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as fh:
+                    np.save(fh, pts)
+                os.replace(tmp, cache_file)
+            except BaseException:
+                os.unlink(tmp)
+                raise
     dist = sphere_distances(pts, r, metric)
     space = validate_space({
         "labels": [f"s{i}" for i in range(N)],

@@ -15,9 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    MASS_TOL,
     FiniteMMSpace,
     LipFunction,
     RealDistribution,
+    _merge_sorted,
+    _subset_masses,
+    _subset_table,
     as_lip,
     lip_constant,
     mcshane_extend,
@@ -28,7 +32,6 @@ from .core import (
 from .errors import BadAlpha, BadKappa, MMLabError, TooLarge
 from .mpf import MPF, eval_mpf
 
-MASS_TOL = 1e-12
 EXACT_OD_BOUND = 6
 _EXACT_SUBSET_BOUND = 16
 _BIG = 1e15
@@ -45,27 +48,17 @@ def partial_diameter(dist: RealDistribution, alpha: float) -> float:
     """
     if not (0.0 < alpha <= 1.0 + MASS_TOL):
         raise BadAlpha(f"alpha = {alpha} outside (0, 1]")
-    pos, mass = _merge_sorted(dist.positions, dist.masses)
+    return _pd_of_values(dist.positions, dist.masses, alpha)
+
+
+def _pd_of_values(values, weights, alpha: float) -> float:
+    pos, mass = _merge_sorted(values, weights)
     prefix = np.concatenate([[0.0], np.cumsum(mass)])
-    need = alpha - MASS_TOL
-    j = np.searchsorted(prefix, prefix[:-1] + need, side="left") - 1
+    j = np.searchsorted(prefix, prefix[:-1] + alpha - MASS_TOL, side="left") - 1
     valid = j < len(pos)
     if not valid.any():
         return float(pos[-1] - pos[0])
-    widths = pos[j[valid]] - pos[np.nonzero(valid)[0]]
-    return float(widths.min())
-
-
-def _merge_sorted(pos, mass, tol: float = 1e-12):
-    order = np.argsort(pos, kind="stable")
-    pos, mass = np.asarray(pos, float)[order], np.asarray(mass, float)[order]
-    keep = np.empty(len(pos), dtype=bool)
-    keep[0] = True
-    np.greater(np.diff(pos), tol, out=keep[1:])
-    groups = np.cumsum(keep) - 1
-    out_p = pos[keep]
-    out_m = np.bincount(groups, weights=mass, minlength=keep.sum())
-    return out_p, out_m
+    return float((pos[j[valid]] - pos[np.nonzero(valid)[0]]).min())
 
 
 @dataclass(frozen=True)
@@ -104,16 +97,6 @@ class ODEstimate:
     mode: str
     witness: LipFunction
     meta: dict = field(default_factory=dict)
-
-
-def _pd_of_values(values, weights, alpha: float) -> float:
-    pos, mass = _merge_sorted(values, weights)
-    prefix = np.concatenate([[0.0], np.cumsum(mass)])
-    j = np.searchsorted(prefix, prefix[:-1] + alpha - MASS_TOL, side="left") - 1
-    valid = j < len(pos)
-    if not valid.any():
-        return float(pos[-1] - pos[0])
-    return float((pos[j[valid]] - pos[np.nonzero(valid)[0]]).min())
 
 
 def _qualifying_runs(wp: np.ndarray, target: float):
@@ -327,22 +310,6 @@ class ConcentrationValue:
         return self.lower
 
 
-def _neighbor_masses_exact(space: FiniteMMSpace, r: float, closed: bool):
-    """For every point subset: its mass and the mass of its r-neighborhood."""
-    n, w, d = space.n, space.weight, space.dist
-    M = 1 << n
-    dmin = np.empty((M, n))
-    dmin[0] = np.inf
-    for m in range(1, M):
-        low = (m & -m).bit_length() - 1
-        dmin[m] = np.minimum(dmin[m & (m - 1)], d[low])
-    inside = dmin <= r if closed else dmin < r
-    near_mass = inside @ w
-    bits = ((np.arange(M)[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-    set_mass = bits @ w
-    return set_mass, near_mass
-
-
 def concentration_function(space: FiniteMMSpace, r: float, mode: str = "auto",
                            closed: bool = False) -> ConcentrationValue:
     """Worst missing mass of r-neighborhoods of half-mass sets.
@@ -357,8 +324,10 @@ def concentration_function(space: FiniteMMSpace, r: float, mode: str = "auto",
     if mode == "exact":
         if space.n > _EXACT_SUBSET_BOUND:
             raise TooLarge(space.n, _EXACT_SUBSET_BOUND)
-        set_mass, near_mass = _neighbor_masses_exact(space, r, closed)
-        ok = set_mass >= 0.5 - MASS_TOL
+        # distance from every point to every subset, one row per bit mask
+        dmin = _subset_table(space.dist, np.minimum, np.inf)
+        near_mass = (dmin <= r if closed else dmin < r) @ space.weight
+        ok = _subset_masses(space.weight) >= 0.5 - MASS_TOL
         val = float((1.0 - near_mass[ok]).max(initial=0.0))
         return ConcentrationValue(lower=val, upper=val, mode="exact")
     lower = _conc_lower_greedy(space, r, closed)
@@ -508,15 +477,8 @@ def _kappa_distance_exact(space, A1, A2, kappa):
     w, d = space.weight, space.dist
     k1 = len(A1)
     M = 1 << k1
-    sub = d[np.ix_(A1, A2)]
-    dmin = np.empty((M, len(A2)))
-    dmin[0] = np.inf
-    for m in range(1, M):
-        low = (m & -m).bit_length() - 1
-        dmin[m] = np.minimum(dmin[m & (m - 1)], sub[low])
-    bits = ((np.arange(M)[:, None] >> np.arange(k1)[None, :]) & 1).astype(float)
-    mass1 = bits @ w[A1]
-    ok = mass1 >= kappa - MASS_TOL
+    dmin = _subset_table(d[np.ix_(A1, A2)], np.minimum, np.inf)
+    ok = _subset_masses(w[A1]) >= kappa - MASS_TOL
     ok[0] = False
     order = np.argsort(-dmin, axis=1, kind="stable")
     dd = np.take_along_axis(dmin, order, axis=1)

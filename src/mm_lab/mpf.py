@@ -183,26 +183,7 @@ def _eval(F: MPF, xs):
     if kind == "mulholland":
         phi: PhiSpec = p["phi"]
         return phi.inverse(sum(phi(x) for x in xs))
-    if kind == "custom_table":
-        return _eval_table(p, xs)
     raise MMLabError(f"unknown descriptor kind {F.kind!r}")
-
-
-def _eval_table(p, xs):
-    axes = [np.asarray(a, dtype=float) for a in p["axes"]]
-    values = np.asarray(p["values"], dtype=float).reshape([len(a) for a in axes])
-    idx = []
-    for ax, x in zip(axes, xs):
-        j = np.clip(np.searchsorted(ax, x), 1, len(ax) - 1)
-        left = ax[j - 1]
-        right = ax[j]
-        j = np.where(np.abs(x - left) <= np.abs(right - x), j - 1, j)
-        idx.append(j)
-    out = values[tuple(idx)]
-    zero = xs[0] == 0
-    for x in xs[1:]:
-        zero = zero & (x == 0)
-    return np.where(zero, 0.0, out)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +242,6 @@ def piecewise(breaks, segments) -> MPF:
 
 def scale(c: float, F: MPF) -> MPF:
     return MPF("scale", F.arity, {"c": float(c)}, (F,))
-
-
-def custom_table(axes, values, arity: int) -> MPF:
-    return MPF("custom_table", arity,
-               {"axes": tuple(tuple(map(float, a)) for a in axes),
-                "values": tuple(np.asarray(values, dtype=float).ravel().tolist())})
 
 
 def make_mulholland(phi: PhiSpec, arity: int = 2, sample_hi: float = 10.0) -> MPF:
@@ -687,8 +662,8 @@ def _suffix_min_2d(vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def defect_table(F: MPF, D: float, h: float = 1.0 / 64.0, probe: float | None = None,
-                 refine: bool = True) -> DefectReport:
+def defect_table(F: MPF, D: float, h: float = 1.0 / 64.0,
+                 probe: float | None = None) -> DefectReport:
     """Tabulate I(s) = F(s) - inf_{s' >= s componentwise} F(s') on a grid.
 
     The infimum is taken over the grid extended to the probe horizon, with
@@ -706,14 +681,12 @@ def defect_table(F: MPF, D: float, h: float = 1.0 / 64.0, probe: float | None = 
     grid = np.arange(m_probe + 1) * h
     if F.arity == 1:
         vals = eval_mpf(F, [grid])
-        ref = _refine_local_minima(F, grid, vals) if refine else vals
-        inf_ = _suffix_min_1d(ref)
+        inf_ = _suffix_min_1d(_refine_local_minima(F, grid, vals))
         table = np.maximum(vals[: m_D + 1] - inf_[: m_D + 1], 0.0)
     else:
         S, T = np.meshgrid(grid, grid, indexing="ij")
         vals = eval_mpf(F, [S, T])
-        ref = _refine_local_minima(F, grid, vals) if refine else vals
-        inf_ = _suffix_min_2d(ref)
+        inf_ = _suffix_min_2d(_refine_local_minima(F, grid, vals))
         table = np.maximum(vals[: m_D + 1, : m_D + 1] - inf_[: m_D + 1, : m_D + 1], 0.0)
     return DefectReport(D=float(D), h=float(h), grid=grid[: m_D + 1],
                         table=table, sup_defect=float(table.max()),
@@ -735,7 +708,6 @@ class SequenceVerdict:
 
     conditions: dict
     evidence: dict
-    converges_pointwise: bool
     converges_uniformly: bool
 
 
@@ -829,4 +801,4 @@ def classify_sequence(F_seq, F_limit: MPF, D_list, n_list, h: float = 1.0 / 64.0
         "limit_sup_defect": limit_rep.sup_defect,
     }
     return SequenceVerdict(conditions=chained, evidence=evidence,
-                           converges_pointwise=conv_unif, converges_uniformly=conv_unif)
+                           converges_uniformly=conv_unif)

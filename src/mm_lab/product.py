@@ -35,7 +35,6 @@ class ProductSpec:
     cap: int = DEFAULT_POINT_CAP
     check_samples: int = 2000
     seed: int = 0
-    label_sep: str = LABEL_SEP
 
 
 def product_index_grid(sizes) -> np.ndarray:
@@ -77,7 +76,7 @@ def product(spec: ProductSpec) -> FiniteMMSpace:
     weight = np.ones(total)
     for k, X in enumerate(factors):
         weight = weight * X.weight[grid[:, k]]
-    labels = [spec.label_sep.join(factors[k].labels[i] for k, i in enumerate(row))
+    labels = [LABEL_SEP.join(factors[k].labels[i] for k, i in enumerate(row))
               for row in grid]
 
     try:

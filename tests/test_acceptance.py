@@ -48,8 +48,7 @@ def test_criterion_1_strassen_equivalence():
 
 def test_criterion_2_lemma_batteries():
     start = time.time()
-    batteries = ("key_1dim", "key_lp", "key_F", "LO", "lm_lem", "lprok",
-                 "box1", "box_le_2prok", "lr_le_od", "prok_le_ky")
+    batteries = inv.BATTERY_NAMES
     for name in batteries:
         rep = inv.run_inequality_battery(name, trials=50, seed=7, tol=1e-6)
         assert rep.all_pass, (name, [(r.lhs, r.rhs, r.meta) for r in rep.failures])

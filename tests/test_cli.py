@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +77,19 @@ def test_product_transform_invariant_dist(tmp_path, space_file, capsys):
     assert "box = 0" in capsys.readouterr().out
 
 
+def test_dist_box_bound(tmp_path, capsys):
+    x, y = tmp_path / "x.json", tmp_path / "y.json"
+    assert main(["gallery", "two-point", "--s", "2", "-o", str(x)]) == 0
+    assert main(["gallery", "two-point", "--s", "1", "-o", str(y)]) == 0
+    capsys.readouterr()
+    assert main(["dist", "box", "--x", str(x), "--y", str(y), "--mode", "bound"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("box in [")
+    lower, upper = (float(v) for v in text.strip()[len("box in ["):-1].split(","))
+    # the exact box distance of these two-point spaces is min(|2 - 1|, 1/2)
+    assert lower <= 0.5 <= upper
+
+
 def test_gallery_and_cert(tmp_path, capsys):
     bundle = tmp_path / "bundle"
     assert main(["gallery", "counterexample1", "--fn", "h1", "--s", "2",
@@ -108,10 +124,25 @@ def test_experiment_deterministic_csv(tmp_path):
     assert c1 == c2
 
 
+def test_lemma_batteries_csv_same_across_hash_seeds(tmp_path):
+    src = str(Path(core.__file__).resolve().parents[1])
+    csvs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / hash_seed
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "mm_lab", "experiment", "lemma_batteries",
+                        "--trials", "2", "--out", str(out)],
+                       env=env, capture_output=True, timeout=300, check=True)
+        csvs.append((out / "lemma_batteries.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_sphere_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("MML_CACHE_DIR", str(tmp_path / "cache"))
     from mm_lab.gallery import sample_sphere
     a = sample_sphere(3, 1.0, 30, seed=2)
-    assert any((tmp_path / "cache").iterdir())
     b = sample_sphere(3, 1.0, 30, seed=2)
+    names = [p.name for p in (tmp_path / "cache").iterdir()]
+    assert len(names) == 1 and names[0].endswith(".npy"), names
+    assert np.array_equal(a.space.coords, b.space.coords)
     assert np.array_equal(a.space.dist, b.space.dist)

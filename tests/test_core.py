@@ -127,6 +127,15 @@ def test_pushforward_examples():
         core.pushforward(s, core.LipFunction(values=np.zeros(3), lip_const=1.0))
 
 
+def test_real_distribution_merges_chains_of_close_atoms():
+    # neighbours closer than 1e-12 share an atom, even when the chain spans more
+    d = core.real_distribution([(1.6e-12, 0.25), (0.0, 0.5), (0.8e-12, 0.25)])
+    assert d.positions.tolist() == [0.0]
+    assert d.masses.tolist() == [1.0]
+    d2 = core.real_distribution([(0.0, 0.5), (1.1e-12, 0.5)])
+    assert d2.positions.tolist() == [0.0, 1.1e-12]
+
+
 def test_mm_isomorphic_relabel():
     s = core.random_metric_space(5, seed=3)
     perm = [4, 2, 0, 1, 3]

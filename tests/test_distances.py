@@ -103,6 +103,22 @@ def test_box_examples():
         dst.box_distance(two_point(1.0, w0=1 / 3 + 1e-3), two)
 
 
+def _rational_space(n, denom, seed):
+    rng = np.random.default_rng(seed)
+    w = (rng.multinomial(denom - n, np.ones(n) / n) + 1) / denom
+    return core.random_metric_space(n, seed=seed).reweighted(w)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([4, 8]), st.integers(0, 10**6))
+def test_box_bound_brackets_exact(nx, ny, denom, seed):
+    X = _rational_space(nx, denom, seed)
+    Y = _rational_space(ny, 8, seed + 1)
+    lower, upper = dst.box_distance(X, Y, mode="bound")
+    exact = dst.box_distance(X, Y, mode="exact_tiny")
+    assert lower <= exact + 1e-12, (lower, exact)
+    assert exact <= upper + 1e-12, (exact, upper)
+
+
 def test_box_symmetry_random():
     rng = np.random.default_rng(3)
     for t in range(5):
@@ -188,7 +204,8 @@ def test_lip_up_extension_matches_within_ky():
         gap = np.abs(noisy[:, None] - noisy[None, :]) - X.dist
         np.fill_diagonal(gap, 0.0)
         assert gap.max() <= eps  # 1-Lipschitz up to eps everywhere
-        ext = dst.lipschitz_up_to_extension(X, noisy, np.arange(6), eps)
+        dom = np.arange(6)
+        ext = core.mcshane_extend(X, dom, noisy[dom])
         assert core.lip_constant(X, ext) <= 1.0 + 1e-9
         assert dst.ky_fan(X, noisy, ext) <= eps + 1e-9
 
@@ -197,7 +214,7 @@ def test_lip_up_extension_matches_within_ky():
         spoiled[0] += 0.4 * X.diam
         dom = np.arange(1, 6)
         eps_dom = float(X.weight[0])
-        ext2 = dst.lipschitz_up_to_extension(X, spoiled, dom, eps_dom)
+        ext2 = core.mcshane_extend(X, dom, spoiled[dom])
         assert core.lip_constant(X, ext2) <= 1.0 + 1e-9
         assert dst.ky_fan(X, spoiled, ext2) <= eps_dom + 1e-9
 
