@@ -32,7 +32,6 @@ from .mpf import builtin, classify_sequence, defect_table, family, family_limit,
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--tol", type=float, default=1e-9)
 
 
 def _load_measure(path, space):
@@ -136,6 +135,7 @@ def main(argv=None) -> int:
     p.add_argument("lemma", choices=list(BATTERY_NAMES))
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--csv")
+    p.add_argument("--tol", type=float, default=1e-9)
     _add_common(p)
 
     p = sub.add_parser("experiment", help="run an experiment suite")
@@ -313,7 +313,7 @@ def _cmd_dist(args) -> int:
         space = load_space(args.space)
         mu = _load_measure(args.mu, space)
         nu = _load_measure(args.nu, space)
-        val, plan = prokhorov(space, mu, nu, lam=args.lam, tol=max(args.tol, 1e-12))
+        val, plan = prokhorov(space, mu, nu, lam=args.lam)
         print(f"prokhorov(lambda={args.lam}) = {val:.9g} "
               f"(plan deficiency {plan.deficiency:.6g})")
         if args.plan_csv:

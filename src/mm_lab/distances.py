@@ -114,13 +114,16 @@ def _max_flow(mu_int, nu_int, adj: np.ndarray):
     return res
 
 
-def prokhorov(space: FiniteMMSpace, mu, nu, lam: float = 1.0, tol: float = 1e-9):
+def prokhorov(space: FiniteMMSpace, mu, nu, lam: float = 1.0):
     """Lambda-Prokhorov distance plus an optimal subtransport plan.
 
     Feasibility at radius eps is a bipartite max-flow question: mass moved
-    only along pairs with d <= eps must reach 1 - lam * eps.  Feasibility is
-    monotone in eps, so bisection converges to the infimum; the plan at the
-    returned radius is extracted from the final flow.
+    only along pairs with d <= eps must reach 1 - lam * eps.  The flow only
+    changes at the distinct distances d_k, so on [d_k, d_k+1) the least
+    feasible radius is max(d_k, shortfall_k / lam).  Feasibility is monotone
+    in k, so a binary search over the distances finds the first interval
+    holding its own least radius; that radius is the distance, and the plan
+    comes from the same flow.
     """
     if lam <= 0:
         raise MMLabError("lambda must be positive")
@@ -129,44 +132,36 @@ def prokhorov(space: FiniteMMSpace, mu, nu, lam: float = 1.0, tol: float = 1e-9)
     d = space.dist
     mu_int = np.round(mu * _FLOW_SCALE).astype(np.int32)
     nu_int = np.round(nu * _FLOW_SCALE).astype(np.int32)
-    slack = space.n + 2
+    # each of the n rounded masses is off by at most half a unit, so a full
+    # flow may fall short of _FLOW_SCALE by up to n / 2 units
+    allowance = space.n + 2
+    radii = np.unique(d)
 
-    def feasible(eps: float):
-        adj = d <= eps + 1e-12
-        res = _max_flow(mu_int, nu_int, adj)
-        needed = math.ceil((1.0 - lam * eps) * _FLOW_SCALE) - slack
-        return res.flow_value >= needed, res
+    def least_radius(k: int):
+        res = _max_flow(mu_int, nu_int, d <= radii[k])
+        short = max(0, _FLOW_SCALE - allowance - res.flow_value) / _FLOW_SCALE
+        return max(float(radii[k]), short / lam), res
 
-    lo, hi = 0.0, space.diam
-    ok, res_hi = feasible(hi)
-    if not ok:
-        # lam * diam < 1 can force radii past the diameter
-        while not ok:
-            hi *= 2.0 if hi > 0 else 1.0
-            hi = hi if hi > 0 else 1.0
-            ok, res_hi = feasible(hi)
-    ok0, res0 = feasible(0.0)
-    if ok0:
-        hi, res_hi = 0.0, res0
-    else:
-        while hi - lo > max(tol, 1e-15):
-            mid = 0.5 * (lo + hi)
-            ok, res = feasible(mid)
-            if ok:
-                hi, res_hi = mid, res
-            else:
-                lo = mid
+    # at the diameter every pair is admissible and the flow is full
+    lo, hi, found = 0, len(radii) - 1, None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        eps, res = least_radius(mid)
+        if eps < radii[mid + 1]:
+            hi, found = mid, (eps, res)
+        else:
+            lo = mid + 1
+    eps, res = found or least_radius(hi)
     n = space.n
-    sub = res_hi.flow[1: n + 1, n + 1: 2 * n + 1].toarray()
+    sub = res.flow[1: n + 1, n + 1: 2 * n + 1].toarray()
     plan = np.maximum(sub, 0).astype(float) / _FLOW_SCALE
-    plan[d > hi + 1e-12] = 0.0
     # integer rounding can push marginals past mu/nu by ~1/_FLOW_SCALE; clip
     rs = plan.sum(axis=1)
     plan *= np.where(rs > mu, np.divide(mu, rs, out=np.ones_like(mu), where=rs > 0), 1.0)[:, None]
     cs = plan.sum(axis=0)
     plan *= np.where(cs > nu, np.divide(nu, cs, out=np.ones_like(nu), where=cs > 0), 1.0)[None, :]
-    return float(hi), SubtransportPlan(matrix=plan, radius=float(hi),
-                                       deficiency=float(1.0 - plan.sum()))
+    return eps, SubtransportPlan(matrix=plan, radius=eps,
+                                 deficiency=float(1.0 - plan.sum()))
 
 
 def prokhorov_bruteforce(space: FiniteMMSpace, mu, nu, lam: float = 1.0) -> float:

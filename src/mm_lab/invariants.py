@@ -124,9 +124,11 @@ def _od_exact(space: FiniteMMSpace, kappa: float):
     """Exact observable diameter for n <= EXACT_OD_BOUND points.
 
     For each value ordering, maximizing the smallest heavy-window span under
-    the Lipschitz caps is a parametric difference-constraint system; the
-    largest feasible span is found by bisection with vectorized negative-cycle
-    detection across all orderings at once.
+    the Lipschitz caps is a difference-constraint system whose run edges
+    weigh -t.  It is feasible while every cycle through k run edges has
+    non-run weight at least k * t, so the largest span is a minimum
+    cost-to-time ratio cycle: min over k of the lightest closed k-step walk
+    between run starts, divided by k, computed for all orderings at once.
     """
     n, w, d = space.n, space.weight, space.dist
     target = 1.0 - kappa
@@ -146,41 +148,24 @@ def _od_exact(space: FiniteMMSpace, kappa: float):
             W[:, i, j] = d[perms[:, i], perms[:, j]]
     for i in range(n - 1):
         W[:, i + 1, i] = 0.0
-    run_mask = np.zeros((P, n, n), dtype=bool)
+    # the non-run weights are non-negative, so the closure is all-pairs lightest paths
+    paths = _min_plus_closure(W, math.ceil(math.log2(n)) + 1)
+    # step[p, i, a]: lightest path from i to the end of the run starting at a, then back to a
+    step = np.full((P, n, n), _BIG)
     for a in range(n):
-        b = runs[:, a]
-        rows = np.nonzero(b > a)[0]
-        run_mask[rows, b[rows], a] = True
+        rows = np.nonzero(runs[:, a] > a)[0]
+        step[rows, :, a] = paths[rows, :, runs[rows, a]]
 
-    rounds = max(1, math.ceil(math.log2(n)) + 1)
-
-    def feasible_mask(t: float):
-        M = W.copy()
-        M[run_mask] = np.minimum(M[run_mask], -t)
-        C = _min_plus_closure(M, rounds)
-        diag = C[:, idx, idx].min(axis=1)
-        return diag >= -1e-11
-
-    lo, hi = 0.0, space.diam
-    if not feasible_mask(hi).any():
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if feasible_mask(mid).any():
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12 * max(1.0, space.diam):
-                break
-    else:
-        lo = hi
-
-    mask = feasible_mask(lo)
-    if not mask.any():
-        lo = max(0.0, lo - 1e-9)
-        mask = feasible_mask(lo)
-    sigma = perms[int(np.argmax(mask))]
-    values = _potentials_for(space, sigma, runs[int(np.argmax(mask))], lo)
-    return lo, values, {"surrogate": lo, "orderings": P}
+    # a lightest-ratio cycle is simple, so it visits at most n - 1 run starts
+    walk = step
+    span = walk[:, idx, idx].min(axis=1)
+    for k in range(2, n):
+        walk = (walk[:, :, :, None] + step[:, None, :, :]).min(axis=2)
+        span = np.minimum(span, walk[:, idx, idx].min(axis=1) / k)
+    best = int(np.argmax(span))
+    t = float(span[best])
+    values = _potentials_for(space, perms[best], runs[best], t)
+    return t, values, {"surrogate": t, "orderings": P}
 
 
 def _potentials_for(space: FiniteMMSpace, sigma, runs_row, t: float) -> np.ndarray:

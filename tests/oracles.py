@@ -131,3 +131,43 @@ def triangle_check_loop(d, tol):
             i, k = bad[0]
             return int(i), int(j), int(k), float(slack[i, k])
     return None
+
+
+def od_span_lp(space, kappa, tol=1e-12):
+    """Largest smallest heavy-window span of a 1-Lipschitz observable, by LP.
+
+    For every ordering of the points by value, one linear program maximizes
+    t subject to the Lipschitz caps, the monotone order, and a span of at
+    least t on every window of consecutive points with mass >= 1 - kappa.
+    """
+    from scipy.optimize import linprog
+
+    n = space.n
+    d = space.dist
+    w = space.weight
+    best = 0.0
+    for sigma in itertools.permutations(range(n)):
+        rows, rhs = [], []
+
+        def row(coefs, bound):
+            r = [0.0] * (n + 1)  # values u_0..u_{n-1} in sigma order, then t
+            for k, c in coefs:
+                r[k] += c
+            rows.append(r)
+            rhs.append(bound)
+
+        for i in range(n):
+            for j in range(i + 1, n):
+                row([(j, 1.0), (i, -1.0)], float(d[sigma[i], sigma[j]]))
+        for i in range(n - 1):
+            row([(i, 1.0), (i + 1, -1.0)], 0.0)
+        for a in range(n):
+            for b in range(a, n):
+                if sum(w[sigma[k]] for k in range(a, b + 1)) >= 1.0 - kappa - tol:
+                    row([(n, 1.0), (b, -1.0), (a, 1.0)], 0.0)
+        c = [0.0] * n + [-1.0]
+        bounds = [(0.0, 0.0)] + [(None, None)] * n
+        res = linprog(c, A_ub=rows, b_ub=rhs, bounds=bounds, method="highs")
+        assert res.success, res.message
+        best = max(best, -res.fun)
+    return best

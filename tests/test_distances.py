@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import maximum_flow
 
 from mm_lab import core, distances as dst, invariants as inv, mpf
 from mm_lab.errors import NotRational, TooLarge
@@ -48,6 +51,33 @@ def test_prokhorov_examples():
     assert v2 == pytest.approx(0.25, abs=1e-6)
     v0, plan0 = dst.prokhorov(two, [0.5, 0.5], [0.5, 0.5], lam=1.0)
     assert v0 == 0.0 and plan0.deficiency == pytest.approx(0.0, abs=1e-8)
+    # lam * diam < 1: the distance is the diameter, never beyond it
+    assert dst.prokhorov(two, [1.0, 0.0], [0.0, 1.0], lam=0.25)[0] == 1.0
+    # these non-dyadic weights round to one unit less than _FLOW_SCALE
+    X = core.random_metric_space(7, seed=1)
+    assert dst.prokhorov(X, X.weight, X.weight)[0] == 0.0
+
+
+def test_prokhorov_flow_count_is_logarithmic(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return maximum_flow(*args, **kwargs)
+
+    monkeypatch.setattr(dst, "maximum_flow", counted)
+    X = core.random_metric_space(50, seed=11)
+    bound = math.ceil(math.log2(len(np.unique(X.dist)))) + 1
+    rng = np.random.default_rng(11)
+    for lam in (0.5, 1.0, 2.0):
+        mu = rng.random(50)
+        mu /= mu.sum()
+        nu = rng.random(50)
+        nu /= nu.sum()
+        calls.clear()
+        _, plan = dst.prokhorov(X, mu, nu, lam=lam)
+        assert 1 <= len(calls) <= bound
+        assert plan.check(X.dist, mu, nu)
 
 
 @given(st.integers(0, 150))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mm_lab import core, invariants as inv
 from mm_lab.errors import BadAlpha, BadKappa
 
-from oracles import kappa_distance_oracle, levy_radius_loop, pd_window_oracle
+from oracles import kappa_distance_oracle, levy_radius_loop, od_span_lp, pd_window_oracle
 from strategies import weighted_deviations
 
 
@@ -70,6 +70,19 @@ def test_observable_diameter_witness_certifies_value():
         assert core.lip_constant(X, est.witness.values) <= 1.0 + 1e-9
         push = core.pushforward(X, est.witness)
         assert inv.partial_diameter(push, 0.75) == pytest.approx(est.value, abs=1e-9)
+
+
+def test_exact_od_matches_lp_oracle():
+    rng = np.random.default_rng(17)
+    for seed in range(60):
+        n = int(rng.integers(2, 6))
+        X = core.random_metric_space(n, seed=500 + seed)
+        if seed % 3 == 0:  # tied distances and equal weights
+            X = core.validate_space({"dist": np.ceil(X.dist * 2) / 2 * (1 - np.eye(n)),
+                                     "weight": np.full(n, 1.0 / n)})
+        kappa = float(rng.choice([0.1, 0.25, 0.4, 0.6]))
+        got = inv.observable_diameter(X, kappa, mode="exact_tiny").meta["surrogate"]
+        assert got == pytest.approx(od_span_lp(X, kappa), abs=1e-9 * max(1.0, X.diam))
 
 
 def test_observable_diameter_monotone_in_kappa():
