@@ -7,6 +7,7 @@ by :func:`validate_space`.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -53,8 +54,10 @@ class FiniteMMSpace:
     def n(self) -> int:
         return len(self.labels)
 
-    @property
+    @functools.cached_property
     def diam(self) -> float:
+        # cached in the instance __dict__: the read-only matrix cannot change,
+        # and dataclass equality compares fields only
         return float(self.dist.max()) if self.n else 0.0
 
     def reweighted(self, weight) -> "FiniteMMSpace":
@@ -260,6 +263,29 @@ def lip_constant(space: FiniteMMSpace, values) -> float:
     if not pos.any():
         return 0.0
     return float((dv[pos] / d[pos]).max())
+
+
+def _exceeds_lip1(space: FiniteMMSpace, rows) -> np.ndarray:
+    """Flag each row v of a 2-D array having a pair with |v_i - v_j| > d(i, j).
+
+    For positive floats fl(a / b) > 1 exactly when a > b, so every row whose
+    lip_constant exceeds 1 is flagged, and so is every row that splits a zero
+    distance (lip_constant inf).  An unflagged row is 1-Lipschitz, and
+    project_to_lip1 returns it unchanged.  One pass over blocks of about 256
+    (row, point) pairs.
+    """
+    rows = np.asarray(rows, dtype=float)
+    m, n = rows.shape
+    d = space.dist
+    flagged = np.zeros(m, dtype=bool)
+    step = max(1, 256 // m)
+    gap = np.empty((m, step, n))
+    for lo in range(0, n, step):
+        g = gap[:, : min(step, n - lo)]
+        np.subtract(rows[:, lo: lo + step, None], rows[:, None, :], out=g)
+        np.abs(g, out=g)
+        flagged |= (g > d[lo: lo + step]).any(axis=(1, 2))
+    return flagged
 
 
 def as_lip(space: FiniteMMSpace, values, lip_const: float | None = None) -> LipFunction:

@@ -132,14 +132,14 @@ def prokhorov(space: FiniteMMSpace, mu, nu, lam: float = 1.0):
     d = space.dist
     mu_int = np.round(mu * _FLOW_SCALE).astype(np.int32)
     nu_int = np.round(nu * _FLOW_SCALE).astype(np.int32)
-    # each of the n rounded masses is off by at most half a unit, so a full
-    # flow may fall short of _FLOW_SCALE by up to n / 2 units
-    allowance = space.n + 2
+    # the rounded masses need not sum to _FLOW_SCALE, so the shortfall is
+    # measured against the flow with every pair admissible
+    full = min(int(mu_int.sum()), int(nu_int.sum()))
     radii = np.unique(d)
 
     def least_radius(k: int):
         res = _max_flow(mu_int, nu_int, d <= radii[k])
-        short = max(0, _FLOW_SCALE - allowance - res.flow_value) / _FLOW_SCALE
+        short = max(0, full - res.flow_value) / _FLOW_SCALE
         return max(float(radii[k]), short / lam), res
 
     # at the diameter every pair is admissible and the flow is full

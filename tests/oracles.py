@@ -171,3 +171,79 @@ def od_span_lp(space, kappa, tol=1e-12):
         assert res.success, res.message
         best = max(best, -res.fun)
     return best
+
+
+def candidate_pool_loop(space, count, seed):
+    """Candidate observables with one scan per member.
+
+    Every distance cone reads a column of the matrix and its own maximum
+    distance, and every coordinate direction is certified by its own
+    project_to_lip1.
+    """
+    from mm_lab.core import project_to_lip1
+
+    n, d = space.n, space.dist
+    pool = []
+    rng = np.random.default_rng([int(seed) & 0x7FFFFFFF, 101])
+    anchors = np.arange(n) if n <= 32 else rng.choice(n, 32, replace=False)
+    pool.extend(d[:, a].copy() for a in anchors)
+    k = 0
+    while len(pool) < count // 2:
+        sub = np.random.default_rng([int(seed) & 0x7FFFFFFF, 202, k])
+        m = 1 + k % 3
+        a = sub.integers(0, n, m)
+        c = sub.random(m) * float(d.max())
+        pool.append((c[None, :] + d[:, a]).min(axis=1))
+        k += 1
+    if space.coords is not None:
+        dims = space.coords.shape[1]
+        dirs = [np.eye(dims)[i] for i in range(min(dims, 16))]
+        sub = np.random.default_rng([int(seed) & 0x7FFFFFFF, 303])
+        extra = sub.normal(size=(min(32, max(4, count // 8)), dims))
+        extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+        dirs.extend(extra)
+        for u in dirs:
+            pool.append(project_to_lip1(space, space.coords @ u))
+    return pool[:count]
+
+
+def od_heuristic_loop(space, kappa, budget, seed):
+    """Heuristic observable diameter with one _pd_of_values per pool member.
+
+    The first largest member wins, then coordinate moves to the Lipschitz
+    interval ends and midpoint while they improve and the budget lasts.
+    Returns (value, witness values, evaluations).
+    """
+    from mm_lab.invariants import _pd_of_values
+
+    n, d = space.n, space.dist
+    pool = candidate_pool_loop(space, max(16, budget // 4), seed)
+    target = 1.0 - kappa
+    w = space.weight
+    best_v, best_pd = None, -1.0
+    for v in pool:
+        pd = _pd_of_values(v, w, target)
+        if pd > best_pd:
+            best_v, best_pd = v, pd
+    evals = len(pool)
+    if n <= 400:
+        rng = np.random.default_rng([int(seed) & 0x7FFFFFFF, 404])
+        v = best_v.copy()
+        improving = True
+        while improving and evals + 3 * n <= budget:
+            improving = False
+            for i in rng.permutation(n):
+                others = np.delete(np.arange(n), i)
+                lo = float((v[others] - d[i, others]).max())
+                hi = float((v[others] + d[i, others]).min())
+                for cand in (lo, hi, 0.5 * (lo + hi)):
+                    old = v[i]
+                    v[i] = cand
+                    pd = _pd_of_values(v, w, target)
+                    evals += 1
+                    if pd > best_pd + 1e-15:
+                        best_pd, best_v = pd, v.copy()
+                        improving = True
+                    else:
+                        v[i] = old
+    return best_pd, best_v, evals

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mm_lab import core
+from mm_lab import core, gallery, invariants as inv
 from mm_lab.errors import (
     HostMismatch,
     MMLabError,
@@ -14,7 +14,7 @@ from mm_lab.errors import (
     TriangleViolation,
 )
 
-from oracles import triangle_check_loop
+from oracles import candidate_pool_loop, triangle_check_loop
 from strategies import weighted_deviations
 
 
@@ -225,3 +225,43 @@ def test_mcshane_extend_agrees_on_domain():
     ext = core.mcshane_extend(s, dom, vals)
     assert core.lip_constant(s, ext) <= 1.0 + 1e-9
     assert np.allclose(ext[dom], vals)
+
+
+def _coordinate_rows(space, count=200, seed=3):
+    """The coordinate projections closing the candidate pool, one row each."""
+    dims = space.coords.shape[1]
+    pool = inv._candidate_observables(space, count, seed)
+    k = min(dims, 16) + min(32, max(4, count // 8))
+    return pool[-k:], candidate_pool_loop(space, count, seed)[-k:]
+
+
+def test_lip1_screen_flags_every_direction_of_a_shrunk_metric():
+    X = core.random_metric_space(40, seed=4)
+    half = core.validate_space({"dist": 0.5 * X.dist, "weight": X.weight, "coords": X.coords})
+    new, old = _coordinate_rows(half)
+    assert core._exceeds_lip1(half, [half.coords @ u for u in np.eye(3)]).all()
+    for v, w in zip(new, old):
+        assert np.array_equal(v, w)
+        # every direction was rescaled onto constant 1
+        assert core.lip_constant(half, v) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_lip1_screen_sends_zero_distance_splits_to_the_inf_path():
+    # points 0 and 1 sit at distance zero but carry different coordinates
+    X = core.validate_space({"dist": [[0, 0, 1], [0, 0, 1], [1, 1, 0]],
+                             "weight": [0.25, 0.25, 0.5],
+                             "coords": [[0.0, 0.0], [0.5, 0.0], [0.0, 1.0]]})
+    assert core.lip_constant(X, X.coords[:, 0]) == float("inf")
+    assert core._exceeds_lip1(X, X.coords.T).tolist() == [True, False]
+    new, old = _coordinate_rows(X)
+    assert np.array_equal(new[0], np.full(3, X.coords[:, 0].mean()))
+    for v, w in zip(new, old):
+        assert np.array_equal(v, w)
+
+
+def test_lip1_screen_passes_chordal_sphere_directions():
+    sph = gallery.sample_sphere(6, 1.0, 300, metric="chordal", seed=2, cache=False).space
+    rng = np.random.default_rng(2)
+    dirs = np.vstack([np.eye(7), rng.normal(size=(20, 7))])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    assert not core._exceeds_lip1(sph, [sph.coords @ u for u in dirs]).any()

@@ -80,6 +80,25 @@ def test_prokhorov_flow_count_is_logarithmic(monkeypatch):
         assert plan.check(X.dist, mu, nu)
 
 
+def test_prokhorov_gap_does_not_scale_with_inverse_lambda():
+    rng = np.random.default_rng(23)
+    for t in range(40):
+        n = int(rng.integers(2, 9))
+        X = core.random_metric_space(n, seed=4000 + t)
+        # masses on a 1/1000 grid round to flow units exactly, so the gap is
+        # float rounding at any lambda; a fixed allowance of n + 2 flow units
+        # would under-report by (n + 2) / (lambda * 1e9), 1e-7 at lambda = 0.1
+        exact = [(rng.multinomial(1000 - n, np.ones(n) / n) + 1) / 1000 for _ in range(2)]
+        # random masses round by up to half a unit each, in two cuts
+        noisy = [m / m.sum() for m in rng.random((2, n)) + 0.05]
+        for lam in (0.1, 1.0):
+            for (mu, nu), tol in ((exact, 1e-12), (noisy, 1.5 * n / (lam * 1e9))):
+                flow, plan = dst.prokhorov(X, mu, nu, lam=lam)
+                brute = dst.prokhorov_bruteforce(X, mu, nu, lam=lam)
+                assert abs(flow - brute) <= tol, (t, lam, flow, brute)
+                assert plan.check(X.dist, mu, nu)
+
+
 @given(st.integers(0, 150))
 def test_strassen_agreement_random(seed):
     rng = np.random.default_rng(seed)
@@ -147,6 +166,21 @@ def test_box_bound_brackets_exact(nx, ny, denom, seed):
     exact = dst.box_distance(X, Y, mode="exact_tiny")
     assert lower <= exact + 1e-12, (lower, exact)
     assert exact <= upper + 1e-12, (exact, upper)
+
+
+def _split_atoms(X):
+    """Every point twice, at distance zero, each copy with half its mass."""
+    idx = np.repeat(np.arange(X.n), 2)
+    return core.validate_space({"dist": X.dist[np.ix_(idx, idx)], "weight": X.weight[idx] / 2})
+
+
+@settings(max_examples=10)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10**6))
+def test_box_exact_unchanged_by_chunk_refinement(nx, ny, seed):
+    X = _rational_space(nx, 4, seed)
+    Y = _rational_space(ny, 4, seed + 1)
+    coarse = dst.box_distance(X, Y)
+    assert dst.box_distance(_split_atoms(X), _split_atoms(Y)) == pytest.approx(coarse, abs=1e-12)
 
 
 def test_box_symmetry_random():

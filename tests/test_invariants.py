@@ -7,10 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mm_lab import core, invariants as inv
+from mm_lab import core, gallery, invariants as inv, mpf
 from mm_lab.errors import BadAlpha, BadKappa
+from mm_lab.product import ProductSpec, product
 
-from oracles import kappa_distance_oracle, levy_radius_loop, od_span_lp, pd_window_oracle
+from oracles import (
+    kappa_distance_oracle,
+    levy_radius_loop,
+    od_heuristic_loop,
+    od_span_lp,
+    pd_window_oracle,
+)
 from strategies import weighted_deviations
 
 
@@ -107,6 +114,61 @@ def test_heuristic_od_deterministic_given_seed():
     a = inv.observable_diameter(X, 0.15, mode="heuristic_lb", budget=1500, seed=9).value
     b = inv.observable_diameter(X, 0.15, mode="heuristic_lb", budget=1500, seed=9).value
     assert a == b
+
+
+def _heuristic_cases():
+    cases = []
+    for metric in ("chordal", "geodesic"):
+        for n in (2, 16):
+            sph = gallery.sample_sphere(n, 1.0, 600, metric=metric, seed=3, cache=False)
+            cases.append((f"{metric} n={n}", sph.space, 20_000))
+    cases.append(("local search", core.random_metric_space(120, seed=8), 3000))
+    sph = gallery.sample_sphere(4, 1.0, 450, metric="geodesic", seed=4, cache=False)
+    bare = core.validate_space({"dist": sph.space.dist, "weight": sph.space.weight})
+    cases.append(("no coordinates", bare, 8000))
+    # 2^7 points whose distances take 7 values: many cones tie within 1e-12
+    cube = product(ProductSpec(tuple([two_point(1.0)] * 7), mpf.lp(2.0, 7),
+                               check_samples=0))
+    cases.append(("l2 cube", cube, 4000))
+    return cases
+
+
+def test_heuristic_od_matches_loop_oracle():
+    for name, X, budget in _heuristic_cases():
+        value, witness, evals = od_heuristic_loop(X, 0.1, budget, seed=7)
+        est = inv.observable_diameter(X, 0.1, mode="heuristic_lb", budget=budget, seed=7)
+        assert est.meta["surrogate"] == value, name
+        assert np.array_equal(est.witness.values, witness), name
+        assert est.meta["evaluations"] == evals, name
+
+
+def test_pd_of_rows_falls_back_on_merged_atoms():
+    # every cone on the cube has tied values, so the oracle case above takes the fallback
+    cube = product(ProductSpec(tuple([two_point(1.0)] * 7), mpf.lp(2.0, 7),
+                               check_samples=0))
+    pool = np.array(inv._candidate_observables(cube, 200, seed=7))
+    assert (np.diff(np.sort(pool, axis=1), axis=1) <= 1e-12).any(axis=1).all()
+    # 0 and 5e-13 merge into one atom of mass 0.75 and partial diameter 0;
+    # kept apart, the lightest window of mass 0.75 would span 5e-13
+    w = np.array([0.25, 0.5, 0.25])
+    rows = np.array([[0.0, 5e-13, 1.0], [1.0, 0.0, 5e-13], [0.0, 0.5, 1.0], [1.0, 1.0, 0.0]])
+    want = [inv._pd_of_values(v, w, 0.75) for v in rows]
+    assert want[:2] == [0.0, 0.0]
+    assert inv._pd_of_rows(rows, w, 0.75).tolist() == want
+
+
+def test_heuristic_od_certifies_only_the_witness(monkeypatch):
+    calls = []
+    original = core.lip_constant
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(core, "lip_constant", counted)
+    sph = gallery.sample_sphere(8, 1.0, 500, metric="chordal", seed=5, cache=False)
+    inv.observable_diameter(sph.space, 0.1, mode="heuristic_lb", budget=4000, seed=5)
+    assert len(calls) == 1
 
 
 def test_levy_mean_examples():
