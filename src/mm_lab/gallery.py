@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import FiniteMMSpace, validate_space
 from .errors import MMLabError, NotTriangleTriplet, WitnessInvalid
-from .mpf import MPF, _golden_argmin_1d, eval_mpf
+from .mpf import MPF, _golden_argmin, eval_mpf
 from .product import ProductSpec, lp_product, metric_transform, product
 
 DIMENSION_CAP = 256
@@ -209,8 +209,8 @@ def _min_on_interval(F: MPF, lo: float, hi: float, grid: int = 512) -> float:
     k = int(np.argmin(vals))
     a = xs[max(0, k - 1)]
     b = xs[min(grid - 1, k + 1)]
-    x = _golden_argmin_1d(lambda u: float(eval_mpf(F, [np.array(u)])), a, b)
-    return float(min(vals[k], eval_mpf(F, [np.array(x)])))
+    x = _golden_argmin(lambda u: eval_mpf(F, [u]), np.array([a]), np.array([b]))
+    return float(min(vals[k], eval_mpf(F, [x])[0]))
 
 
 def _min_on_rect(F: MPF, lo1, hi1, lo2, hi2, grid: int = 128) -> float:
@@ -219,17 +219,17 @@ def _min_on_rect(F: MPF, lo1, hi1, lo2, hi2, grid: int = 128) -> float:
     S, T = np.meshgrid(xs, ys, indexing="ij")
     vals = eval_mpf(F, [S, T])
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    x, y = xs[i], ys[j]
     hx = xs[1] - xs[0] if grid > 1 else 0.0
     hy = ys[1] - ys[0] if grid > 1 else 0.0
+    x, y = np.array([xs[i]]), np.array([ys[j]])
     for _ in range(3):
-        x = _golden_argmin_1d(lambda u: float(eval_mpf(F, [np.array(np.clip(u, lo1, hi1)), np.array(y)])),
-                              max(lo1, x - hx), min(hi1, x + hx))
-        x = float(np.clip(x, lo1, hi1))
-        y = _golden_argmin_1d(lambda u: float(eval_mpf(F, [np.array(x), np.array(np.clip(u, lo2, hi2))])),
-                              max(lo2, y - hy), min(hi2, y + hy))
-        y = float(np.clip(y, lo2, hi2))
-    return float(min(vals[i, j], eval_mpf(F, [np.array(x), np.array(y)])))
+        x = _golden_argmin(lambda u: eval_mpf(F, [np.clip(u, lo1, hi1), y]),
+                           np.array([max(lo1, x[0] - hx)]), np.array([min(hi1, x[0] + hx)]))
+        x = np.clip(x, lo1, hi1)
+        y = _golden_argmin(lambda u: eval_mpf(F, [x, np.clip(u, lo2, hi2)]),
+                           np.array([max(lo2, y[0] - hy)]), np.array([min(hi2, y[0] + hy)]))
+        y = np.clip(y, lo2, hi2)
+    return float(min(vals[i, j], eval_mpf(F, [x, y])[0]))
 
 
 def build_counterexample_1dim(F_family, s: float, s_n_rule, n: int, N: int,

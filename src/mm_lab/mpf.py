@@ -583,12 +583,16 @@ _REFINE_CELL_CAP = 64
 
 
 def _refine_local_minima(F: MPF, grid: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Golden-section polish of strict grid local minima; returns refined values.
+    """Lockstep golden-section polish of strict grid local minima; returns refined values.
 
     Piecewise-linear gallery descriptors attain quadrant infima at breakpoints
     or plateau edges, so refining the neighborhood of grid local minima
     localizes them; for custom descriptors this is approximate.  Only the
     lowest-value candidates are polished, which is what quadrant infima see.
+    All cells are searched together, one eval_mpf call per iteration: in 1-D
+    a 40-step search per cell, then min(f(x), f(lo), f(hi)); in 2-D two
+    rounds of coordinate descent, a 24-step sweep over every x, then one
+    over every y.
     """
     refined = vals.copy()
     h = grid[1] - grid[0] if len(grid) > 1 else 0.0
@@ -600,9 +604,11 @@ def _refine_local_minima(F: MPF, grid: np.ndarray, vals: np.ndarray) -> np.ndarr
         cells = np.nonzero(mask)[0]
         if cells.size > _REFINE_CELL_CAP:
             cells = cells[np.argsort(vals[cells], kind="stable")[:_REFINE_CELL_CAP]]
-        for i in cells:
-            lo, hi = grid[i] - h, grid[i] + h
-            refined[i] = min(refined[i], _golden_min_1d(lambda x: float(eval_mpf(F, [np.array(x)])), lo, hi))
+        if cells.size:
+            lo, hi = grid[cells] - h, grid[cells] + h
+            x = _golden_argmin(lambda u: eval_mpf(F, [u]), lo, hi)
+            ends = eval_mpf(F, [np.concatenate([x, np.maximum(lo, 0.0), hi])])
+            refined[cells] = np.minimum(refined[cells], ends.reshape(3, -1).min(axis=0))
         return refined
     # 2-D: local minima over the 4-neighborhood, then coordinate descent
     V = vals
@@ -618,36 +624,39 @@ def _refine_local_minima(F: MPF, grid: np.ndarray, vals: np.ndarray) -> np.ndarr
     if cells.shape[0] > _REFINE_CELL_CAP:
         order = np.argsort(V[mask], kind="stable")[:_REFINE_CELL_CAP]
         cells = cells[order]
-    for i, j in cells:
+    if cells.shape[0]:
+        i, j = cells.T
         x, y = grid[i], grid[j]
         for _ in range(2):
-            x = _golden_argmin_1d(lambda u: float(eval_mpf(F, [np.array(u), np.array(y)])), x - h, x + h, iters=24)
-            y = _golden_argmin_1d(lambda u: float(eval_mpf(F, [np.array(x), np.array(u)])), y - h, y + h, iters=24)
-        refined[i, j] = min(refined[i, j], float(eval_mpf(F, [np.array(x), np.array(y)])))
+            x = _golden_argmin(lambda u: eval_mpf(F, [u, y]), x - h, x + h, iters=24)
+            y = _golden_argmin(lambda u: eval_mpf(F, [x, u]), y - h, y + h, iters=24)
+        refined[i, j] = np.minimum(refined[i, j], eval_mpf(F, [x, y]))
     return refined
 
 
-def _golden_argmin_1d(f, lo, hi, iters: int = 40) -> float:
-    lo = max(lo, 0.0)
-    a, b = lo, hi
+def _golden_argmin(f, lo, hi, iters: int = 40) -> np.ndarray:
+    """Golden-section argmin on every bracket [max(lo, 0), hi] at once.
+
+    ``f`` maps an array of points, one per bracket, to their values.  Each
+    iteration makes one ``f`` call on the new probe of every bracket, after
+    two calls for the first probe pair.  A bracket keeps its left part when
+    f1 <= f2, and its arithmetic does not depend on the other brackets.
+    Returns the midpoints of the final brackets.
+    """
+    a = np.maximum(lo, 0.0)
+    b = np.asarray(hi, dtype=float)
     x1 = b - _GOLD * (b - a)
     x2 = a + _GOLD * (b - a)
     f1, f2 = f(x1), f(x2)
     for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLD * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLD * (b - a)
-            f2 = f(x2)
+        left = f1 <= f2
+        a = np.where(left, a, x1)
+        b = np.where(left, x2, b)
+        probe = np.where(left, b - _GOLD * (b - a), a + _GOLD * (b - a))
+        fp = f(probe)
+        x1, x2 = np.where(left, probe, x2), np.where(left, x1, probe)
+        f1, f2 = np.where(left, fp, f2), np.where(left, f1, fp)
     return 0.5 * (a + b)
-
-
-def _golden_min_1d(f, lo, hi, iters: int = 40) -> float:
-    x = _golden_argmin_1d(f, lo, hi, iters)
-    return min(f(x), f(max(lo, 0.0)), f(hi))
 
 
 def _suffix_min_1d(vals: np.ndarray) -> np.ndarray:
@@ -666,8 +675,9 @@ def defect_table(F: MPF, D: float, h: float = 1.0 / 64.0,
                  probe: float | None = None) -> DefectReport:
     """Tabulate I(s) = F(s) - inf_{s' >= s componentwise} F(s') on a grid.
 
-    The infimum is taken over the grid extended to the probe horizon, with
-    golden-section polish of grid local minima, and the defect is clamped at
+    The infimum is taken over the grid extended to the probe horizon, with a
+    lockstep golden-section polish of grid local minima (all cells advance
+    together, one eval_mpf call per iteration), and the defect is clamped at
     zero.  Supports arity 1 and 2.
     """
     if probe is None:

@@ -247,3 +247,115 @@ def od_heuristic_loop(space, kappa, budget, seed):
                     else:
                         v[i] = old
     return best_pd, best_v, evals
+
+
+def golden_argmin_loop(f, lo, hi, iters=40):
+    """Scalar golden-section argmin of f on [max(lo, 0), hi]; f returns a float."""
+    lo = max(lo, 0.0)
+    a, b = lo, hi
+    gold = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - gold * (b - a)
+    x2 = a + gold * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iters):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - gold * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + gold * (b - a)
+            f2 = f(x2)
+    return 0.5 * (a + b)
+
+
+def refine_local_minima_loop(F, grid, vals):
+    """Golden-section polish of strict grid local minima, one cell at a time.
+
+    Every probe is one eval_mpf call on a 0-d array: 40 iterations per 1-D
+    cell, then min(f(x), f(lo), f(hi)); two rounds of 24-iteration
+    coordinate descent per 2-D cell.  At most 64 cells, the lowest by a
+    stable sort, are polished.
+    """
+    from mm_lab.mpf import eval_mpf
+
+    cap = 64
+
+    refined = vals.copy()
+    h = grid[1] - grid[0] if len(grid) > 1 else 0.0
+    if vals.ndim == 1:
+        mask = np.zeros_like(vals, dtype=bool)
+        if len(vals) > 2:
+            mask[1:-1] = (vals[1:-1] <= vals[:-2] + 1e-15) & (vals[1:-1] <= vals[2:] + 1e-15) \
+                & ((vals[1:-1] < vals[:-2] - 1e-15) | (vals[1:-1] < vals[2:] - 1e-15))
+        cells = np.nonzero(mask)[0]
+        if cells.size > cap:
+            cells = cells[np.argsort(vals[cells], kind="stable")[:cap]]
+
+        def f(x):
+            return float(eval_mpf(F, [np.array(x)]))
+
+        for i in cells:
+            lo, hi = grid[i] - h, grid[i] + h
+            x = golden_argmin_loop(f, lo, hi)
+            refined[i] = min(refined[i], min(f(x), f(max(lo, 0.0)), f(hi)))
+        return refined
+    V = vals
+    mask = np.zeros_like(V, dtype=bool)
+    if V.shape[0] > 2 and V.shape[1] > 2:
+        c = V[1:-1, 1:-1]
+        le = ((c <= V[:-2, 1:-1] + 1e-15) & (c <= V[2:, 1:-1] + 1e-15)
+              & (c <= V[1:-1, :-2] + 1e-15) & (c <= V[1:-1, 2:] + 1e-15))
+        lt = ((c < V[:-2, 1:-1] - 1e-15) | (c < V[2:, 1:-1] - 1e-15)
+              | (c < V[1:-1, :-2] - 1e-15) | (c < V[1:-1, 2:] - 1e-15))
+        mask[1:-1, 1:-1] = le & lt
+    cells = np.argwhere(mask)
+    if cells.shape[0] > cap:
+        cells = cells[np.argsort(V[mask], kind="stable")[:cap]]
+    for i, j in cells:
+        x, y = grid[i], grid[j]
+        for _ in range(2):
+            x = golden_argmin_loop(lambda u: float(eval_mpf(F, [np.array(u), np.array(y)])),
+                                   x - h, x + h, iters=24)
+            y = golden_argmin_loop(lambda u: float(eval_mpf(F, [np.array(x), np.array(u)])),
+                                   y - h, y + h, iters=24)
+        refined[i, j] = min(refined[i, j], float(eval_mpf(F, [np.array(x), np.array(y)])))
+    return refined
+
+
+def min_on_interval_loop(F, lo, hi, grid=512):
+    """Grid minimum of F on [lo, hi], polished by the scalar golden search."""
+    from mm_lab.mpf import eval_mpf
+
+    xs = np.linspace(lo, hi, grid)
+    vals = eval_mpf(F, [xs])
+    k = int(np.argmin(vals))
+    a = xs[max(0, k - 1)]
+    b = xs[min(grid - 1, k + 1)]
+    x = golden_argmin_loop(lambda u: float(eval_mpf(F, [np.array(u)])), a, b)
+    return float(min(vals[k], eval_mpf(F, [np.array(x)])))
+
+
+def min_on_rect_loop(F, lo1, hi1, lo2, hi2, grid=128):
+    """Grid minimum of F on a rectangle, then three rounds of scalar
+    coordinate descent with the probes clipped into the rectangle."""
+    from mm_lab.mpf import eval_mpf
+
+    xs = np.linspace(lo1, hi1, grid)
+    ys = np.linspace(lo2, hi2, grid)
+    S, T = np.meshgrid(xs, ys, indexing="ij")
+    vals = eval_mpf(F, [S, T])
+    i, j = np.unravel_index(np.argmin(vals), vals.shape)
+    x, y = xs[i], ys[j]
+    hx = xs[1] - xs[0] if grid > 1 else 0.0
+    hy = ys[1] - ys[0] if grid > 1 else 0.0
+    for _ in range(3):
+        x = golden_argmin_loop(
+            lambda u: float(eval_mpf(F, [np.array(np.clip(u, lo1, hi1)), np.array(y)])),
+            max(lo1, x - hx), min(hi1, x + hx))
+        x = float(np.clip(x, lo1, hi1))
+        y = golden_argmin_loop(
+            lambda u: float(eval_mpf(F, [np.array(x), np.array(np.clip(u, lo2, hi2))])),
+            max(lo2, y - hy), min(hi2, y + hy))
+        y = float(np.clip(y, lo2, hi2))
+    return float(min(vals[i, j], eval_mpf(F, [np.array(x), np.array(y)])))

@@ -6,7 +6,7 @@ import pytest
 from mm_lab import core, distances as dst, gallery, invariants as inv, mpf
 from mm_lab.errors import NotTriangleTriplet, WitnessInvalid
 
-from oracles import pd_window_oracle
+from oracles import min_on_interval_loop, min_on_rect_loop, pd_window_oracle
 
 
 def test_sphere_metric_consistency():
@@ -174,6 +174,23 @@ def test_counterexample_2dim_bundle():
     masses = np.zeros(4)
     np.add.at(masses, b.p_map, b.product_space.weight)
     assert np.allclose(masses, 0.25)
+
+
+def test_min_on_interval_and_rect_match_loop_oracle():
+    h1 = mpf.builtin("h1")
+    assert gallery._min_on_interval(h1, 2.0, 3.0) == min_on_interval_loop(h1, 2.0, 3.0)
+    # the dip rectangles of test_counterexample_2dim_bundle: alpha, beta, gamma
+    dip = mpf.builtin("dip")
+    r = math.sqrt(2.0 ** 2 - 1.0) / 2.0
+    for rect in ((1.0, 2.0, 0.0, 2 * r), (0.0, 2 * r, 1.0, 2.0), (1.0, 2.0, 1.0, 2.0)):
+        assert gallery._min_on_rect(dip, *rect) == min_on_rect_loop(dip, *rect)
+    for token in ("h2", "fn1:3", "fn2:4", "clamp"):
+        F = mpf.builtin(token)
+        assert gallery._min_on_interval(F, 0.5, 7.0) == min_on_interval_loop(F, 0.5, 7.0)
+    for token in ("gn2:4", "gn3:5", "fexp", "petrik", "mul:sinh"):
+        F = mpf.builtin(token)
+        for rect in ((1.0, 3.0, 0.0, 2.0), (2.0, 5.0, 2.0, 5.0)):
+            assert gallery._min_on_rect(F, *rect) == min_on_rect_loop(F, *rect)
 
 
 def test_counterexample_2dim_isotone_family_is_refused():

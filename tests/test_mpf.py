@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from mm_lab import mpf
 from mm_lab.errors import ArityMismatch, MMLabError, NotIncreasing
+from oracles import refine_local_minima_loop
 
 
 def test_eval_spot_values():
@@ -121,6 +122,131 @@ def test_defect_tables():
     # off-grid breakpoints are caught by the golden refinement
     rep = mpf.defect_table(mpf.builtin("fn1:3"), D=4.0, h=1 / 64, probe=8.0)
     assert rep.table[int(round(2.0 * 64))] == pytest.approx(1.0 / 3.0, abs=1e-6)
+
+
+def _grid_values(F, extent, h):
+    grid = np.arange(int(round(extent / h)) + 1) * h
+    if F.arity == 1:
+        return grid, mpf.eval_mpf(F, [grid])
+    return grid, mpf.eval_mpf(F, list(np.meshgrid(grid, grid, indexing="ij")))
+
+
+def _count_eval_calls(monkeypatch):
+    """Route mpf.eval_mpf through a counter of top-level calls and their sizes.
+
+    Nested calls (piecewise segments, generator inverses) run at depth > 1
+    and are not counted.
+    """
+    sizes, depth = [], [0]
+    inner = mpf.eval_mpf
+
+    def counting(F, args):
+        if depth[0] == 0:
+            sizes.append(int(np.asarray(args[0]).size))
+        depth[0] += 1
+        try:
+            return inner(F, args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(mpf, "eval_mpf", counting)
+    return sizes
+
+
+# sine_taper in two variables, and dip(s, t) + 0.1 s + t, whose polished
+# values depend on sweeping x before y
+_CUSTOM_2D = {
+    "h2+h2": mpf.combine("add_f", [mpf.builtin("h2"), mpf.builtin("h2")]),
+    "dip+tilt": mpf.combine("add_F", [mpf.builtin("dip"), mpf.combine(
+        "add_f", [mpf.linear(0.1), mpf.identity()])]),
+}
+
+
+@pytest.mark.parametrize("token", [
+    "h1", "h2", "fn1:3", "fn2:4", "fn3:5", "clamp", "sq",
+    "fp:1", "fp:2", "fp:inf", "fexp", "falpha:0.5", "fpq:2,4", "mul:sinh", "mul:quad",
+    "petrik", "dip",
+    "gn1:1", "gn1:4", "gn1:16", "gn2:1", "gn2:4", "gn2:16", "gn3:1", "gn3:4", "gn3:16",
+])
+def test_refine_local_minima_matches_loop_oracle(token):
+    F = mpf.builtin(token)
+    n = int(token.partition(":")[2]) if token.startswith("gn") else 0
+    grid, vals = _grid_values(F, max(8.0, n + 8.0), 1 / 16)
+    got = mpf._refine_local_minima(F, grid, vals)
+    assert got.tobytes() == refine_local_minima_loop(F, grid, vals).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_CUSTOM_2D))
+def test_refine_local_minima_matches_loop_oracle_on_custom_2d(name):
+    F = _CUSTOM_2D[name]
+    grid, vals = _grid_values(F, 12.0, 1 / 16)
+    got = mpf._refine_local_minima(F, grid, vals)
+    assert np.count_nonzero(got != vals) > 1
+    assert got.tobytes() == refine_local_minima_loop(F, grid, vals).tobytes()
+
+
+def test_refine_cell_cap_keeps_the_lowest_cells_in_stable_order():
+    # fp:inf has a strict grid minimum on every interior diagonal cell (127 of
+    # them), so only the 64 lowest are polished
+    F = mpf.builtin("fp:inf")
+    grid, vals = _grid_values(F, 8.0, 1 / 16)
+    got = mpf._refine_local_minima(F, grid, vals)
+    assert np.count_nonzero(got != vals) == mpf._REFINE_CELL_CAP
+    assert got.tobytes() == refine_local_minima_loop(F, grid, vals).tobytes()
+    # 100 tied minima above the function: the stable sort polishes the first
+    # 64 by index
+    grid = np.arange(201) / 16
+    vals = 10.0 + np.tile([1.0, 0.0], 101)[:201]
+    F = mpf.builtin("h2")
+    got = mpf._refine_local_minima(F, grid, vals)
+    assert np.array_equal(np.flatnonzero(got != vals), np.arange(1, 129, 2))
+    assert got.tobytes() == refine_local_minima_loop(F, grid, vals).tobytes()
+
+
+def test_defect_table_eval_calls_do_not_grow_with_cells(monkeypatch):
+    sizes = _count_eval_calls(monkeypatch)
+    # 2-D: the grid, two rounds of an x sweep and a y sweep (24 iterations
+    # after two opening probes), and the final values; 1277 local minima
+    # on this grid, 64 polished
+    mpf.defect_table(mpf.builtin("gn3:5"), D=13.0)
+    assert len(sizes) <= 1 + 2 * 2 * (24 + 2) + 1
+    # 1-D: the grid, 40 iterations after two opening probes, f(x), f(lo), f(hi)
+    sizes.clear()
+    mpf.defect_table(mpf.builtin("h2"), D=8.0)
+    assert len(sizes) <= 1 + (40 + 2) + 3
+    assert min(sizes) > 0
+
+
+@pytest.mark.parametrize("F, D, h", [
+    (mpf.const(1.0), 4.0, 1 / 64),
+    (mpf.combine("add_f", [mpf.const(1.0), mpf.const(2.0)]), 4.0, 1 / 16),
+    (mpf.builtin("h2"), 1 / 64, 1 / 64),
+    (mpf.builtin("dip"), 1 / 16, 1 / 16),
+])
+def test_refine_without_cells_makes_no_eval_calls(monkeypatch, F, D, h):
+    grid, vals = _grid_values(F, D, h)
+    sizes = _count_eval_calls(monkeypatch)
+    got = mpf._refine_local_minima(F, grid, vals)
+    assert sizes == []
+    assert got is not vals and got.tobytes() == vals.tobytes()
+    rep = mpf.defect_table(F, D=D, h=h)
+    assert sizes == [vals.size]
+    assert rep.sup_defect == 0.0
+
+
+def test_refine_single_cell_matches_loop_oracle():
+    # fn1:4 drops to its plateau at 2.25: one strict grid minimum
+    F = mpf.builtin("fn1:4")
+    grid, vals = _grid_values(F, 8.0, 1 / 64)
+    got = mpf._refine_local_minima(F, grid, vals)
+    assert got.tobytes() == refine_local_minima_loop(F, grid, vals).tobytes()
+    F = mpf.builtin("fp:2")
+    grid = np.arange(5) / 16
+    vals = np.ones((5, 5))
+    vals[2, 2] = 0.5
+    got = mpf._refine_local_minima(F, grid, vals)
+    assert got[2, 2] < 0.5
+    assert got.tobytes() == refine_local_minima_loop(F, grid, vals).tobytes()
 
 
 def test_classifier_reproduces_separations():
