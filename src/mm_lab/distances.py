@@ -225,69 +225,87 @@ def prokhorov_real(a: RealDistribution, b: RealDistribution, lam: float = 1.0) -
 # ---------------------------------------------------------------------------
 # box distance on equal-mass chunks
 
-def _chunk_indices(space: FiniteMMSpace, k: int):
-    scaled = space.weight * k
-    rounded = np.round(scaled)
-    if np.abs(scaled - rounded).max() > 1e-6 * k or (rounded < 1).any():
+def _chunk_counts(weight: list, k: int):
+    """Chunks of mass 1/k per atom, or None unless every atom holds a positive whole number."""
+    scaled = [w * k for w in weight]
+    counts = [round(v) for v in scaled]
+    if max(abs(v - c) for v, c in zip(scaled, counts)) > 1e-6 * k:
         return None
-    if int(rounded.sum()) != k:
-        return None
-    return np.repeat(np.arange(space.n), rounded.astype(int))
+    return counts if min(counts) >= 1 and sum(counts) == k else None
 
 
 def _common_chunking(x: FiniteMMSpace, y: FiniteMMSpace):
-    for k in range(1, _CHUNK_CAP + 1):
-        cx = _chunk_indices(x, k)
-        cy = _chunk_indices(y, k)
-        if cx is not None and cy is not None:
-            return k, cx, cy
+    """Smallest common k and the atom of each of the k equal-mass chunks of x and y.
+
+    Every atom takes at least one chunk, so k starts at the larger point count.
+    """
+    wx, wy = x.weight.tolist(), y.weight.tolist()
+    for k in range(max(x.n, y.n), _CHUNK_CAP + 1):
+        rx, ry = _chunk_counts(wx, k), _chunk_counts(wy, k)
+        if rx and ry:
+            return k, np.repeat(np.arange(x.n), rx), np.repeat(np.arange(y.n), ry)
     raise NotRational(
         f"weights admit no common equal-mass refinement with at most {_CHUNK_CAP} chunks")
 
 
-def _pair_masks(k: int):
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    masks = np.arange(1 << k)
-    sel = np.zeros((1 << k, len(pairs)), dtype=bool)
-    for c, (i, j) in enumerate(pairs):
-        sel[:, c] = (((masks >> i) & 1) == 1) & (((masks >> j) & 1) == 1)
-    sizes = np.array([bin(m).count("1") for m in range(1 << k)])
-    return pairs, sel, sizes
+def _chunk_couplings(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    """One y-label sequence per integer coupling of the chunk labels ``cx``, ``cy``.
+
+    Row r gives the y-atom of every x-chunk; rows use the multiset ``cy`` and
+    are non-decreasing inside each block of equal ``cx``, so each matrix of
+    counts with margins ``bincount(cx)`` and ``bincount(cy)`` appears once.
+    Built one position at a time: every state keeps its unused counts and a
+    pointer to its prefix, and the rows are read back through the pointers.
+    """
+    left = np.bincount(cy)[None, :]
+    labels = np.arange(left.shape[1])
+    steps = []
+    for p in range(len(cx)):
+        ok = left > 0
+        if p > 0 and cx[p] == cx[p - 1]:
+            ok &= labels >= lab[:, None]
+        row, lab = np.nonzero(ok)
+        left = left[row] - (labels == lab[:, None])
+        steps.append((row, lab))
+    seqs = np.empty((len(left), len(cx)), dtype=int)
+    state = np.arange(len(left))
+    for p in range(len(cx) - 1, -1, -1):
+        row, lab = steps[p]
+        seqs[:, p] = lab[state]
+        state = row[state]
+    return seqs
 
 
 def box_distance(x: FiniteMMSpace, y: FiniteMMSpace, mode: str = "exact_tiny",
                  budget: int = 600, seed=0):
-    """Box distance: exact over equal-mass chunk bijections, or bounds.
+    """Box distance: exact over integer couplings of equal-mass chunks, or bounds.
 
     Exact mode splits both spaces into k equal-mass chunks (k <= 8) and
     minimizes, over chunk bijections and retained chunk subsets, the larger
     of the discarded mass and the worst pairwise distance discrepancy.
     Couplings of uniform chunk vectors are convex combinations of bijections
     and the retained-subset objective is extremal at vertices, so the
-    enumeration is exact for rational weights.  Bound mode returns
-    (lower, upper) with the upper bound 3 * (best near-isomorphism epsilon).
+    enumeration is exact for rational weights.  It runs over integer
+    couplings of equal-mass chunks, one evaluation each: a bijection enters
+    only through the number of chunks of x-atom i it sends to y-atom j, since
+    exchanging two chunks of one atom permutes the chunk pairs and leaves
+    their distance discrepancies, hence every subset's value, unchanged.
+    Every max and min is exact, so the value equals the minimum over all k!
+    bijections bit for bit.  Bound mode returns (lower, upper) with the upper
+    bound 3 * (best near-isomorphism epsilon).
     """
     if mode == "exact_tiny":
         k, cx, cy = _common_chunking(x, y)
         dx = x.dist[np.ix_(cx, cx)]
-        dy = y.dist[np.ix_(cy, cy)]
-        pairs, sel, sizes = _pair_masks(k)
-        deficits = 1.0 - sizes / k
-        perms = np.array(list(itertools.permutations(range(k))), dtype=int)
+        couplings = _chunk_couplings(cx, cy)
+        sizes = _subset_table(np.ones(k), np.add, 0.0)  # chunks in every subset
+        deficits = 1.0 - sizes[:, None] / k
         best = np.inf
-        if pairs:
-            pi = np.array([p[0] for p in pairs])
-            pj = np.array([p[1] for p in pairs])
-        batch = max(1, (1 << 22) // max(1, sel.size))
-        for lo in range(0, len(perms), batch):
-            P = perms[lo: lo + batch]
-            dys = dy[P[:, :, None], P[:, None, :]]
-            if pairs:
-                dflat = np.abs(dx[None, :, :] - dys)[:, pi, pj]
-                pairmax = np.where(sel[None, :, :], dflat[:, None, :], 0.0).max(axis=2)
-            else:
-                pairmax = np.zeros((len(P), 1 << k))
-            eps = np.maximum(pairmax, deficits[None, :]).min(axis=1)
+        batch = 1 << (18 - k)  # 2^18 subset diameters at once (k <= _CHUNK_CAP = 8)
+        for lo in range(0, len(couplings), batch):
+            lab = couplings[lo: lo + batch].T
+            disc = np.abs(dx[:, :, None] - y.dist[lab[:, None, :], lab[None, :, :]])
+            eps = np.maximum(_subset_diameters(disc), deficits).min(axis=0)
             best = min(best, float(eps.min()))
             if best <= 0.0:
                 break
@@ -300,12 +318,23 @@ def box_distance(x: FiniteMMSpace, y: FiniteMMSpace, mode: str = "exact_tiny",
     raise MMLabError(f"unknown mode {mode!r}")
 
 
+def _subset_diameters(d: np.ndarray) -> np.ndarray:
+    """Largest ``d[i, j]`` over the pairs of every subset of the first axis.
+
+    ``d`` is symmetric in its first two axes; further axes are carried
+    along.  A subset with top bit b adds to the subset below it the pairs
+    (i, b), whose maximum is read from the subset table of column b.
+    """
+    diams = np.zeros((1 << len(d),) + d.shape[2:])
+    for b in range(len(d)):
+        far = _subset_table(d[:b, b], np.maximum, 0.0)  # far[m]: largest d[i, b], i in m
+        np.maximum(diams[: 1 << b], far, out=diams[1 << b: 2 << b])
+    return diams
+
+
 def _partial_diameters(space: FiniteMMSpace):
     """Partial diameter of the space at any array of mass levels, from its subsets."""
-    far = _subset_table(space.dist, np.maximum, 0.0)  # far[m, j]: largest d(i, j), i in m
-    diams = np.zeros(1 << space.n)
-    for b in range(space.n):
-        np.maximum(diams[: 1 << b], far[: 1 << b, b], out=diams[1 << b: 2 << b])
+    diams = _subset_diameters(space.dist)
     masses = _subset_masses(space.weight)
     order = np.argsort(masses, kind="stable")
     # best[k]: smallest diameter from the k-th lightest subset on; best[2^n] = diam

@@ -223,12 +223,10 @@ def _min_on_rect(F: MPF, lo1, hi1, lo2, hi2, grid: int = 128) -> float:
     hy = ys[1] - ys[0] if grid > 1 else 0.0
     x, y = np.array([xs[i]]), np.array([ys[j]])
     for _ in range(3):
-        x = _golden_argmin(lambda u: eval_mpf(F, [np.clip(u, lo1, hi1), y]),
+        x = _golden_argmin(lambda u: eval_mpf(F, [u, y]),
                            np.array([max(lo1, x[0] - hx)]), np.array([min(hi1, x[0] + hx)]))
-        x = np.clip(x, lo1, hi1)
-        y = _golden_argmin(lambda u: eval_mpf(F, [x, np.clip(u, lo2, hi2)]),
+        y = _golden_argmin(lambda u: eval_mpf(F, [x, u]),
                            np.array([max(lo2, y[0] - hy)]), np.array([min(hi2, y[0] + hy)]))
-        y = np.clip(y, lo2, hi2)
     return float(min(vals[i, j], eval_mpf(F, [x, y])[0]))
 
 

@@ -70,14 +70,24 @@ def _bisect_inverse(phi, y, tol: float = 1e-12):
         if not need.any():
             break
         hi[need] *= 2.0
+    # bisect the live points only: a point leaves once its own bracket is
+    # within tol, so its value does not depend on the rest of its batch
+    lo, hi, y_flat = lo.ravel(), hi.ravel(), y.ravel()
+    live = np.flatnonzero(hi - lo > tol)
+    a, b, target = lo[live], hi[live], y_flat[live]
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        below = phi(mid) < y
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if (hi - lo).max(initial=0.0) <= tol:
+        if not live.size:
             break
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (a + b)
+        below = phi(mid) < target
+        a = np.where(below, mid, a)
+        b = np.where(below, b, mid)
+        keep = b - a > tol
+        if not keep.all():
+            lo[live], hi[live] = a, b
+            live, a, b, target = live[keep], a[keep], b[keep], target[keep]
+    lo[live], hi[live] = a, b
+    return (0.5 * (lo + hi)).reshape(y.shape)
 
 
 def _eval_unary_piecewise(breaks, segments, s):

@@ -359,3 +359,57 @@ def min_on_rect_loop(F, lo1, hi1, lo2, hi2, grid=128):
             max(lo2, y - hy), min(hi2, y + hy))
         y = float(np.clip(y, lo2, hi2))
     return float(min(vals[i, j], eval_mpf(F, [np.array(x), np.array(y)])))
+
+
+def box_distance_perm_loop(x, y):
+    """Exact box distance over all k! chunk bijections, one subset mask per pair.
+
+    Every permutation of the k equal-mass chunks is scored against every
+    retained subset through a (subsets x pairs) mask, as the library did
+    before it enumerated integer couplings.
+    """
+    from mm_lab.errors import NotRational
+
+    def chunk_indices(space, k):
+        scaled = space.weight * k
+        rounded = np.round(scaled)
+        if np.abs(scaled - rounded).max() > 1e-6 * k or (rounded < 1).any():
+            return None
+        if int(rounded.sum()) != k:
+            return None
+        return np.repeat(np.arange(space.n), rounded.astype(int))
+
+    for k in range(1, 9):
+        cx, cy = chunk_indices(x, k), chunk_indices(y, k)
+        if cx is not None and cy is not None:
+            break
+    else:
+        raise NotRational("no common equal-mass refinement with at most 8 chunks")
+    dx = x.dist[np.ix_(cx, cx)]
+    dy = y.dist[np.ix_(cy, cy)]
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    masks = np.arange(1 << k)
+    sel = np.zeros((1 << k, len(pairs)), dtype=bool)
+    for c, (i, j) in enumerate(pairs):
+        sel[:, c] = (((masks >> i) & 1) == 1) & (((masks >> j) & 1) == 1)
+    sizes = np.array([bin(m).count("1") for m in range(1 << k)])
+    deficits = 1.0 - sizes / k
+    perms = np.array(list(itertools.permutations(range(k))), dtype=int)
+    best = np.inf
+    if pairs:
+        pi = np.array([p[0] for p in pairs])
+        pj = np.array([p[1] for p in pairs])
+    batch = max(1, (1 << 22) // max(1, sel.size))
+    for lo in range(0, len(perms), batch):
+        P = perms[lo: lo + batch]
+        dys = dy[P[:, :, None], P[:, None, :]]
+        if pairs:
+            dflat = np.abs(dx[None, :, :] - dys)[:, pi, pj]
+            pairmax = np.where(sel[None, :, :], dflat[:, None, :], 0.0).max(axis=2)
+        else:
+            pairmax = np.zeros((len(P), 1 << k))
+        eps = np.maximum(pairmax, deficits[None, :]).min(axis=1)
+        best = min(best, float(eps.min()))
+        if best <= 0.0:
+            break
+    return best

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.sparse.csgraph import maximum_flow
 from mm_lab import core, distances as dst, invariants as inv, mpf
 from mm_lab.errors import NotRational, TooLarge
 
-from oracles import ky_fan_loop
+from oracles import box_distance_perm_loop, ky_fan_loop
 from strategies import weighted_deviations
 
 
@@ -214,6 +215,99 @@ def test_box_product_inequality():
         assert res["pass"], res
         res_f = dst.box_product_check(*spaces, mpf.builtin("fexp"))
         assert res_f["pass"], res_f
+
+
+def _chunked_space(counts, seed, ties=False):
+    """Space whose atom i holds counts[i] of sum(counts) equal-mass chunks."""
+    n = len(counts)
+    X = core.random_metric_space(n, seed=seed)
+    if ties:  # every pair at distance 1: many equal discrepancies
+        X = core.validate_space({"dist": np.ones((n, n)) - np.eye(n), "weight": np.ones(n) / n})
+    return X.reweighted(np.asarray(counts, dtype=float) / sum(counts))
+
+
+@st.composite
+def _chunk_count_pairs(draw):
+    k = draw(st.integers(1, 8))
+
+    def counts():
+        n = draw(st.integers(1, k))
+        cuts = sorted(draw(st.lists(st.integers(1, k - 1), min_size=n - 1, max_size=n - 1,
+                                    unique=True))) if n > 1 else []
+        return np.diff([0, *cuts, k])
+    return counts(), counts()
+
+
+@settings(max_examples=40)
+@given(_chunk_count_pairs(), st.integers(0, 10**6), st.booleans())
+def test_box_exact_equals_permutation_loop(margins, seed, ties):
+    X = _chunked_space(margins[0], seed, ties)
+    Y = _chunked_space(margins[1], seed + 1)
+    assert dst.box_distance(X, Y) == box_distance_perm_loop(X, Y)
+    assert dst.box_distance(Y, X) == box_distance_perm_loop(Y, X)
+
+
+def test_box_exact_pinned_cases():
+    X = _chunked_space((3, 2, 3), 40)
+    assert dst.box_distance(X, X) == box_distance_perm_loop(X, X) == 0.0  # early exit
+    for cx, cy in [
+        ((1,), (1,)),                # k = 1: no chunk pairs
+        ((1,) * 8, (1,) * 8),        # 8 distinct atoms of 1/8: no symmetry
+        ((6, 1, 1), (2, 3, 3)),      # lopsided margins
+        ((8,), (1,) * 8),
+        ((2, 4), (3, 3)),            # thirds against halves: k = 6
+    ]:
+        X, Y = _chunked_space(cx, 40), _chunked_space(cy, 41)
+        assert dst.box_distance(X, Y) == box_distance_perm_loop(X, Y)
+        assert dst.box_distance(Y, X) == box_distance_perm_loop(Y, X)
+
+
+@pytest.mark.parametrize("noise, rational", [(1e-9, True), (1e-5, False)])
+def test_box_chunking_tolerance_matches_loop(noise, rational):
+    # weights within 1e-6 * k of whole chunks still chunk; farther ones do not
+    X = core.random_metric_space(3, seed=5).reweighted(np.array([1 / 4 + noise, 1 / 4, 1 / 2 - noise]))
+    Y = _chunked_space((1, 3), 6)
+    if rational:
+        assert dst.box_distance(X, Y) == box_distance_perm_loop(X, Y)
+    else:
+        for box in (dst.box_distance, box_distance_perm_loop):
+            with pytest.raises(NotRational):
+                box(X, Y)
+
+
+def _count_matrices(rx, ry):
+    """Integer matrices with row sums rx and column sums ry, listed by itertools.product."""
+    rows = [[v for v in itertools.product(*(range(min(r, c) + 1) for c in ry)) if sum(v) == r]
+            for r in rx]
+    return {m for m in itertools.product(*rows) if tuple(map(sum, zip(*m))) == tuple(ry)}
+
+
+@pytest.mark.parametrize("rx, ry", [
+    ((8,), (8,)), ((8,), (1,) * 8), ((6, 1, 1), (2, 3, 3)), ((2, 3, 3), (6, 1, 1)),
+    ((2, 2, 2, 2), (4, 4)), ((3, 3, 2), (1, 2, 2, 3)), ((1, 1, 1, 1), (1, 1, 1, 1)),
+    ((1, 2, 1, 3, 1), (2, 2, 2, 2)), ((1,), (1,)), ((4, 4), (3, 3, 2)),
+])
+def test_chunk_couplings_one_row_per_coupling(rx, ry):
+    cx = np.repeat(np.arange(len(rx)), rx)
+    cy = np.repeat(np.arange(len(ry)), ry)
+    rows = dst._chunk_couplings(cx, cy)
+    want = _count_matrices(rx, ry)
+    assert rows.shape == (len(want), len(cx))
+    assert len({tuple(r) for r in rows}) == len(rows)
+    assert (np.sort(rows, axis=1) == cy).all()
+    got = set()
+    for r in rows:
+        m = np.zeros((len(rx), len(ry)), dtype=int)
+        np.add.at(m, (cx, r), 1)
+        got.add(tuple(map(tuple, m)))
+    assert got == want
+
+
+def test_chunk_couplings_without_symmetry_lists_every_bijection():
+    labels = np.arange(8)
+    rows = dst._chunk_couplings(labels, labels)
+    assert rows.shape == (math.factorial(8), 8)
+    assert len({tuple(r) for r in rows}) == math.factorial(8)
 
 
 def test_epsilon_mm_iso_search():

@@ -45,6 +45,17 @@ def test_mulholland_matches_closed_forms():
     assert mq(1.0, 1.0) == pytest.approx(math.sqrt(7.0) - 1.0, abs=1e-9)
 
 
+def test_bisected_inverse_does_not_depend_on_its_batch():
+    # (700, 700) needs the widest bracket; the other points must not bisect past their own tol
+    F = mpf.builtin("petrik")
+    pts = [(0.3, 0.3), (5.0, 5.0), (700.0, 700.0)]
+    alone = [mpf.eval_mpf(F, [np.array(s), np.array(t)]) for s, t in pts]
+    together = mpf.eval_mpf(F, [np.array([p[0] for p in pts]), np.array([p[1] for p in pts])])
+    assert together.tolist() == [float(v) for v in alone]
+    # one-point values keep the bits they had under the batch-wide stopping rule
+    assert [float(v).hex() for v in alone[:2]] == ["0x1.3333333333000p-1", "0x1.c48c6001f0a00p+2"]
+
+
 def test_mulholland_rejects_nonincreasing_generator():
     bad = mpf.PhiSpec("piecewise", {
         "breaks": (1.0,),
@@ -153,12 +164,16 @@ def _count_eval_calls(monkeypatch):
     return sizes
 
 
-# sine_taper in two variables, and dip(s, t) + 0.1 s + t, whose polished
-# values depend on sweeping x before y
+# sine_taper in two variables, dip(s, t) + 0.1 s + t, whose polished
+# values depend on sweeping x before y, and a sum through petrik's bisected
+# generator inverse, whose polish matches only if a point's inverse does not
+# depend on the other points of its batch
 _CUSTOM_2D = {
     "h2+h2": mpf.combine("add_f", [mpf.builtin("h2"), mpf.builtin("h2")]),
     "dip+tilt": mpf.combine("add_F", [mpf.builtin("dip"), mpf.combine(
         "add_f", [mpf.linear(0.1), mpf.identity()])]),
+    "dip+petrik-fp:inf/2": mpf.combine("add_F", [
+        mpf.builtin("dip"), mpf.builtin("petrik"), mpf.scale(-0.5, mpf.builtin("fp:inf"))]),
 }
 
 
