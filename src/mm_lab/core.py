@@ -141,7 +141,7 @@ def _subset_masses(weight) -> np.ndarray:
     return bits @ weight
 
 
-def _triangle_check(d: np.ndarray, tol: float, rng_seed: int = 0):
+def _triangle_check(d: np.ndarray, tol: float):
     """Return a violating (i, j, k, gap) or None.
 
     Exhaustive for small matrices: one n x n buffer holds, pivot by pivot,
@@ -159,7 +159,7 @@ def _triangle_check(d: np.ndarray, tol: float, rng_seed: int = 0):
                 i, k = np.argwhere(slack > tol)[0]
                 return int(i), int(j), int(k), float(slack[i, k])
         return None
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     m = _SAMPLED_TRIANGLE_COUNT
     i = rng.integers(0, n, m)
     j = rng.integers(0, n, m)

@@ -22,12 +22,11 @@ from .core import (
     RealDistribution,
     _subset_masses,
     _subset_table,
-    real_distribution,
     tail_mass,
     validate_space,
 )
 from .errors import HostMismatch, MMLabError, NotRational, TargetTooLarge, TooLarge
-from .invariants import _candidate_observables, levy_mean, EXACT_OD_BOUND
+from .invariants import _candidate_observables, _levy_mean_of_values, EXACT_OD_BOUND
 from .mpf import MPF
 
 _FLOW_SCALE = 10 ** 9  # int32 capacities for scipy maximum_flow
@@ -300,15 +299,15 @@ def box_distance(x: FiniteMMSpace, y: FiniteMMSpace, mode: str = "exact_tiny",
         couplings = _chunk_couplings(cx, cy)
         sizes = _subset_table(np.ones(k), np.add, 0.0)  # chunks in every subset
         deficits = 1.0 - sizes[:, None] / k
-        best = np.inf
-        batch = 1 << (18 - k)  # 2^18 subset diameters at once (k <= _CHUNK_CAP = 8)
-        for lo in range(0, len(couplings), batch):
+        # batches double from one coupling up to 2^18 subset diameters at
+        # once (k <= _CHUNK_CAP = 8), so a zero found early ends the scan
+        best, lo, batch = np.inf, 0, 1
+        while lo < len(couplings) and best > 0.0:
             lab = couplings[lo: lo + batch].T
             disc = np.abs(dx[:, :, None] - y.dist[lab[:, None, :], lab[None, :, :]])
             eps = np.maximum(_subset_diameters(disc), deficits).min(axis=0)
             best = min(best, float(eps.min()))
-            if best <= 0.0:
-                break
+            lo, batch = lo + batch, min(2 * batch, 1 << (18 - k))
         return best
     if mode == "bound":
         cert = epsilon_mm_iso_search(x, y, budget=budget, seed=seed)
@@ -357,30 +356,6 @@ def _box_lower_profile(x: FiniteMMSpace, y: FiniteMMSpace) -> float:
 # ---------------------------------------------------------------------------
 # near-isomorphism search and Lipschitz-up-to domains
 
-def _min_cover_mass_exact(viol: np.ndarray, w: np.ndarray):
-    """Minimum-mass vertex cover of the violation graph, by branch and bound."""
-    n = len(w)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if viol[i, j]]
-    best = [float(w.sum()), np.zeros(n, dtype=bool)]
-
-    def recurse(removed, mass, edges_left):
-        if mass >= best[0] - 1e-15:
-            return
-        for (i, j) in edges_left:
-            if not removed[i] and not removed[j]:
-                rest = [e for e in edges_left if e != (i, j)]
-                for pick in (i, j):
-                    removed[pick] = True
-                    recurse(removed, mass + w[pick], rest)
-                    removed[pick] = False
-                return
-        best[0] = mass
-        best[1] = removed.copy()
-
-    recurse(np.zeros(n, dtype=bool), 0.0, edges)
-    return best[0], best[1]
-
-
 def _greedy_cover_mass(viol: np.ndarray, w: np.ndarray):
     removed = np.zeros(len(w), dtype=bool)
     V = viol.copy()
@@ -398,54 +373,65 @@ def _greedy_cover_mass(viol: np.ndarray, w: np.ndarray):
     return mass, removed
 
 
-def _domain_for_eps(gap: np.ndarray, w: np.ndarray, eps: float):
-    viol = gap > eps + 1e-12
-    np.fill_diagonal(viol, False)
-    if not viol.any():
-        return 0.0, np.zeros(len(w), dtype=bool)
-    if len(w) <= _COVER_EXACT_BOUND:
-        return _min_cover_mass_exact(viol, w)
-    return _greedy_cover_mass(viol, w)
-
-
-def _eps_candidates(gap: np.ndarray, w: np.ndarray, eps_grid, limit: int = 48):
+def _eps_candidates(gap: np.ndarray, w: np.ndarray):
     vals = gap[np.triu_indices_from(gap, 1)]
     vals = vals[vals > 0]
     cands = {0.0}
     if vals.size:
-        qs = np.quantile(vals, np.linspace(0.0, 1.0, min(limit, max(2, vals.size))))
+        qs = np.quantile(vals, np.linspace(0.0, 1.0, min(48, max(2, vals.size))))
         cands.update(float(v) for v in qs)
         cands.add(float(vals.max()))
     cands.update(float(np.cumsum(np.sort(w))[i]) for i in range(min(len(w), 8)))
-    if eps_grid is not None:
-        cands.update(float(e) for e in eps_grid)
     return sorted(cands)
+
+
+def _least_domain_eps(gap: np.ndarray, w: np.ndarray, eps_grid=None):
+    """Least eps, and a domain, with domain mass >= 1 - eps and every gap in it <= eps.
+
+    On up to 16 points the least eps is min over domains K of max(largest
+    gap in K, mass outside K): one subset table of largest gaps and one of
+    masses, read at the complement (mask 2^n - 1 - m is the reversed table),
+    so the full domain costs exactly its largest gap.  With a grid, the
+    first grid value from there on is returned.  Beyond 16 points every
+    candidate eps is tried in turn with a greedy most-violations cover, so
+    the value is an upper bound.  None when no candidate admits a domain.
+    """
+    n = len(w)
+    grid = None if eps_grid is None else sorted(float(e) for e in eps_grid)
+    if n <= _COVER_EXACT_BOUND:
+        cost = np.maximum(_subset_diameters(gap), _subset_masses(w)[::-1])
+        best = int(np.argmin(cost))
+        eps = float(cost[best])
+        if grid is not None:
+            eps = next((e for e in grid if e >= eps - 1e-12), None)
+        return None if eps is None else (eps, np.nonzero(best >> np.arange(n) & 1)[0])
+    for eps in grid if grid is not None else _eps_candidates(gap, w):
+        viol = gap > eps + 1e-12
+        np.fill_diagonal(viol, False)
+        removed_mass, removed = _greedy_cover_mass(viol, w)
+        if removed_mass <= eps + MASS_TOL:
+            return float(eps), np.nonzero(~removed)[0]
+    return None
 
 
 def lip_up_to_eps(p_map, source: FiniteMMSpace, target: FiniteMMSpace,
                   eps_grid=None):
-    """Smallest grid epsilon admitting a mass >= 1 - eps domain on which
+    """Smallest (grid) epsilon admitting a mass >= 1 - eps domain on which
     d_Y(p x, p x') <= d_X(x, x') + eps holds for all pairs.
 
-    The domain is an exact minimum-mass uncovering for up to 16 points and a
-    greedy most-violations removal beyond, so large instances carry
-    upper-bound semantics.
+    Exact on up to 16 points: the least epsilon is the minimum over domains
+    of the larger of their largest gap and their missing mass, from two
+    subset tables, and with eps_grid the first grid value at or above it.
+    Beyond 16 points the domain is a greedy most-violations removal at each
+    candidate epsilon, so large instances carry upper-bound semantics.
+    Returns (inf, all points) when no grid epsilon admits a domain.
     """
     p = np.asarray(p_map, dtype=int)
     if p.shape != (source.n,):
         raise MMLabError("map must assign a target index to every source point")
-    gap = target.dist[np.ix_(p, p)] - source.dist
-    w = source.weight
-    if eps_grid is not None:
-        candidates = sorted(float(e) for e in eps_grid)
-    else:
-        candidates = _eps_candidates(gap, w, None)
-    for eps in candidates:
-        removed_mass, removed = _domain_for_eps(gap, w, eps)
-        if removed_mass <= eps + MASS_TOL:
-            return float(eps), np.nonzero(~removed)[0]
-    # no grid radius admits a heavy enough domain
-    return math.inf, np.arange(source.n)
+    found = _least_domain_eps(target.dist[np.ix_(p, p)] - source.dist, source.weight,
+                              eps_grid)
+    return found or (math.inf, np.arange(source.n))
 
 
 @dataclass(frozen=True)
@@ -459,12 +445,7 @@ class IsoCertificate:
 
 def _distortion_eps(x: FiniteMMSpace, y: FiniteMMSpace, p: np.ndarray):
     gap = np.abs(x.dist - y.dist[np.ix_(p, p)])
-    w = x.weight
-    for eps in _eps_candidates(gap, w, None):
-        removed_mass, removed = _domain_for_eps(gap, w, eps)
-        if removed_mass <= eps + MASS_TOL:
-            return float(eps), np.nonzero(~removed)[0]
-    return float(gap.max()), np.arange(x.n)
+    return _least_domain_eps(gap, x.weight) or (float(gap.max()), np.arange(x.n))
 
 
 def epsilon_mm_iso_search(x: FiniteMMSpace, y: FiniteMMSpace, budget: int = 600,
@@ -545,7 +526,7 @@ class ConcentrationCertificate:
 
 
 def _lip1_target_fit(source: FiniteMMSpace, target: FiniteMMSpace, p: np.ndarray,
-                     f_vals: np.ndarray, rounds: int = 3, steps: int = 9):
+                     f_vals: np.ndarray):
     """Minimize ky_fan(f, g o p) over 1-Lipschitz g on the target."""
     m = target.n
     fibers = [np.nonzero(p == j)[0] for j in range(m)]
@@ -554,7 +535,7 @@ def _lip1_target_fit(source: FiniteMMSpace, target: FiniteMMSpace, p: np.ndarray
     for j in range(m):
         if len(fibers[j]):
             wj = source.weight[fibers[j]]
-            g[j] = levy_mean(real_distribution(zip(f_vals[fibers[j]], wj / wj.sum()))).mean
+            g[j] = _levy_mean_of_values(f_vals[fibers[j]], wj / wj.sum()).mean
         else:
             g[j] = overall
     candidates = [g]
@@ -573,14 +554,14 @@ def _lip1_target_fit(source: FiniteMMSpace, target: FiniteMMSpace, p: np.ndarray
         if s < best:
             best, best_g = s, gv.copy()
     step = max(best, target.diam / 8, 1e-6)
-    for _ in range(rounds):
+    for _ in range(3):
         improved = True
         while improved:
             improved = False
             for j in range(m):
                 lo = (best_g[None, :] - target.dist).max(axis=1)[j] if m > 1 else best_g[j] - step
                 hi = (best_g[None, :] + target.dist).min(axis=1)[j] if m > 1 else best_g[j] + step
-                for cand in np.linspace(max(lo, best_g[j] - step), min(hi, best_g[j] + step), steps):
+                for cand in np.linspace(max(lo, best_g[j] - step), min(hi, best_g[j] + step), 9):
                     trial = best_g.copy()
                     trial[j] = cand
                     trial = _project_target_lip(target, trial)
@@ -593,8 +574,7 @@ def _lip1_target_fit(source: FiniteMMSpace, target: FiniteMMSpace, p: np.ndarray
 
 
 def _project_target_lip(target: FiniteMMSpace, g: np.ndarray) -> np.ndarray:
-    low = (g[None, :] + target.dist).min(axis=1)
-    return low
+    return (g[None, :] + target.dist).min(axis=1)
 
 
 def concentration_certificate(source: FiniteMMSpace, target: FiniteMMSpace,

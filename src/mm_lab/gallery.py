@@ -203,24 +203,23 @@ class CounterexampleBundle:
     second: dict = field(default_factory=dict)
 
 
-def _min_on_interval(F: MPF, lo: float, hi: float, grid: int = 512) -> float:
-    xs = np.linspace(lo, hi, grid)
+def _min_on_interval(F: MPF, lo: float, hi: float) -> float:
+    xs = np.linspace(lo, hi, 512)
     vals = eval_mpf(F, [xs])
     k = int(np.argmin(vals))
     a = xs[max(0, k - 1)]
-    b = xs[min(grid - 1, k + 1)]
+    b = xs[min(511, k + 1)]
     x = _golden_argmin(lambda u: eval_mpf(F, [u]), np.array([a]), np.array([b]))
     return float(min(vals[k], eval_mpf(F, [x])[0]))
 
 
-def _min_on_rect(F: MPF, lo1, hi1, lo2, hi2, grid: int = 128) -> float:
-    xs = np.linspace(lo1, hi1, grid)
-    ys = np.linspace(lo2, hi2, grid)
+def _min_on_rect(F: MPF, lo1, hi1, lo2, hi2) -> float:
+    xs = np.linspace(lo1, hi1, 128)
+    ys = np.linspace(lo2, hi2, 128)
     S, T = np.meshgrid(xs, ys, indexing="ij")
     vals = eval_mpf(F, [S, T])
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    hx = xs[1] - xs[0] if grid > 1 else 0.0
-    hy = ys[1] - ys[0] if grid > 1 else 0.0
+    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
     x, y = np.array([xs[i]]), np.array([ys[j]])
     for _ in range(3):
         x = _golden_argmin(lambda u: eval_mpf(F, [u, y]),

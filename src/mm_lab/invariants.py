@@ -34,7 +34,6 @@ from .mpf import MPF, eval_mpf
 
 EXACT_OD_BOUND = 6
 _EXACT_SUBSET_BOUND = 16
-_BIG = 1e15
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +69,12 @@ class MedianInterval:
 
 def levy_mean(dist: RealDistribution) -> MedianInterval:
     """Midpoint of the closed interval of medians (one-sided half-mass conditions)."""
-    pos, mass = _merge_sorted(dist.positions, dist.masses)
+    return _levy_mean_of_values(dist.positions, dist.masses)
+
+
+def _levy_mean_of_values(values, weights) -> MedianInterval:
+    """levy_mean of the atoms ``values`` with masses ``weights`` (summing to one)."""
+    pos, mass = _merge_sorted(values, weights)
     cum = np.cumsum(mass)
     mass_le = cum
     mass_ge = 1.0 - cum + mass
@@ -114,21 +118,19 @@ def _qualifying_runs(wp: np.ndarray, target: float):
     return runs
 
 
-def _min_plus_closure(A: np.ndarray, rounds: int) -> np.ndarray:
-    for _ in range(rounds):
-        A = np.minimum(A, (A[:, :, :, None] + A[:, None, :, :]).min(axis=2))
-    return A
-
-
 def _od_exact(space: FiniteMMSpace, kappa: float):
     """Exact observable diameter for n <= EXACT_OD_BOUND points.
 
     For each value ordering, maximizing the smallest heavy-window span under
     the Lipschitz caps is a difference-constraint system whose run edges
     weigh -t.  It is feasible while every cycle through k run edges has
-    non-run weight at least k * t, so the largest span is a minimum
-    cost-to-time ratio cycle: min over k of the lightest closed k-step walk
-    between run starts, divided by k, computed for all orderings at once.
+    non-run weight at least k * t, so the largest span is the minimum cycle
+    mean (Karp 1978) of the graph on run starts whose edge i -> a costs the
+    lightest non-run path from i to the end of the run at a.  Stepping down
+    an ordering is free, so that path is the cheapest way to push the
+    frontier there: a DP over jump[y, x] = min d(sigma_k, sigma_m) for
+    k <= y < x <= m.  The witness is the Bellman-Ford potential of the best
+    ordering.  All orderings are done at once, O(n^3) each.
     """
     n, w, d = space.n, space.weight, space.dist
     target = 1.0 - kappa
@@ -139,60 +141,43 @@ def _od_exact(space: FiniteMMSpace, kappa: float):
                      dtype=int)
     P = len(perms)
     runs = _qualifying_runs(w[perms], target)
-
-    W = np.full((P, n, n), _BIG)
-    idx = np.arange(n)
-    W[:, idx, idx] = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            W[:, i, j] = d[perms[:, i], perms[:, j]]
-    for i in range(n - 1):
-        W[:, i + 1, i] = 0.0
-    # the non-run weights are non-negative, so the closure is all-pairs lightest paths
-    paths = _min_plus_closure(W, math.ceil(math.log2(n)) + 1)
+    dsig = d[perms[:, :, None], perms[:, None, :]]
+    # jump[p, y, x]: min d(sigma_k, sigma_m) over k <= y and m >= x
+    suffix = np.minimum.accumulate(dsig[:, :, ::-1], axis=2)[:, :, ::-1]
+    jump = np.minimum.accumulate(suffix, axis=1)
+    # paths[p, s, x]: lightest non-run path from s to x, free for s >= x
+    paths = np.zeros((P, n, n))
+    for x in range(1, n):
+        paths[:, :x, x] = (paths[:, :x, :x] + jump[:, None, :x, x]).min(axis=2)
     # step[p, i, a]: lightest path from i to the end of the run starting at a, then back to a
-    step = np.full((P, n, n), _BIG)
-    for a in range(n):
-        rows = np.nonzero(runs[:, a] > a)[0]
-        step[rows, :, a] = paths[rows, :, runs[rows, a]]
+    rows, cols = np.arange(P)[:, None, None], np.arange(n)[None, :, None]
+    step = np.where(runs[:, None, :] >= 0, paths[rows, cols, runs[:, None, :]], np.inf)
 
-    # a lightest-ratio cycle is simple, so it visits at most n - 1 run starts
-    walk = step
-    span = walk[:, idx, idx].min(axis=1)
-    for k in range(2, n):
-        walk = (walk[:, :, :, None] + step[:, None, :, :]).min(axis=2)
-        span = np.minimum(span, walk[:, idx, idx].min(axis=1) / k)
+    # D[k, p, v]: lightest k-edge walk ending at v; the least cycle mean is
+    # min over v of max over k < n of (D[n] - D[k]) / (n - k)
+    D = np.zeros((n + 1, P, n))
+    for k in range(1, n + 1):
+        D[k] = (D[k - 1][:, :, None] + step).min(axis=1)
+    with np.errstate(invalid="ignore"):
+        means = ((D[n] - D[:n]) / (n - np.arange(n))[:, None, None]).max(axis=0)
+    span = np.where(np.isfinite(D[n]), means, np.inf).min(axis=1)
     best = int(np.argmax(span))
     t = float(span[best])
-    values = _potentials_for(space, perms[best], runs[best], t)
-    return t, values, {"surrogate": t, "orderings": P}
 
-
-def _potentials_for(space: FiniteMMSpace, sigma, runs_row, t: float) -> np.ndarray:
-    """Bellman-Ford potentials realizing the feasible constraint system."""
-    n = space.n
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            edges.append((i, j, float(space.dist[sigma[i], sigma[j]])))
-    for i in range(n - 1):
-        edges.append((i + 1, i, 0.0))
-    for a in range(n):
-        b = runs_row[a]
-        if b > a:
-            edges.append((b, a, -t))
+    # C[i, j]: the constraint u_j <= u_i + C[i, j] of the best ordering
+    idx = np.arange(n)
+    C = np.where(idx[:, None] < idx, dsig[best], np.inf)
+    C[idx[1:], idx[:-1]] = 0.0
+    has = runs[best] >= 0
+    C[runs[best][has], idx[has]] = -t
+    # Jacobi rounds from a zero super-source: a lightest path is simple, so
+    # n - 1 rounds reach every one
     u = np.zeros(n)
-    for _ in range(n + 1):
-        changed = False
-        for i, j, wt in edges:
-            if u[i] + wt < u[j] - 1e-15:
-                u[j] = u[i] + wt
-                changed = True
-        if not changed:
-            break
+    for _ in range(n - 1):
+        u = np.minimum(u, (u[:, None] + C).min(axis=0))
     values = np.empty(n)
-    values[np.asarray(sigma)] = u
-    return values
+    values[perms[best]] = u
+    return t, values, {"surrogate": t, "orderings": P}
 
 
 def _candidate_observables(space: FiniteMMSpace, count: int, seed) -> list:
@@ -379,12 +364,11 @@ def _conc_lower_greedy(space: FiniteMMSpace, r: float, closed: bool) -> float:
     return best
 
 
-def _conc_upper_quotient(space: FiniteMMSpace, r: float, closed: bool,
-                         clusters: int = _EXACT_SUBSET_BOUND) -> float:
+def _conc_upper_quotient(space: FiniteMMSpace, r: float, closed: bool) -> float:
     n, w, d = space.n, space.weight, space.dist
     reps = [0]
     dist_to_rep = d[0].copy()
-    while len(reps) < min(clusters, n):
+    while len(reps) < min(_EXACT_SUBSET_BOUND, n):
         nxt = int(np.argmax(dist_to_rep))
         if dist_to_rep[nxt] <= 0:
             break
@@ -406,7 +390,7 @@ def _conc_upper_quotient(space: FiniteMMSpace, r: float, closed: bool,
 # Levy radius
 
 def _levy_radius_of_values(values, weights, kappa: float) -> float:
-    lm = levy_mean(real_distribution(zip(values, weights / weights.sum()))).mean
+    lm = _levy_mean_of_values(values, weights / weights.sum()).mean
     dev = np.abs(np.asarray(values, float) - lm)
     candidates = np.unique(np.concatenate([[0.0], dev]))
     ok = tail_mass(dev, np.asarray(weights, float), candidates) <= kappa + MASS_TOL
@@ -571,8 +555,7 @@ class BatteryReport:
 
 
 def _od_value(space, kappa, budget=4000, seed=0):
-    mode = "exact_tiny" if space.n <= EXACT_OD_BOUND else "heuristic_lb"
-    return observable_diameter(space, kappa, mode=mode, budget=budget, seed=seed).value
+    return observable_diameter(space, kappa, budget=budget, seed=seed).value
 
 
 def _tiny_space(rng, n=None, dim=3):
@@ -700,8 +683,8 @@ def _trial_lm_lem(rng, tol):
     if kappa <= 0:
         return 0.0, 0.0, {"degenerate": True}
     f = _random_lip(rng, X)
-    lm_mu = levy_mean(real_distribution(zip(f, X.weight))).mean
-    lm_nu = levy_mean(real_distribution(zip(f, nu))).mean
+    lm_mu = _levy_mean_of_values(f, X.weight).mean
+    lm_nu = _levy_mean_of_values(f, nu).mean
     lhs = abs(lm_mu - lm_nu)
     od_mu = _od_value(X, kappa)
     od_nu = _od_value(X.reweighted(nu), kappa)

@@ -61,7 +61,7 @@ class PhiSpec:
         return _bisect_inverse(self, y)
 
 
-def _bisect_inverse(phi, y, tol: float = 1e-12):
+def _bisect_inverse(phi, y):
     y = np.asarray(y, dtype=float)
     lo = np.zeros_like(y)
     hi = np.ones_like(y)
@@ -71,9 +71,9 @@ def _bisect_inverse(phi, y, tol: float = 1e-12):
             break
         hi[need] *= 2.0
     # bisect the live points only: a point leaves once its own bracket is
-    # within tol, so its value does not depend on the rest of its batch
+    # within 1e-12, so its value does not depend on the rest of its batch
     lo, hi, y_flat = lo.ravel(), hi.ravel(), y.ravel()
-    live = np.flatnonzero(hi - lo > tol)
+    live = np.flatnonzero(hi - lo > 1e-12)
     a, b, target = lo[live], hi[live], y_flat[live]
     for _ in range(80):
         if not live.size:
@@ -82,7 +82,7 @@ def _bisect_inverse(phi, y, tol: float = 1e-12):
         below = phi(mid) < target
         a = np.where(below, mid, a)
         b = np.where(below, b, mid)
-        keep = b - a > tol
+        keep = b - a > 1e-12
         if not keep.all():
             lo[live], hi[live] = a, b
             live, a, b, target = live[keep], a[keep], b[keep], target[keep]

@@ -11,7 +11,6 @@ from .core import (
     FiniteMMSpace,
     LipFunction,
     as_lip,
-    real_distribution,
     validate_space,
 )
 from .errors import (
@@ -22,7 +21,7 @@ from .errors import (
     NotLipschitz,
     TriangleViolation,
 )
-from .invariants import levy_mean
+from .invariants import _levy_mean_of_values
 from .mpf import MPF, check_triangle_triplets, eval_mpf, lp
 
 LABEL_SEP = "⊗"  # joins factor labels in product points
@@ -135,4 +134,4 @@ def levy_projection(f: LipFunction, x: FiniteMMSpace, y: FiniteMMSpace,
 
 
 def fiber_levy_mean(values, masses) -> float:
-    return levy_mean(real_distribution(zip(values, masses))).mean
+    return _levy_mean_of_values(values, masses).mean

@@ -413,3 +413,124 @@ def box_distance_perm_loop(x, y):
         if best <= 0.0:
             break
     return best
+
+
+def od_exact_closure_loop(space, kappa):
+    """Exact observable diameter by all-pairs closure, walk powers and Bellman-Ford.
+
+    The library's former exact kernel: the non-run graph of every ordering is
+    closed by repeated min-plus squaring, the largest span is the least mean
+    of a closed walk through at most n - 1 run starts (k-step walk powers),
+    and the witness comes from an edge-list Bellman-Ford.  Returns
+    (surrogate, witness values, orderings).
+    """
+    from mm_lab.core import MASS_TOL
+    from mm_lab.invariants import _qualifying_runs
+
+    big = 1e15
+    n, w, d = space.n, space.weight, space.dist
+    target = 1.0 - kappa
+    if n == 1 or float(w.max()) >= target - MASS_TOL:
+        return 0.0, np.zeros(n), 0
+    perms = np.array([p for p in itertools.permutations(range(n)) if p[0] < p[-1]],
+                     dtype=int)
+    P = len(perms)
+    runs = _qualifying_runs(w[perms], target)
+    W = np.full((P, n, n), big)
+    idx = np.arange(n)
+    W[:, idx, idx] = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            W[:, i, j] = d[perms[:, i], perms[:, j]]
+    for i in range(n - 1):
+        W[:, i + 1, i] = 0.0
+    paths = W
+    for _ in range(math.ceil(math.log2(n)) + 1):
+        paths = np.minimum(paths, (paths[:, :, :, None] + paths[:, None, :, :]).min(axis=2))
+    step = np.full((P, n, n), big)
+    for a in range(n):
+        rows = np.nonzero(runs[:, a] > a)[0]
+        step[rows, :, a] = paths[rows, :, runs[rows, a]]
+    walk = step
+    span = walk[:, idx, idx].min(axis=1)
+    for k in range(2, n):
+        walk = (walk[:, :, :, None] + step[:, None, :, :]).min(axis=2)
+        span = np.minimum(span, walk[:, idx, idx].min(axis=1) / k)
+    best = int(np.argmax(span))
+    t = float(span[best])
+    sigma, runs_row = perms[best], runs[best]
+    edges = [(i, j, float(d[sigma[i], sigma[j]])) for i in range(n) for j in range(i + 1, n)]
+    edges += [(i + 1, i, 0.0) for i in range(n - 1)]
+    edges += [(runs_row[a], a, -t) for a in range(n) if runs_row[a] > a]
+    u = np.zeros(n)
+    for _ in range(n + 1):
+        changed = False
+        for i, j, wt in edges:
+            if u[i] + wt < u[j] - 1e-15:
+                u[j] = u[i] + wt
+                changed = True
+        if not changed:
+            break
+    values = np.empty(n)
+    values[sigma] = u
+    return t, values, P
+
+
+def lip_domain_subset_loop(gap, w):
+    """Least max(largest gap inside K, mass outside K) over every subset K of points."""
+    n = len(w)
+    best = math.inf
+    for r in range(n + 1):
+        for K in itertools.combinations(range(n), r):
+            inside = max((float(gap[i][j]) for i in K for j in K if i < j), default=0.0)
+            outside = sum(float(w[i]) for i in range(n) if i not in K)
+            best = min(best, max(inside, outside, 0.0))
+    return best
+
+
+def _min_cover_mass_bnb(viol, w):
+    """Minimum-mass vertex cover of the violation graph, by branch and bound."""
+    n = len(w)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if viol[i, j]]
+    best = [float(w.sum())]
+
+    def recurse(removed, mass, edges_left):
+        if mass >= best[0] - 1e-15:
+            return
+        for (i, j) in edges_left:
+            if not removed[i] and not removed[j]:
+                rest = [e for e in edges_left if e != (i, j)]
+                for pick in (i, j):
+                    removed[pick] = True
+                    recurse(removed, mass + w[pick], rest)
+                    removed[pick] = False
+                return
+        best[0] = mass
+
+    recurse(np.zeros(n, dtype=bool), 0.0, edges)
+    return best[0]
+
+
+def lip_eps_candidate_scan(gap, w):
+    """The library's former small-space Lipschitz-up-to scan.
+
+    Tries about 56 candidate radii (0, quantiles of the positive gaps, the
+    largest gap and the eight lightest cumulative masses) in increasing
+    order, each with an exact branch-and-bound minimum cover of the pairs
+    whose gap exceeds it; the first radius the cover fits under wins, inf if
+    none does.
+    """
+    vals = gap[np.triu_indices_from(gap, 1)]
+    vals = vals[vals > 0]
+    cands = {0.0}
+    if vals.size:
+        cands.update(float(v) for v in np.quantile(vals, np.linspace(0.0, 1.0, min(48, max(2, vals.size)))))
+        cands.add(float(vals.max()))
+    cands.update(float(np.cumsum(np.sort(w))[i]) for i in range(min(len(w), 8)))
+    for eps in sorted(cands):
+        viol = gap > eps + 1e-12
+        np.fill_diagonal(viol, False)
+        mass = _min_cover_mass_bnb(viol, w) if viol.any() else 0.0
+        if mass <= eps + 1e-12:
+            return eps
+    return math.inf

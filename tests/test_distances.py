@@ -9,7 +9,12 @@ from scipy.sparse.csgraph import maximum_flow
 from mm_lab import core, distances as dst, invariants as inv, mpf
 from mm_lab.errors import NotRational, TooLarge
 
-from oracles import box_distance_perm_loop, ky_fan_loop
+from oracles import (
+    box_distance_perm_loop,
+    ky_fan_loop,
+    lip_domain_subset_loop,
+    lip_eps_candidate_scan,
+)
 from strategies import weighted_deviations
 
 
@@ -262,6 +267,20 @@ def test_box_exact_pinned_cases():
         assert dst.box_distance(Y, X) == box_distance_perm_loop(Y, X)
 
 
+def test_box_exact_stops_at_a_zero_first_coupling(monkeypatch):
+    scored = []
+    original = dst._subset_diameters
+
+    def counted(d):
+        scored.append(d.shape[2])
+        return original(d)
+
+    monkeypatch.setattr(dst, "_subset_diameters", counted)
+    X = _chunked_space((1,) * 8, 40)
+    assert dst.box_distance(X, X) == box_distance_perm_loop(X, X) == 0.0
+    assert scored == [1]
+
+
 @pytest.mark.parametrize("noise, rational", [(1e-9, True), (1e-5, False)])
 def test_box_chunking_tolerance_matches_loop(noise, rational):
     # weights within 1e-6 * k of whole chunks still chunk; farther ones do not
@@ -346,6 +365,47 @@ def test_lip_up_to_eps():
     gap = Y.dist - X.dist
     sub = np.ix_(dom2, dom2)
     assert gap[sub].max(initial=0.0) <= eps2 + 1e-9
+
+
+@st.composite
+def _lip_maps(draw):
+    """A source of 1-8 points, a target of 1-4 points and a map between them.
+
+    Half the cases put both metrics on a half-integer grid, so gaps tie with
+    each other; the weights are ratios of small integers.
+    """
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    seed, ties = draw(st.integers(0, 10**6)), draw(st.booleans())
+    X = core.random_metric_space(n, seed=seed)
+    Y = core.random_metric_space(m, seed=seed + 1)
+    w = np.array(draw(st.lists(st.integers(1, 8), min_size=n, max_size=n)), dtype=float)
+    w /= w.sum()
+    if ties:
+        X = core.validate_space({"dist": np.ceil(X.dist * 2) / 2 * (1 - np.eye(n)), "weight": w})
+        Y = core.validate_space({"dist": np.ceil(Y.dist * 2) / 2 * (1 - np.eye(m)),
+                                 "weight": np.full(m, 1.0 / m)})
+    else:
+        X = X.reweighted(w)
+    p = np.array(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)), dtype=int)
+    return X, Y, p
+
+
+@settings(max_examples=150)
+@given(_lip_maps())
+def test_lip_up_to_eps_is_the_least_domain_eps(case):
+    X, Y, p = case
+    gap = Y.dist[np.ix_(p, p)] - X.dist
+    eps, dom = dst.lip_up_to_eps(p, X, Y)
+    assert eps == pytest.approx(lip_domain_subset_loop(gap, X.weight), abs=1e-12)
+    assert eps <= lip_eps_candidate_scan(gap, X.weight) + 1e-12
+    assert gap[np.ix_(dom, dom)].max(initial=0.0) <= eps
+    assert 1.0 - X.weight[dom].sum() <= eps + 1e-12
+    grid = (0.1, 0.25, 0.5, 1.0)
+    eps_g, _ = dst.lip_up_to_eps(p, X, Y, eps_grid=grid)
+    assert eps_g == next((e for e in grid if e >= eps - 1e-12), math.inf)
+    distortion = np.abs(gap)
+    assert dst._distortion_eps(X, Y, p)[0] == pytest.approx(
+        lip_domain_subset_loop(distortion, X.weight), abs=1e-12)
 
 
 def test_lip_up_extension_matches_within_ky():

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from mm_lab.product import ProductSpec, product
 from oracles import (
     kappa_distance_oracle,
     levy_radius_loop,
+    od_exact_closure_loop,
     od_heuristic_loop,
     od_span_lp,
     pd_window_oracle,
@@ -90,6 +92,42 @@ def test_exact_od_matches_lp_oracle():
         kappa = float(rng.choice([0.1, 0.25, 0.4, 0.6]))
         got = inv.observable_diameter(X, kappa, mode="exact_tiny").meta["surrogate"]
         assert got == pytest.approx(od_span_lp(X, kappa), abs=1e-9 * max(1.0, X.diam))
+
+
+def _exact_od_cases(count, sizes, seed):
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = int(rng.choice(sizes))
+        X = core.random_metric_space(n, seed=int(rng.integers(0, 2**31 - 1)))
+        if case % 3 == 0:  # tied distances and equal weights
+            X = core.validate_space({"dist": np.ceil(X.dist * 2) / 2 * (1 - np.eye(n)),
+                                     "weight": np.full(n, 1.0 / n)})
+        yield X, float(rng.choice([0.05, 0.1, 0.25, 0.4, 0.6, 0.8]))
+
+
+def test_exact_od_matches_closure_loop():
+    for X, kappa in _exact_od_cases(300, range(2, 7), seed=23):
+        want, want_values, orderings = od_exact_closure_loop(X, kappa)
+        est = inv.observable_diameter(X, kappa, mode="exact_tiny")  # as_lip certifies the witness
+        tol = 1e-12 * max(1.0, X.diam)
+        assert est.meta["surrogate"] == pytest.approx(want, abs=tol)
+        assert est.value == pytest.approx(inv._pd_of_values(want_values, X.weight, 1 - kappa),
+                                          abs=tol)
+        assert est.meta.get("orderings", 0) == orderings
+        if orderings:
+            assert orderings == math.factorial(X.n) // 2
+
+
+def test_exact_od_kernel_matches_closure_loop_on_7_and_8_points():
+    for X, kappa in _exact_od_cases(5, (7, 7, 8), seed=29):
+        want, want_values, orderings = od_exact_closure_loop(X, kappa)
+        t, values, meta = inv._od_exact(X, kappa)
+        tol = 1e-12 * max(1.0, X.diam)
+        assert t == pytest.approx(want, abs=tol)
+        core.as_lip(X, values, lip_const=1.0)
+        assert inv._pd_of_values(values, X.weight, 1 - kappa) == pytest.approx(
+            inv._pd_of_values(want_values, X.weight, 1 - kappa), abs=tol)
+        assert meta.get("orderings", 0) == orderings
 
 
 def test_observable_diameter_monotone_in_kappa():
@@ -188,6 +226,16 @@ def test_levy_mean_inside_support(seed):
     mass /= mass.sum()
     mi = inv.levy_mean(core.real_distribution(zip(pos, mass)))
     assert pos.min() - 1e-12 <= mi.mean <= pos.max() + 1e-12
+
+
+@settings(max_examples=200)
+@given(weighted_deviations(), st.lists(st.sampled_from([0.0, 5e-13, -5e-13, 1e-12]), min_size=30,
+                                       max_size=30))
+def test_levy_mean_of_values_matches_real_distribution(case, nudges):
+    w, values = case
+    values = values + np.array(nudges[: len(values)])
+    want = inv.levy_mean(core.real_distribution(zip(values, w)))
+    assert inv._levy_mean_of_values(values, w) == want
 
 
 def test_concentration_function_examples():
