@@ -30,6 +30,10 @@ DEFAULT_POINT_CAP = 4096
 # full cubic triangle sweep up to this size, sampled triplets beyond
 _EXHAUSTIVE_TRIANGLE_N = 512
 _SAMPLED_TRIANGLE_COUNT = 2_000_000
+_TRIANGLE_CHUNK = 1 << 18
+# up to this size sweeping every pivot beats the Chebyshev screen
+# (BENCH_pr10.json, triangle_crossover_us)
+_TRIANGLE_SCREEN_N = 6
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -141,33 +145,78 @@ def _subset_masses(weight) -> np.ndarray:
     return bits @ weight
 
 
-def _triangle_check(d: np.ndarray, tol: float):
-    """Return a violating (i, j, k, gap) or None.
+def _triangle_pivots(d: np.ndarray, tol: float):
+    """Ascending pivots j at which d[i, k] - (d[i, j] + d[j, k]) > tol can hold.
 
-    Exhaustive for small matrices: one n x n buffer holds, pivot by pivot,
-    d[i, k] - d[i, j] - d[j, k], and the first violation in (j, i, k) order
-    is the witness.  For large matrices a fixed random sample of triplets is
-    checked, which falsifies but does not certify.  Entries must be finite.
+    A violation at pivot j gives |d[i, k] - d[j, k]| > d[i, j] + tol, so the
+    Chebyshev distance between rows i and j exceeds min(d[i, j], d[j, i]) + tol,
+    up to a rounding margin; a pivot equal to i or k needs d[j, j] < -tol, which
+    the zero Chebyshev diagonal flags in the same comparison.  Up to
+    _TRIANGLE_SCREEN_N points every pivot is returned, since sweeping them
+    all is cheaper than the screen.
+    """
+    n = d.shape[0]
+    if n <= _TRIANGLE_SCREEN_N:
+        return range(n)
+    # imported here, not at module level: scipy.spatial would add tens of
+    # milliseconds to every import of mm_lab (BENCH_pr10.json)
+    from scipy.spatial.distance import pdist, squareform
+
+    margin = 8 * np.finfo(float).eps * max(1.0, float(np.abs(d).max()))
+    cheb = squareform(pdist(d, "chebyshev"))
+    return np.flatnonzero((cheb > np.minimum(d, d.T) + (tol - margin)).any(axis=1))
+
+
+@functools.lru_cache(maxsize=2)
+def _sampled_triplets(n: int):
+    """Flat indices (i*n + k, i*n + j, j*n + k) of the fixed triplet sample on n points."""
+    rng = np.random.default_rng(0)
+    m = _SAMPLED_TRIANGLE_COUNT
+    i = rng.integers(0, n, m)
+    j = rng.integers(0, n, m)
+    k = rng.integers(0, n, m)
+    dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    return tuple(_readonly((a * n + b).astype(dtype)) for a, b in ((i, k), (i, j), (j, k)))
+
+
+def _triangle_check(d: np.ndarray, tol: float):
+    """Return the first (i, j, k, slack) with slack = d[i, k] - (d[i, j] + d[j, k]) > tol, or None.
+
+    Up to _EXHAUSTIVE_TRIANGLE_N points every triplet is checked.  d is a
+    metric iff max_m |d[i, m] - d[j, m]| <= d[i, j] for every pair
+    (Frechet-Kuratowski), so one Chebyshev distance between rows per pair
+    (_triangle_pivots) rules out every pivot that cannot carry a violation.
+    The sweep then visits only the remaining pivots, in ascending order, with
+    one n x n buffer; the first violation in (j, i, k) order is the witness,
+    the same one, with the same slack bits, as a sweep over every pivot.
+
+    Beyond that size a fixed sample of _SAMPLED_TRIANGLE_COUNT triplets,
+    drawn once per n, is scored in chunks; it falsifies but does not certify,
+    and the witness is the first triplet of largest slack.  Entries must be
+    finite.
     """
     n = d.shape[0]
     if n <= _EXHAUSTIVE_TRIANGLE_N:
         slack = np.empty_like(d)
-        for j in range(n):
+        for j in _triangle_pivots(d, tol):
             np.add.outer(d[:, j], d[j], out=slack)
             np.subtract(d, slack, out=slack)
             if slack.max() > tol:
                 i, k = np.argwhere(slack > tol)[0]
                 return int(i), int(j), int(k), float(slack[i, k])
         return None
-    rng = np.random.default_rng(0)
-    m = _SAMPLED_TRIANGLE_COUNT
-    i = rng.integers(0, n, m)
-    j = rng.integers(0, n, m)
-    k = rng.integers(0, n, m)
-    slack = d[i, k] - d[i, j] - d[j, k]
-    worst = int(np.argmax(slack))
-    if slack[worst] > tol:
-        return int(i[worst]), int(j[worst]), int(k[worst]), float(slack[worst])
+    flat = d.ravel()
+    ik, ij, jk = _sampled_triplets(n)
+    best, at = -np.inf, -1
+    for lo in range(0, len(ik), _TRIANGLE_CHUNK):
+        part = slice(lo, lo + _TRIANGLE_CHUNK)
+        slack = flat.take(ik[part]) - flat.take(ij[part]) - flat.take(jk[part])
+        w = int(np.argmax(slack))
+        if slack[w] > best:
+            best, at = float(slack[w]), lo + w
+    if best > tol:
+        i, k = divmod(int(ik[at]), n)
+        return i, int(ij[at]) % n, k, best
     return None
 
 

@@ -135,7 +135,7 @@ def _od_exact(space: FiniteMMSpace, kappa: float):
     n, w, d = space.n, space.weight, space.dist
     target = 1.0 - kappa
     if n == 1 or float(w.max()) >= target - MASS_TOL:
-        return 0.0, np.zeros(n), {"surrogate": 0.0}
+        return 0.0, np.zeros(n), {"surrogate": 0.0, "orderings": 0}
 
     perms = np.array([p for p in itertools.permutations(range(n)) if p[0] < p[-1]],
                      dtype=int)

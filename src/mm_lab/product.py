@@ -45,7 +45,8 @@ def product(spec: ProductSpec) -> FiniteMMSpace:
     """Materialize (X_1 x ... x X_N, F of factor distances, product weights).
 
     The descriptor is pre-screened by the triplet falsifier at the configured
-    sample budget; the assembled matrix is then fully re-validated.  A
+    sample budget; the assembled matrix is then re-validated, every triplet
+    up to 512 points and a fixed sample of triplets beyond.  A
     triangle failure is surfaced as MetricViolation with a decoded witness
     rather than repaired, since product construction is the strongest
     available falsifier of metric preservation.

@@ -133,6 +133,21 @@ def triangle_check_loop(d, tol):
     return None
 
 
+def triangle_check_sampled_loop(d, tol):
+    """Largest d[i, k] - d[i, j] - d[j, k] over 2e6 triplets drawn by default_rng(0), if above tol."""
+    n = d.shape[0]
+    rng = np.random.default_rng(0)
+    m = 2_000_000
+    i = rng.integers(0, n, m)
+    j = rng.integers(0, n, m)
+    k = rng.integers(0, n, m)
+    slack = d[i, k] - d[i, j] - d[j, k]
+    worst = int(np.argmax(slack))
+    if slack[worst] > tol:
+        return int(i[worst]), int(j[worst]), int(k[worst]), float(slack[worst])
+    return None
+
+
 def od_span_lp(space, kappa, tol=1e-12):
     """Largest smallest heavy-window span of a 1-Lipschitz observable, by LP.
 

@@ -14,7 +14,7 @@ from mm_lab.errors import (
     TriangleViolation,
 )
 
-from oracles import candidate_pool_loop, triangle_check_loop
+from oracles import candidate_pool_loop, triangle_check_loop, triangle_check_sampled_loop
 from strategies import weighted_deviations
 
 
@@ -83,6 +83,106 @@ def test_triangle_sweep_matches_loop(n, planted, seed):
     assert got == triangle_check_loop(d, core.METRIC_TOL)
     if planted <= 1:
         assert (got is None) == (planted == 0)
+
+
+@st.composite
+def triangle_matrices(draw, sizes):
+    """Symmetric matrices with planted violations within a few ulps of the tolerance.
+
+    The base is a metric with entries in [1, 2], a line metric (every
+    collinear triplet tight), or an L1 metric on a 3 x 3 grid (ties and zero
+    off-diagonal distances), scaled by 1e-3 to 1e7 so that rounding reaches
+    the tolerance.  Each planted d[i, k] is d[i, j] + d[j, k] + tol moved by
+    -3 to 3 ulps, so the computed slack lands just above or just below tol.
+    """
+    n = draw(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "line", "grid"]))
+    if kind == "uniform":
+        d = np.triu(1.0 + rng.random((n, n)), 1)
+        d = d + d.T
+    elif kind == "line":
+        x = np.sort(rng.random(n))
+        d = np.abs(x[:, None] - x)
+    else:
+        x = rng.integers(0, 3, (n, 2)).astype(float)
+        d = np.abs(x[:, None] - x).sum(axis=2)
+    d *= 10.0 ** draw(st.integers(-3, 7))
+    for _ in range(draw(st.integers(0, 3)) if n >= 3 else 0):
+        i, j, k = rng.choice(n, 3, replace=False)
+        v = d[i, j] + d[j, k] + core.METRIC_TOL
+        d[i, k] = d[k, i] = v + draw(st.integers(-3, 3)) * np.spacing(v)
+    return d
+
+
+@settings(max_examples=300)
+@given(triangle_matrices(st.integers(1, 40)))
+def test_triangle_screen_matches_loop(d):
+    assert core._triangle_check(d, core.METRIC_TOL) == triangle_check_loop(d, core.METRIC_TOL)
+
+
+@settings(max_examples=6)
+@given(triangle_matrices(st.sampled_from([511, 512, 513])))
+def test_triangle_check_matches_loops_at_the_regime_boundary(d):
+    oracle = triangle_check_loop if d.shape[0] <= 512 else triangle_check_sampled_loop
+    assert core._triangle_check(d, core.METRIC_TOL) == oracle(d, core.METRIC_TOL)
+
+
+def test_triangle_screen_margin_covers_rounding_of_a_near_tie():
+    # fl(a + b) rounds down by half an ulp of 2^23 (1.86e-9), so the slack
+    # reads one ulp, above tol, while the exact slack, 9.3e-10, is below it and
+    # no Chebyshev row distance exceeds its entry by more than tol
+    a, b = 1.0 + 2.0**-30, 2.0**23
+    c = np.nextafter(a + b, np.inf)
+    three = np.array([[0.0, a, c], [a, 0.0, b], [c, b, 0.0]])
+    idx = [0, 1, 2] + [0] * 5  # copies of point 0 take it past the plain-sweep size
+    d = three[np.ix_(idx, idx)]
+    want = triangle_check_loop(d, core.METRIC_TOL)
+    assert want == (0, 1, 2, c - (a + b))
+    assert core._triangle_check(d, core.METRIC_TOL) == want
+
+
+def test_triangle_sweep_visits_only_flagged_pivots():
+    # a path metric is tight on every collinear triplet; lengthening the
+    # distance between two points two apart flags only the pairs among them
+    # and the point between
+    n, a = 200, 57
+    d = np.abs(np.arange(n, dtype=float)[:, None] - np.arange(n))
+    assert list(core._triangle_pivots(d, core.METRIC_TOL)) == []
+    d[a, a + 2] = d[a + 2, a] = 2.5
+    assert list(core._triangle_pivots(d, core.METRIC_TOL)) == [a, a + 1, a + 2]
+    got = core._triangle_check(d, core.METRIC_TOL)
+    assert got == triangle_check_loop(d, core.METRIC_TOL) == (a, a + 1, a + 2, 0.5)
+
+
+@pytest.mark.parametrize("n, case", [(513, "clean"), (700, "planted"), (1100, "planted"),
+                                     (1000, "below_tol"), (1000, "above_tol"),
+                                     (1100, "above_tol")])
+def test_sampled_triangle_check_matches_loop(n, case):
+    rng = np.random.default_rng(n)
+    if case == "clean":
+        x = rng.normal(size=(n, 3))
+        d = np.sqrt(((x[:, None] - x) ** 2).sum(axis=2))
+    elif case == "planted":
+        d = np.triu(1.0 + rng.random((n, n)) + 1.5 * (rng.random((n, n)) < 0.01), 1)
+        d = d + d.T
+    else:
+        # a line metric scaled by 2^24/3 or 2^25/3: rounding leaves collinear
+        # triplets a slack of at most 9.3e-10 or 1.86e-9, just below or just
+        # above tol, and the largest is tied in every chunk of the sample
+        x = np.sort(rng.random(n))
+        d = np.abs(x[:, None] - x) * (2.0**24 if case == "below_tol" else 2.0**25) / 3
+    got = core._triangle_check(d, core.METRIC_TOL)
+    assert got == triangle_check_sampled_loop(d, core.METRIC_TOL)
+    assert (got is None) == (case in ("clean", "below_tol"))
+
+
+def test_sampled_triplets_drawn_once_per_size():
+    core._sampled_triplets.cache_clear()
+    for seed in (1, 2):
+        assert core.random_metric_space(1000, seed=seed).triangle_check == "sampled"
+    info = core._sampled_triplets.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_triangle_check_mode_recorded():

@@ -72,6 +72,15 @@ def test_observable_diameter_examples():
         inv.observable_diameter(two_point(1.0), 1.5)
 
 
+def test_exact_od_early_exit_reports_zero_orderings():
+    # one point, or an atom of mass >= 1 - kappa: no ordering is examined
+    one = core.validate_space({"dist": [[0.0]], "weight": [1.0]})
+    for X, kappa in ((gallery.two_point(2.0), 0.6), (one, 0.5)):
+        est = inv.observable_diameter(X, kappa, mode="exact_tiny")
+        assert est.value == 0.0
+        assert est.meta["orderings"] == 0
+
+
 def test_observable_diameter_witness_certifies_value():
     for seed in range(5):
         X = core.random_metric_space(5, seed=seed)
@@ -113,7 +122,7 @@ def test_exact_od_matches_closure_loop():
         assert est.meta["surrogate"] == pytest.approx(want, abs=tol)
         assert est.value == pytest.approx(inv._pd_of_values(want_values, X.weight, 1 - kappa),
                                           abs=tol)
-        assert est.meta.get("orderings", 0) == orderings
+        assert est.meta["orderings"] == orderings
         if orderings:
             assert orderings == math.factorial(X.n) // 2
 
@@ -127,7 +136,7 @@ def test_exact_od_kernel_matches_closure_loop_on_7_and_8_points():
         core.as_lip(X, values, lip_const=1.0)
         assert inv._pd_of_values(values, X.weight, 1 - kappa) == pytest.approx(
             inv._pd_of_values(want_values, X.weight, 1 - kappa), abs=tol)
-        assert meta.get("orderings", 0) == orderings
+        assert meta["orderings"] == orderings
 
 
 def test_observable_diameter_monotone_in_kappa():
