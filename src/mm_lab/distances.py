@@ -1,9 +1,9 @@
 """Coupling distances and closeness certificates between finite mm-spaces.
 
-Prokhorov distances via max-flow feasibility (with a definition-direct
-brute force as oracle), the Ky Fan metric, the box distance on equal-mass
-chunks, near-isomorphism search, Lipschitz-up-to-additive-error domains, and
-concentration certificates for maps onto tiny targets.
+Prokhorov distances and Lipschitz-up-to-additive-error domains from one
+min-cut helper (with a definition-direct Prokhorov brute force as oracle),
+the Ky Fan metric, the box distance on equal-mass chunks, near-isomorphism
+search, and concentration certificates for maps onto tiny targets.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_flow
 
 from .core import (
@@ -92,25 +92,48 @@ def _check_measure(space, v) -> np.ndarray:
     return np.maximum(v, 0.0)
 
 
-def _max_flow(mu_int, nu_int, adj: np.ndarray):
-    """Integer max-flow on the bipartite graph source -> mu -> nu -> sink."""
+def _min_cut(src_caps, snk_caps, adj: np.ndarray):
+    """Integer max-flow source -> rows -> columns -> sink, rows to columns uncapped where adj.
+
+    Returns the flow value and the rows x columns flow block.
+    """
     n, m = adj.shape
-    src, snk = 0, n + m + 1
-    rows, cols, caps = [], [], []
-    rows.extend([src] * n)
-    cols.extend(range(1, n + 1))
-    caps.extend(mu_int.tolist())
     ii, jj = np.nonzero(adj)
-    rows.extend((ii + 1).tolist())
-    cols.extend((jj + n + 1).tolist())
-    caps.extend([_FLOW_SCALE] * len(ii))
-    rows.extend(range(n + 1, n + m + 1))
-    cols.extend([snk] * m)
-    caps.extend(nu_int.tolist())
-    graph = csr_matrix((np.asarray(caps, dtype=np.int32), (rows, cols)),
-                       shape=(n + m + 2, n + m + 2))
-    res = maximum_flow(graph, src, snk)
-    return res
+    # CSR rows: the source, the n rows, the m columns, the sink
+    indptr = np.cumsum(np.concatenate([[0, n], np.bincount(ii, minlength=n), np.ones(m, int), [0]]))
+    indices = np.concatenate([np.arange(1, n + 1), jj + n + 1, np.full(m, n + m + 1)])
+    caps = np.concatenate([src_caps, np.full(len(ii), _FLOW_SCALE), snk_caps]).astype(np.int32)
+    graph = csr_array((caps, indices, indptr), shape=(n + m + 2, n + m + 2))
+    res = maximum_flow(graph, 0, n + m + 1)
+    return res.flow_value, res.flow[1: n + 1, n + 1: n + m + 1].toarray()
+
+
+def _cut_side(src_caps, adj: np.ndarray, block: np.ndarray):
+    """Rows and columns on the source side of a minimum cut: those the residual graph reaches."""
+    rows = block.sum(axis=1) < src_caps  # source edges with room, then a fixpoint
+    while True:
+        cols = adj[rows].any(axis=0)
+        grown = rows | (block[:, cols] > 0).any(axis=1)
+        if (grown == rows).all():
+            return rows, cols
+        rows = grown
+
+
+def _first_fit(cands, least):
+    """Bisect for the first k whose least value on [cands[k], cands[k+1]) lies below cands[k+1].
+
+    ``least(k)`` returns that value, then what the caller keeps; the test is
+    monotone in k, and the last interval, open above, is taken untested.
+    """
+    lo, hi, found = 0, len(cands) - 1, None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        out = least(mid)
+        if out[0] < cands[mid + 1]:
+            hi, found = mid, out
+        else:
+            lo = mid + 1
+    return hi, found or least(hi)
 
 
 def prokhorov(space: FiniteMMSpace, mu, nu, lam: float = 1.0):
@@ -120,9 +143,12 @@ def prokhorov(space: FiniteMMSpace, mu, nu, lam: float = 1.0):
     only along pairs with d <= eps must reach 1 - lam * eps.  The flow only
     changes at the distinct distances d_k, so on [d_k, d_k+1) the least
     feasible radius is max(d_k, shortfall_k / lam).  Feasibility is monotone
-    in k, so a binary search over the distances finds the first interval
-    holding its own least radius; that radius is the distance, and the plan
-    comes from the same flow.
+    in k, so a binary search over the distances, on masses in units of 1e-9,
+    finds the first interval holding its own least radius.  There the min
+    cut leaves the critical nu-points A unreached, and the value is priced
+    in floats as the brute force prices A: max(d_k, (nu(A) - mu(N(A))) / lam)
+    with N(A) within d_k of A.  It is exact except on ties within about
+    n * 1e-9 / lam, where it reads low.  The plan comes from the same flow.
     """
     if lam <= 0:
         raise MMLabError("lambda must be positive")
@@ -137,23 +163,16 @@ def prokhorov(space: FiniteMMSpace, mu, nu, lam: float = 1.0):
     radii = np.unique(d)
 
     def least_radius(k: int):
-        res = _max_flow(mu_int, nu_int, d <= radii[k])
-        short = max(0, full - res.flow_value) / _FLOW_SCALE
-        return max(float(radii[k]), short / lam), res
+        flow, block = _min_cut(mu_int, nu_int, d <= radii[k])
+        return max(float(radii[k]), max(0, full - flow) / _FLOW_SCALE / lam), block
 
     # at the diameter every pair is admissible and the flow is full
-    lo, hi, found = 0, len(radii) - 1, None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        eps, res = least_radius(mid)
-        if eps < radii[mid + 1]:
-            hi, found = mid, (eps, res)
-        else:
-            lo = mid + 1
-    eps, res = found or least_radius(hi)
-    n = space.n
-    sub = res.flow[1: n + 1, n + 1: 2 * n + 1].toarray()
-    plan = np.maximum(sub, 0).astype(float) / _FLOW_SCALE
+    k, (_, block) = _first_fit(radii, least_radius)
+    adj = d <= radii[k]
+    critical = ~_cut_side(mu_int, adj, block)[1]
+    near = adj[:, critical].any(axis=1)
+    eps = max(float(radii[k]), (float(nu[critical].sum()) - float(mu[near].sum())) / lam)
+    plan = np.maximum(block, 0).astype(float) / _FLOW_SCALE
     # integer rounding can push marginals past mu/nu by ~1/_FLOW_SCALE; clip
     rs = plan.sum(axis=1)
     plan *= np.where(rs > mu, np.divide(mu, rs, out=np.ones_like(mu), where=rs > 0), 1.0)[:, None]
@@ -198,13 +217,6 @@ def prokhorov_bruteforce(space: FiniteMMSpace, mu, nu, lam: float = 1.0) -> floa
     return worst
 
 
-def _prokhorov_value(space: FiniteMMSpace, mu, nu, lam: float) -> float:
-    """Lambda-Prokhorov value: subset enumeration on small spaces, max-flow beyond."""
-    if space.n <= _BRUTE_BOUND:
-        return prokhorov_bruteforce(space, mu, nu, lam)
-    return prokhorov(space, mu, nu, lam)[0]
-
-
 def prokhorov_real(a: RealDistribution, b: RealDistribution, lam: float = 1.0) -> float:
     """Prokhorov distance between two real-atom distributions on their union carrier."""
     pos = np.unique(np.concatenate([a.positions, b.positions]))
@@ -218,7 +230,7 @@ def prokhorov_real(a: RealDistribution, b: RealDistribution, lam: float = 1.0) -
         np.add.at(v, idx, rd.masses)
         return v
 
-    return _prokhorov_value(carrier, spread(a), spread(b), lam)
+    return prokhorov(carrier, spread(a), spread(b), lam)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -356,62 +368,55 @@ def _box_lower_profile(x: FiniteMMSpace, y: FiniteMMSpace) -> float:
 # ---------------------------------------------------------------------------
 # near-isomorphism search and Lipschitz-up-to domains
 
-def _greedy_cover_mass(viol: np.ndarray, w: np.ndarray):
-    removed = np.zeros(len(w), dtype=bool)
-    V = viol.copy()
-    deg = V.sum(axis=1)
-    mass = 0.0
-    while deg.max(initial=0) > 0:
-        pick = int(np.argmax(deg))
-        removed[pick] = True
-        mass += float(w[pick])
-        hit = V[pick].copy()
-        deg[hit] -= 1
-        deg[pick] = 0
-        V[pick, :] = False
-        V[:, pick] = False
-    return mass, removed
+def _cut_domain_eps(gap: np.ndarray, w: np.ndarray, grid=None, left=None):
+    """Least eps, and a domain, over the grid or else 0 and the positive gaps.
+
+    On [c_k, c_k+1) the least eps is max(c_k, float mass of a min-cut cover
+    of the pairs with gap > c_k), least when ``left`` splits every such pair
+    (Koenig-Egervary).  Otherwise the cut runs on the bipartite double cover
+    and a point joins if either copy does, a half-integral LP optimum rounded
+    up (Nemhauser-Trotter): at most twice the least mass, an upper bound.
+    """
+    cands = np.unique(np.append(gap[gap > 0], 0.0)) if grid is None else grid
+    w_int = np.round(w * _FLOW_SCALE).astype(np.int32)
+    both = np.ones(len(w), dtype=bool)
+    left, right = (both, both) if left is None else (left, ~left)
+
+    def least(k: int):
+        viol = gap[np.ix_(left, right)] > cands[k]
+        cover = np.zeros(len(w), dtype=bool)
+        if viol.any():
+            block = _min_cut(w_int[left], w_int[right], viol)[1]
+            rows, cols = _cut_side(w_int[left], viol, block)
+            cover[left] = ~rows
+            cover[right] |= cols
+        return max(float(cands[k]), float(w[cover].sum())), cover
+
+    _, (eps, cover) = _first_fit(cands, least)
+    return eps, np.nonzero(~cover)[0]
 
 
-def _eps_candidates(gap: np.ndarray, w: np.ndarray):
-    vals = gap[np.triu_indices_from(gap, 1)]
-    vals = vals[vals > 0]
-    cands = {0.0}
-    if vals.size:
-        qs = np.quantile(vals, np.linspace(0.0, 1.0, min(48, max(2, vals.size))))
-        cands.update(float(v) for v in qs)
-        cands.add(float(vals.max()))
-    cands.update(float(np.cumsum(np.sort(w))[i]) for i in range(min(len(w), 8)))
-    return sorted(cands)
-
-
-def _least_domain_eps(gap: np.ndarray, w: np.ndarray, eps_grid=None):
+def _least_domain_eps(gap: np.ndarray, w: np.ndarray, eps_grid=None, left=None):
     """Least eps, and a domain, with domain mass >= 1 - eps and every gap in it <= eps.
 
     On up to 16 points the least eps is min over domains K of max(largest
     gap in K, mass outside K): one subset table of largest gaps and one of
     masses, read at the complement (mask 2^n - 1 - m is the reversed table),
-    so the full domain costs exactly its largest gap.  With a grid, the
-    first grid value from there on is returned.  Beyond 16 points every
-    candidate eps is tried in turn with a greedy most-violations cover, so
-    the value is an upper bound.  None when no candidate admits a domain.
+    so the full domain costs exactly its largest gap; beyond 16 points, see
+    :func:`_cut_domain_eps`.  With a grid, the first grid value from there
+    on is returned; None when there is none.
     """
     n = len(w)
     grid = None if eps_grid is None else sorted(float(e) for e in eps_grid)
     if n <= _COVER_EXACT_BOUND:
         cost = np.maximum(_subset_diameters(gap), _subset_masses(w)[::-1])
         best = int(np.argmin(cost))
-        eps = float(cost[best])
-        if grid is not None:
-            eps = next((e for e in grid if e >= eps - 1e-12), None)
-        return None if eps is None else (eps, np.nonzero(best >> np.arange(n) & 1)[0])
-    for eps in grid if grid is not None else _eps_candidates(gap, w):
-        viol = gap > eps + 1e-12
-        np.fill_diagonal(viol, False)
-        removed_mass, removed = _greedy_cover_mass(viol, w)
-        if removed_mass <= eps + MASS_TOL:
-            return float(eps), np.nonzero(~removed)[0]
-    return None
+        eps, domain = float(cost[best]), np.nonzero(best >> np.arange(n) & 1)[0]
+    else:
+        eps, domain = _cut_domain_eps(gap, w, grid, left)
+    if grid is not None:
+        eps = next((e for e in grid if e >= eps - 1e-12), None)
+    return None if eps is None else (eps, domain)
 
 
 def lip_up_to_eps(p_map, source: FiniteMMSpace, target: FiniteMMSpace,
@@ -422,15 +427,15 @@ def lip_up_to_eps(p_map, source: FiniteMMSpace, target: FiniteMMSpace,
     Exact on up to 16 points: the least epsilon is the minimum over domains
     of the larger of their largest gap and their missing mass, from two
     subset tables, and with eps_grid the first grid value at or above it.
-    Beyond 16 points the domain is a greedy most-violations removal at each
-    candidate epsilon, so large instances carry upper-bound semantics.
-    Returns (inf, all points) when no grid epsilon admits a domain.
+    Beyond 16 points a min cut covers the violating pairs: exactly onto at
+    most 2 points, as an upper bound onto more.  Returns (inf, all points)
+    when no grid epsilon admits a domain.
     """
     p = np.asarray(p_map, dtype=int)
     if p.shape != (source.n,):
         raise MMLabError("map must assign a target index to every source point")
     found = _least_domain_eps(target.dist[np.ix_(p, p)] - source.dist, source.weight,
-                              eps_grid)
+                              eps_grid, left=(p == 0) if target.n <= 2 else None)
     return found or (math.inf, np.arange(source.n))
 
 
@@ -441,11 +446,6 @@ class IsoCertificate:
     domain: np.ndarray
     eps_distortion: float
     eps_prok: float
-
-
-def _distortion_eps(x: FiniteMMSpace, y: FiniteMMSpace, p: np.ndarray):
-    gap = np.abs(x.dist - y.dist[np.ix_(p, p)])
-    return _least_domain_eps(gap, x.weight) or (float(gap.max()), np.arange(x.n))
 
 
 def epsilon_mm_iso_search(x: FiniteMMSpace, y: FiniteMMSpace, budget: int = 600,
@@ -463,7 +463,7 @@ def epsilon_mm_iso_search(x: FiniteMMSpace, y: FiniteMMSpace, budget: int = 600,
         return v
 
     def objective(p):
-        e_dist, dom = _distortion_eps(x, y, p)
+        e_dist, dom = _least_domain_eps(np.abs(x.dist - y.dist[np.ix_(p, p)]), x.weight)
         e_prok, _ = prokhorov(y, pushed(p), y.weight, lam=1.0)
         return max(e_dist, e_prok), e_dist, e_prok, dom
 
@@ -578,8 +578,7 @@ def _project_target_lip(target: FiniteMMSpace, g: np.ndarray) -> np.ndarray:
 
 
 def concentration_certificate(source: FiniteMMSpace, target: FiniteMMSpace,
-                              p_map, budget: int = 4000, seed=0,
-                              eps_grid=None) -> ConcentrationCertificate:
+                              p_map, budget: int = 4000, seed=0) -> ConcentrationCertificate:
     """Certify how well a map collapses the source onto a tiny target.
 
     Components: the Prokhorov gap of the pushforward measure, the additive
@@ -598,7 +597,7 @@ def concentration_certificate(source: FiniteMMSpace, target: FiniteMMSpace,
     np.add.at(pushed, p, source.weight)
     eps_prok, _ = prokhorov(target, pushed, target.weight, lam=1.0)
 
-    eps_lip, domain = lip_up_to_eps(p, source, target, eps_grid=eps_grid)
+    eps_lip, domain = lip_up_to_eps(p, source, target)
 
     n_obs = max(8, min(40, budget // 100))
     pool = _candidate_observables(source, n_obs, seed)
@@ -626,9 +625,9 @@ def lprok_product_check(x: FiniteMMSpace, mu, mu2, y: FiniteMMSpace, nu, nu2,
     prod = product(ProductSpec((x, y), F, check_samples=0))
     pm = np.outer(mu, nu).ravel()
     pm2 = np.outer(mu2, nu2).ravel()
-    lhs = _prokhorov_value(prod, pm, pm2, lam)
-    px = _prokhorov_value(x, mu, mu2, lam)
-    py = _prokhorov_value(y, nu, nu2, lam)
+    lhs = prokhorov(prod, pm, pm2, lam)[0]
+    px = prokhorov(x, mu, mu2, lam)[0]
+    py = prokhorov(y, nu, nu2, lam)[0]
     rhs = max(px + py, 2.0 * float(F(px, py)))
     return {"lhs": float(lhs), "rhs": float(rhs), "pass": bool(lhs <= rhs + tol),
             "prok_x": px, "prok_y": py}

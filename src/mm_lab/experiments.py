@@ -150,7 +150,7 @@ def _suite_cex_1dim_collapse(params):
         ("transformed_at_least_limit", float(tcross.min()), above),
         ("per_point_min_pct5", pct5, pct5 <= params.get("pct5_bound", 1.25)),
         ("certificate_overall", cert.overall, cert.overall <= params.get("cert_bound", 0.3)),
-        ("naive_limit_lip_eps", eps_naive, eps_naive > 0.5),
+        ("naive_limit_lip_eps", eps_naive, eps_naive == 0.5),
     ]
     passed = all(r[2] for r in rows)
     summary = tuple(f"{r[0]} = {_fmt(r[1])}: {'PASS' if r[2] else 'FAIL'}" for r in rows)

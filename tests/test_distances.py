@@ -10,6 +10,7 @@ from mm_lab import core, distances as dst, invariants as inv, mpf
 from mm_lab.errors import NotRational, TooLarge
 
 from oracles import (
+    _min_cover_mass_bnb,
     box_distance_perm_loop,
     ky_fan_loop,
     lip_domain_subset_loop,
@@ -88,21 +89,40 @@ def test_prokhorov_flow_count_is_logarithmic(monkeypatch):
 
 def test_prokhorov_gap_does_not_scale_with_inverse_lambda():
     rng = np.random.default_rng(23)
-    for t in range(40):
-        n = int(rng.integers(2, 9))
+    for t in range(22):
+        n = 2 + t % 11
         X = core.random_metric_space(n, seed=4000 + t)
-        # masses on a 1/1000 grid round to flow units exactly, so the gap is
-        # float rounding at any lambda; a fixed allowance of n + 2 flow units
-        # would under-report by (n + 2) / (lambda * 1e9), 1e-7 at lambda = 0.1
+        # masses on a 1/1000 grid round to flow units exactly; random masses
+        # do not, but the critical set is priced in floats as the brute force
+        # prices it, so neither gap grows with 1 / lambda
         exact = [(rng.multinomial(1000 - n, np.ones(n) / n) + 1) / 1000 for _ in range(2)]
-        # random masses round by up to half a unit each, in two cuts
         noisy = [m / m.sum() for m in rng.random((2, n)) + 0.05]
-        for lam in (0.1, 1.0):
-            for (mu, nu), tol in ((exact, 1e-12), (noisy, 1.5 * n / (lam * 1e9))):
+        for lam in (0.1, 1.0, 10.0):
+            for mu, nu in (exact, noisy):
                 flow, plan = dst.prokhorov(X, mu, nu, lam=lam)
                 brute = dst.prokhorov_bruteforce(X, mu, nu, lam=lam)
-                assert abs(flow - brute) <= tol, (t, lam, flow, brute)
+                assert abs(flow - brute) <= 1e-15, (t, lam, flow, brute)
                 assert plan.check(X.dist, mu, nu)
+
+
+def test_prokhorov_real_solves_by_flow(monkeypatch):
+    flows, brute = [], []
+
+    def counted(*args, **kwargs):
+        flows.append(1)
+        return maximum_flow(*args, **kwargs)
+
+    monkeypatch.setattr(dst, "maximum_flow", counted)
+    monkeypatch.setattr(dst, "prokhorov_bruteforce", lambda *a, **k: brute.append(1))
+    rng = np.random.default_rng(5)
+    a = core.real_distribution(zip(rng.normal(size=6), np.full(6, 1 / 6)))
+    b = core.real_distribution(zip(rng.normal(size=6), np.full(6, 1 / 6)))
+    pos = np.union1d(a.positions, b.positions)
+    assert len(pos) == 12
+    radii = np.unique(np.abs(pos[:, None] - pos[None, :]))
+    assert dst.prokhorov_real(a, b) > 0.0
+    assert not brute
+    assert 1 <= len(flows) <= math.ceil(math.log2(len(radii))) + 1
 
 
 @given(st.integers(0, 150))
@@ -368,13 +388,14 @@ def test_lip_up_to_eps():
 
 
 @st.composite
-def _lip_maps(draw):
-    """A source of 1-8 points, a target of 1-4 points and a map between them.
+def _lip_maps(draw, sizes=(1, 8), targets=(1, 4)):
+    """A source of 1-8 points, a target of 1-4 points (or the ``sizes`` and
+    ``targets`` ranges) and a map between them.
 
     Half the cases put both metrics on a half-integer grid, so gaps tie with
     each other; the weights are ratios of small integers.
     """
-    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    n, m = draw(st.integers(*sizes)), draw(st.integers(*targets))
     seed, ties = draw(st.integers(0, 10**6)), draw(st.booleans())
     X = core.random_metric_space(n, seed=seed)
     Y = core.random_metric_space(m, seed=seed + 1)
@@ -404,8 +425,41 @@ def test_lip_up_to_eps_is_the_least_domain_eps(case):
     eps_g, _ = dst.lip_up_to_eps(p, X, Y, eps_grid=grid)
     assert eps_g == next((e for e in grid if e >= eps - 1e-12), math.inf)
     distortion = np.abs(gap)
-    assert dst._distortion_eps(X, Y, p)[0] == pytest.approx(
+    assert dst._least_domain_eps(distortion, X.weight)[0] == pytest.approx(
         lip_domain_subset_loop(distortion, X.weight), abs=1e-12)
+
+
+@settings(max_examples=150)
+@given(_lip_maps(), st.sampled_from([None, (0.1, 0.25, 0.5, 1.0)]))
+def test_min_cut_domain_eps(case, grid):
+    X, Y, p = case
+    gap = Y.dist[np.ix_(p, p)] - X.dist
+    exact = lip_domain_subset_loop(gap, X.weight)
+    # the double cover: a valid domain whose eps bounds the least one above
+    eps, dom = dst._cut_domain_eps(gap, X.weight, grid)
+    assert gap[np.ix_(dom, dom)].max(initial=0.0) <= eps
+    assert 1.0 - X.weight[dom].sum() <= eps + 1e-12
+    assert eps >= exact - 1e-12
+    if Y.n <= 2 and grid is None:
+        # two fibers split every violating pair, and the cut is exact
+        eps2, dom2 = dst._cut_domain_eps(gap, X.weight, left=p == 0)
+        assert eps2 == pytest.approx(exact, abs=1e-12)
+        assert gap[np.ix_(dom2, dom2)].max(initial=0.0) <= eps2
+        assert 1.0 - X.weight[dom2].sum() <= eps2 + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(_lip_maps(sizes=(17, 30), targets=(2, 2)), st.floats(0.0, 1.0))
+def test_two_fiber_min_cut_cover_is_least(case, q):
+    X, Y, p = case
+    gap = Y.dist[np.ix_(p, p)] - X.dist
+    thr = float(np.quantile(gap[gap >= 0], q))
+    viol = gap > thr
+    eps, dom = dst._cut_domain_eps(gap, X.weight, [thr], left=p == 0)
+    assert not viol[np.ix_(dom, dom)].any()
+    least = _min_cover_mass_bnb(viol, X.weight)
+    assert 1.0 - X.weight[dom].sum() == pytest.approx(least, abs=1e-12)
+    assert eps == pytest.approx(max(thr, least), abs=1e-12)
 
 
 def test_lip_up_extension_matches_within_ky():
