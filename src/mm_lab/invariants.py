@@ -397,6 +397,41 @@ def _levy_radius_of_values(values, weights, kappa: float) -> float:
     return float(candidates[int(np.argmax(ok))]) if ok.any() else float(dev.max())
 
 
+def _levy_radius_of_rows(values: np.ndarray, weights, kappa: float) -> np.ndarray:
+    """_levy_radius_of_values of every row of a 2-D array, from row-wise sorts.
+
+    A row whose sorted values hold a gap <= 1e-12, which _merge_sorted would
+    merge, goes through _levy_radius_of_values itself.  Every other row has
+    distinct values, so its Levy mean adds the same masses in the same order
+    as the 1-D one; the deviations are sorted stably, as tail_mass sorts
+    them, and the candidate radii 0 and the deviations are tried in
+    ascending order, as np.unique orders them: the results are the same bits.
+    """
+    rows, n = values.shape
+    order = np.argsort(values, axis=1)
+    pos = np.take_along_axis(values, order, axis=1)
+    mass = (weights / weights.sum())[order]
+    cum = np.cumsum(mass, axis=1)
+    median = (cum >= 0.5 - MASS_TOL) & (1.0 - cum + mass >= 0.5 - MASS_TOL)
+    low = np.take_along_axis(pos, np.argmax(median, axis=1)[:, None], axis=1)
+    high = np.take_along_axis(pos, n - 1 - np.argmax(median[:, ::-1], axis=1)[:, None], axis=1)
+    dev = np.abs(values - 0.5 * (low + high))
+    dev_order = np.argsort(dev, axis=1, kind="stable")
+    dev_sorted = np.take_along_axis(dev, dev_order, axis=1)
+    suffix = np.zeros((rows, n + 1))
+    suffix[:, :n] = np.cumsum(weights[dev_order][:, ::-1], axis=1)[:, ::-1]
+    cand = np.concatenate([np.zeros((rows, 1)), dev_sorted], axis=1)
+    above = np.empty((rows, n + 1), dtype=np.intp)
+    for r in range(rows):
+        above[r] = np.searchsorted(dev_sorted[r], cand[r] + 1e-15, side="right")
+    ok = np.take_along_axis(suffix, above, axis=1) <= kappa + MASS_TOL
+    first = np.take_along_axis(cand, np.argmax(ok, axis=1)[:, None], axis=1)[:, 0]
+    radius = np.where(ok.any(axis=1), first, dev_sorted[:, -1])
+    for r in np.nonzero((np.diff(pos, axis=1) <= 1e-12).any(axis=1))[0]:
+        radius[r] = _levy_radius_of_values(values[r], weights, kappa)
+    return radius
+
+
 def levy_radius(space: FiniteMMSpace, kappa: float, budget: int = 8000, seed=0,
                 mode: str = "heuristic_lb") -> float:
     """Smallest radius around the Levy mean holding all but kappa of the mass,
@@ -416,7 +451,8 @@ def levy_radius(space: FiniteMMSpace, kappa: float, budget: int = 8000, seed=0,
     pool = _candidate_observables(space, max(16, budget // 2), seed)
     if space.n <= EXACT_OD_BOUND:
         pool.append(observable_diameter(space, kappa, mode="exact_tiny").witness.values)
-    return max((_levy_radius_of_values(v, w, kappa) for v in pool), default=0.0)
+    blocks = (np.array(pool[start: start + _RANK_BLOCK]) for start in range(0, len(pool), _RANK_BLOCK))
+    return max((float(_levy_radius_of_rows(rows, w, kappa).max()) for rows in blocks), default=0.0)
 
 
 def mcshane_grid_family(space: FiniteMMSpace, delta: float, max_rows: int = 2_000_000):

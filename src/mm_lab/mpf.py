@@ -579,7 +579,11 @@ def _zero_locus_check(F: MPF, rng) -> tuple[bool, str]:
 
 @dataclass(frozen=True)
 class DefectReport:
-    """Sampled isotone defect I(s) = F(s) - inf over the upper quadrant at s."""
+    """Sampled isotone defect I(s) = F(s) - inf over the upper quadrant at s.
+
+    ``table`` holds I on the grid of [0, D]^arity and ``sup_defect`` its sup;
+    ``sup_probe`` is the sup of I over the whole probe grid, [0, probe]^arity.
+    """
 
     D: float
     h: float
@@ -587,61 +591,75 @@ class DefectReport:
     table: np.ndarray
     sup_defect: float
     probe_bound: float
+    sup_probe: float
 
 
 _REFINE_CELL_CAP = 64
+_ROW_BLOCK = 64
 
 
-def _refine_local_minima(F: MPF, grid: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Lockstep golden-section polish of strict grid local minima; returns refined values.
+def _grid_args(grid: np.ndarray, arity: int) -> list:
+    """Arguments that broadcast to the grid^arity table (arity 1 or 2)."""
+    return [grid] if arity == 1 else [grid[:, None], grid[None, :]]
 
-    Piecewise-linear gallery descriptors attain quadrant infima at breakpoints
-    or plateau edges, so refining the neighborhood of grid local minima
-    localizes them; for custom descriptors this is approximate.  Only the
-    lowest-value candidates are polished, which is what quadrant infima see.
-    All cells are searched together, one eval_mpf call per iteration: in 1-D
-    a 40-step search per cell, then min(f(x), f(lo), f(hi)); in 2-D two
-    rounds of coordinate descent, a 24-step sweep over every x, then one
-    over every y.
+
+def _strict_minima(c: np.ndarray, neighbours) -> tuple:
+    """Indices where c is at most every neighbour + 1e-15 and below one by more."""
+    le = np.logical_and.reduce([c <= v + 1e-15 for v in neighbours])
+    lt = np.logical_or.reduce([c < v - 1e-15 for v in neighbours])
+    return np.nonzero(le & lt)
+
+
+def _local_minima(vals: np.ndarray) -> tuple:
+    """Strict grid local minima of a 1- or 2-D table in row-major order.
+
+    2-D tables test the 4-neighbourhood of interior cells on blocks of 64
+    rows sliced from ``vals``, so no temporary is larger than a block.
     """
-    refined = vals.copy()
-    h = grid[1] - grid[0] if len(grid) > 1 else 0.0
     if vals.ndim == 1:
-        mask = np.zeros_like(vals, dtype=bool)
-        if len(vals) > 2:
-            mask[1:-1] = (vals[1:-1] <= vals[:-2] + 1e-15) & (vals[1:-1] <= vals[2:] + 1e-15) \
-                & ((vals[1:-1] < vals[:-2] - 1e-15) | (vals[1:-1] < vals[2:] - 1e-15))
-        cells = np.nonzero(mask)[0]
-        if cells.size > _REFINE_CELL_CAP:
-            cells = cells[np.argsort(vals[cells], kind="stable")[:_REFINE_CELL_CAP]]
-        if cells.size:
-            lo, hi = grid[cells] - h, grid[cells] + h
-            x = _golden_argmin(lambda u: eval_mpf(F, [u]), lo, hi)
-            ends = eval_mpf(F, [np.concatenate([x, np.maximum(lo, 0.0), hi])])
-            refined[cells] = np.minimum(refined[cells], ends.reshape(3, -1).min(axis=0))
-        return refined
-    # 2-D: local minima over the 4-neighborhood, then coordinate descent
-    V = vals
-    mask = np.zeros_like(V, dtype=bool)
-    if V.shape[0] > 2 and V.shape[1] > 2:
-        c = V[1:-1, 1:-1]
-        le = ((c <= V[:-2, 1:-1] + 1e-15) & (c <= V[2:, 1:-1] + 1e-15)
-              & (c <= V[1:-1, :-2] + 1e-15) & (c <= V[1:-1, 2:] + 1e-15))
-        lt = ((c < V[:-2, 1:-1] - 1e-15) | (c < V[2:, 1:-1] - 1e-15)
-              | (c < V[1:-1, :-2] - 1e-15) | (c < V[1:-1, 2:] - 1e-15))
-        mask[1:-1, 1:-1] = le & lt
-    cells = np.argwhere(mask)
-    if cells.shape[0] > _REFINE_CELL_CAP:
-        order = np.argsort(V[mask], kind="stable")[:_REFINE_CELL_CAP]
-        cells = cells[order]
-    if cells.shape[0]:
-        i, j = cells.T
-        x, y = grid[i], grid[j]
-        for _ in range(2):
-            x = _golden_argmin(lambda u: eval_mpf(F, [u, y]), x - h, x + h, iters=24)
-            y = _golden_argmin(lambda u: eval_mpf(F, [x, u]), y - h, y + h, iters=24)
-        refined[i, j] = np.minimum(refined[i, j], eval_mpf(F, [x, y]))
-    return refined
+        idx, = _strict_minima(vals[1:-1], (vals[:-2], vals[2:]))
+        return (idx + 1,)
+    parts = [(np.zeros(0, dtype=np.intp),) * 2]
+    for r0 in range(1, len(vals) - 1, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, len(vals) - 1)
+        i, j = _strict_minima(vals[r0:r1, 1:-1], (
+            vals[r0 - 1: r1 - 1, 1:-1], vals[r0 + 1: r1 + 1, 1:-1],
+            vals[r0:r1, :-2], vals[r0:r1, 2:]))
+        parts.append((i + r0, j + 1))
+    return tuple(np.concatenate(axis) for axis in zip(*parts))
+
+
+def _polish_local_minima(F: MPF, grid: np.ndarray, vals: np.ndarray) -> tuple:
+    """Lockstep golden-section polish of strict grid local minima.
+
+    Returns ``(cells, values)``: index arrays of the at most 64 lowest
+    candidates (stable sort, row-major order) and the least of each one's
+    grid value and polished value, so ``vals[cells] = values`` overlays the
+    polish.  Piecewise-linear gallery descriptors attain quadrant infima at
+    breakpoints or plateau edges, which the polish localizes; for custom
+    descriptors it is approximate.  All cells advance together, one eval_mpf
+    call per iteration: in 1-D a 40-step search, then min(f(x), f(lo),
+    f(hi)); in 2-D two rounds of coordinate descent, a 24-step sweep over
+    every x, then one over every y.
+    """
+    cells = _local_minima(vals)
+    values = vals[cells]
+    if values.size > _REFINE_CELL_CAP:
+        keep = np.argsort(values, kind="stable")[:_REFINE_CELL_CAP]
+        cells, values = tuple(c[keep] for c in cells), values[keep]
+    if not values.size:
+        return cells, values
+    h = grid[1] - grid[0]
+    if vals.ndim == 1:
+        lo, hi = grid[cells[0]] - h, grid[cells[0]] + h
+        x = _golden_argmin(lambda u: eval_mpf(F, [u]), lo, hi)
+        ends = eval_mpf(F, [np.concatenate([x, np.maximum(lo, 0.0), hi])])
+        return cells, np.minimum(values, ends.reshape(3, -1).min(axis=0))
+    x, y = grid[cells[0]], grid[cells[1]]
+    for _ in range(2):
+        x = _golden_argmin(lambda u: eval_mpf(F, [u, y]), x - h, x + h, iters=24)
+        y = _golden_argmin(lambda u: eval_mpf(F, [x, u]), y - h, y + h, iters=24)
+    return cells, np.minimum(values, eval_mpf(F, [x, y]))
 
 
 def _golden_argmin(f, lo, hi, iters: int = 40) -> np.ndarray:
@@ -669,26 +687,18 @@ def _golden_argmin(f, lo, hi, iters: int = 40) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-def _suffix_min_1d(vals: np.ndarray) -> np.ndarray:
-    return np.minimum.accumulate(vals[::-1])[::-1]
-
-
-def _suffix_min_2d(vals: np.ndarray) -> np.ndarray:
-    out = np.empty_like(vals)
-    out[-1] = _suffix_min_1d(vals[-1])
-    for i in range(vals.shape[0] - 2, -1, -1):
-        out[i] = _suffix_min_1d(np.minimum(vals[i], out[i + 1]))
-    return out
-
-
 def defect_table(F: MPF, D: float, h: float = 1.0 / 64.0,
                  probe: float | None = None) -> DefectReport:
     """Tabulate I(s) = F(s) - inf_{s' >= s componentwise} F(s') on a grid.
 
-    The infimum is taken over the grid extended to the probe horizon, with a
-    lockstep golden-section polish of grid local minima (all cells advance
-    together, one eval_mpf call per iteration), and the defect is clamped at
-    zero.  Supports arity 1 and 2.
+    F is evaluated once on the grid extended to the probe horizon, with
+    broadcast arguments, and the infimum is taken over that grid after a
+    lockstep golden-section polish of its grid local minima (all cells
+    advance together, one eval_mpf call per iteration).  The defect is
+    clamped at zero.  In 2-D the suffix minimum runs over blocks of 64 rows
+    from the top of the grid down, carrying one row between blocks, so the
+    grid values are the only grid-sized array; each block also yields its
+    sup for ``sup_probe``.  Supports arity 1 and 2.
     """
     if probe is None:
         probe = D
@@ -696,21 +706,34 @@ def defect_table(F: MPF, D: float, h: float = 1.0 / 64.0,
         raise MMLabError("need 0 < h <= D <= probe")
     if F.arity > 2:
         raise MMLabError("defect tables support arity 1 and 2")
-    m_probe = int(round(probe / h))
+    m = int(round(probe / h))
     m_D = int(round(D / h))
-    grid = np.arange(m_probe + 1) * h
+    grid = np.arange(m + 1) * h
+    vals = np.broadcast_to(eval_mpf(F, _grid_args(grid, F.arity)), (m + 1,) * F.arity)
+    cells, polished = _polish_local_minima(F, grid, vals)
+    # a 1-D table runs as a single row
+    rows = vals.reshape(-1, m + 1)
     if F.arity == 1:
-        vals = eval_mpf(F, [grid])
-        inf_ = _suffix_min_1d(_refine_local_minima(F, grid, vals))
-        table = np.maximum(vals[: m_D + 1] - inf_[: m_D + 1], 0.0)
-    else:
-        S, T = np.meshgrid(grid, grid, indexing="ij")
-        vals = eval_mpf(F, [S, T])
-        inf_ = _suffix_min_2d(_refine_local_minima(F, grid, vals))
-        table = np.maximum(vals[: m_D + 1, : m_D + 1] - inf_[: m_D + 1, : m_D + 1], 0.0)
+        cells = (np.zeros_like(cells[0]), cells[0])
+    table = np.empty((min(len(rows), m_D + 1), m_D + 1))
+    sups, carry = [], np.full(m + 1, np.inf)
+    for r1 in range(len(rows), 0, -_ROW_BLOCK):
+        r0 = max(r1 - _ROW_BLOCK, 0)
+        blk = rows[r0:r1].copy()
+        here = (cells[0] >= r0) & (cells[0] < r1)
+        blk[cells[0][here] - r0, cells[1][here]] = polished[here]
+        np.minimum(blk[-1], carry, out=blk[-1])
+        blk = np.minimum.accumulate(blk[::-1], axis=0)[::-1]
+        blk = np.minimum.accumulate(blk[:, ::-1], axis=1)[:, ::-1]
+        carry = blk[0]
+        defect = np.maximum(rows[r0:r1] - blk, 0.0)
+        sups.append(defect.max())
+        if r0 <= m_D:
+            table[r0: r1] = defect[: m_D + 1 - r0, : m_D + 1]
+    table = table.reshape((m_D + 1,) * F.arity)
     return DefectReport(D=float(D), h=float(h), grid=grid[: m_D + 1],
                         table=table, sup_defect=float(table.max()),
-                        probe_bound=float(probe))
+                        probe_bound=float(probe), sup_probe=float(np.max(sups)))
 
 
 # ---------------------------------------------------------------------------
@@ -770,17 +793,15 @@ def classify_sequence(F_seq, F_limit: MPF, D_list, n_list, h: float = 1.0 / 64.0
         extent = max(Dmax, n + 8.0)
         if probe is not None:
             extent = max(extent, probe)
-        rep = defect_table(descriptors[n], D=extent, h=h, probe=extent)
-        m = int(round(Dmax / h))
-        sub = rep.table[(slice(0, m + 1),) * arity]
-        pointwise.append(sub)
-        sup_at_Dmax.append(float(sub.max()))
-        sup_global.append(rep.sup_defect)
+        rep = defect_table(descriptors[n], D=Dmax, h=h, probe=extent)
+        pointwise.append(rep.table)
+        sup_at_Dmax.append(rep.sup_defect)
+        sup_global.append(rep.sup_probe)
         for D in D_list:
             k = int(round(D / h))
-            win = rep.table[(slice(0, k + 1),) * arity]
-            sup_window[D].append(float(win.max()))
+            sup_window[D].append(float(rep.table[: k + 1][..., : k + 1].max()))
 
+    limit_rep = defect_table(F_limit, D=Dmax, h=h, probe=max(Dmax, n_list[-1] + 8.0))
     c1 = all(v <= zero_tol for v in sup_at_Dmax)
     c2 = _limit_is_zero(sup_global)
     c3 = all(_limit_is_zero(sup_window[D]) for D in D_list)
@@ -790,7 +811,6 @@ def classify_sequence(F_seq, F_limit: MPF, D_list, n_list, h: float = 1.0 / 64.0
     noninc = np.all(stack[1:] <= stack[:-1] + 1e-6, axis=0)
     point_ok = (last <= 1e-6) | (noninc & (last <= 0.25 * peak))
     c4 = bool(point_ok.all())
-    limit_rep = defect_table(F_limit, D=Dmax, h=h, probe=max(Dmax, n_list[-1] + 8.0))
     c5 = limit_rep.sup_defect <= zero_tol
 
     raw = {1: c1, 2: c2, 3: c3, 4: c4, 5: c5}
@@ -801,11 +821,7 @@ def classify_sequence(F_seq, F_limit: MPF, D_list, n_list, h: float = 1.0 / 64.0
         chained[k] = prev
 
     conv_grid = np.arange(0.0, Dmax + 1e-9, max(h, Dmax / 64.0))
-    if arity == 1:
-        pts = [conv_grid]
-    else:
-        S, T = np.meshgrid(conv_grid, conv_grid, indexing="ij")
-        pts = [S, T]
+    pts = _grid_args(conv_grid, arity)
     lim_vals = eval_mpf(F_limit, pts)
     diffs = [float(np.abs(eval_mpf(descriptors[n], pts) - lim_vals).max()) for n in n_list]
     conv_unif = _limit_is_zero(diffs, atol=1e-6)

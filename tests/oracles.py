@@ -338,6 +338,84 @@ def refine_local_minima_loop(F, grid, vals):
     return refined
 
 
+def _refine_local_minima_full(F, grid, vals):
+    """Lockstep polish of strict grid local minima on a full copy of ``vals``."""
+    from mm_lab.mpf import _golden_argmin, eval_mpf
+
+    refined = vals.copy()
+    h = grid[1] - grid[0] if len(grid) > 1 else 0.0
+    if vals.ndim == 1:
+        mask = np.zeros_like(vals, dtype=bool)
+        if len(vals) > 2:
+            mask[1:-1] = (vals[1:-1] <= vals[:-2] + 1e-15) & (vals[1:-1] <= vals[2:] + 1e-15) \
+                & ((vals[1:-1] < vals[:-2] - 1e-15) | (vals[1:-1] < vals[2:] - 1e-15))
+        cells = np.nonzero(mask)[0]
+        if cells.size > 64:
+            cells = cells[np.argsort(vals[cells], kind="stable")[:64]]
+        if cells.size:
+            lo, hi = grid[cells] - h, grid[cells] + h
+            x = _golden_argmin(lambda u: eval_mpf(F, [u]), lo, hi)
+            ends = eval_mpf(F, [np.concatenate([x, np.maximum(lo, 0.0), hi])])
+            refined[cells] = np.minimum(refined[cells], ends.reshape(3, -1).min(axis=0))
+        return refined
+    V = vals
+    mask = np.zeros_like(V, dtype=bool)
+    if V.shape[0] > 2 and V.shape[1] > 2:
+        c = V[1:-1, 1:-1]
+        le = ((c <= V[:-2, 1:-1] + 1e-15) & (c <= V[2:, 1:-1] + 1e-15)
+              & (c <= V[1:-1, :-2] + 1e-15) & (c <= V[1:-1, 2:] + 1e-15))
+        lt = ((c < V[:-2, 1:-1] - 1e-15) | (c < V[2:, 1:-1] - 1e-15)
+              | (c < V[1:-1, :-2] - 1e-15) | (c < V[1:-1, 2:] - 1e-15))
+        mask[1:-1, 1:-1] = le & lt
+    cells = np.argwhere(mask)
+    if cells.shape[0] > 64:
+        order = np.argsort(V[mask], kind="stable")[:64]
+        cells = cells[order]
+    if cells.shape[0]:
+        i, j = cells.T
+        x, y = grid[i], grid[j]
+        for _ in range(2):
+            x = _golden_argmin(lambda u: eval_mpf(F, [u, y]), x - h, x + h, iters=24)
+            y = _golden_argmin(lambda u: eval_mpf(F, [x, u]), y - h, y + h, iters=24)
+        refined[i, j] = np.minimum(refined[i, j], eval_mpf(F, [x, y]))
+    return refined
+
+
+def _suffix_min_2d_rows(vals):
+    out = np.empty_like(vals)
+    out[-1] = np.minimum.accumulate(vals[-1][::-1])[::-1]
+    for i in range(vals.shape[0] - 2, -1, -1):
+        out[i] = np.minimum.accumulate(np.minimum(vals[i], out[i + 1])[::-1])[::-1]
+    return out
+
+
+def defect_table_full(F, D, h=1.0 / 64.0, probe=None):
+    """The isotone-defect table on the full probe grid, one row at a time.
+
+    Evaluates F on a meshgrid of the whole probe grid, polishes a full copy
+    of it, and takes the suffix minimum row by row from the top.  Returns
+    ``(table, sup_defect)`` for [0, D]^arity; with D = probe, ``table.max()``
+    is the sup over the whole probe grid.
+    """
+    from mm_lab.mpf import eval_mpf
+
+    if probe is None:
+        probe = D
+    m_probe = int(round(probe / h))
+    m_D = int(round(D / h))
+    grid = np.arange(m_probe + 1) * h
+    if F.arity == 1:
+        vals = eval_mpf(F, [grid])
+        inf_ = np.minimum.accumulate(_refine_local_minima_full(F, grid, vals)[::-1])[::-1]
+        table = np.maximum(vals[: m_D + 1] - inf_[: m_D + 1], 0.0)
+    else:
+        S, T = np.meshgrid(grid, grid, indexing="ij")
+        vals = eval_mpf(F, [S, T])
+        inf_ = _suffix_min_2d_rows(_refine_local_minima_full(F, grid, vals))
+        table = np.maximum(vals[: m_D + 1, : m_D + 1] - inf_[: m_D + 1, : m_D + 1], 0.0)
+    return table, float(table.max())
+
+
 def min_on_interval_loop(F, lo, hi, grid=512):
     """Grid minimum of F on [lo, hi], polished by the scalar golden search."""
     from mm_lab.mpf import eval_mpf

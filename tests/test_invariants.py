@@ -277,6 +277,40 @@ def test_levy_radius_of_values_matches_loop(case, kappa):
     assert got == pytest.approx(levy_radius_loop(values, w, kappa, center), abs=1e-12)
 
 
+def _tail_boundary_kappas(row, weights):
+    """Each tail mass of the stably sorted deviations less MASS_TOL, and one ulp either side."""
+    dev = np.abs(row - inv._levy_mean_of_values(row, weights / weights.sum()).mean)
+    ks = np.cumsum(weights[np.argsort(dev, kind="stable")][::-1]) - core.MASS_TOL
+    ks = np.concatenate([ks, np.nextafter(ks, 0.0), np.nextafter(ks, 1.0)])
+    return ks[(ks > 0.0) & (ks < 1.0)]
+
+
+def test_levy_radius_of_rows_matches_values():
+    X = gallery.sample_sphere(8, 1.0, 1000, metric="chordal", seed=3, cache=False).space
+    pool = np.array(inv._candidate_observables(X, 300, seed=0))
+    # most rows take the row-wise path, not the per-row fallback
+    assert (np.diff(np.sort(pool, axis=1), axis=1) > 1e-12).all(axis=1).sum() > 150
+    for kappa in (0.05, 0.2, 0.5, 0.9):
+        want = np.array([inv._levy_radius_of_values(v, X.weight, kappa) for v in pool])
+        assert inv._levy_radius_of_rows(pool, X.weight, kappa).tobytes() == want.tobytes()
+    rng = np.random.default_rng(0)
+    half = rng.permutation(np.arange(1, 101)) * 0.125
+    w = rng.random(201)
+    cases = [
+        # atoms 5e-13 apart on either side of the median, merged by the fallback
+        (np.repeat([0.0, 5e-13], 20), np.full(40, 1 / 40)),
+        # deviations one ulp apart (0.1 * 3 and 3 / 10), within the 1e-15 offset
+        (np.concatenate([-0.1 * np.arange(1, 21), np.arange(1, 21) / 10, [0.0]]),
+         np.full(41, 1 / 41)),
+        # deviations tied in pairs: the tail sums add each pair in stable order
+        (np.concatenate([-half, half, [0.0]]), w / w.sum()),
+    ]
+    for row, weights in cases:
+        for kappa in _tail_boundary_kappas(row, weights):
+            want = inv._levy_radius_of_values(row, weights, kappa)
+            assert inv._levy_radius_of_rows(row[None], weights, kappa)[0].hex() == want.hex()
+
+
 def test_levy_radius_below_od():
     for seed in range(5):
         X = core.random_metric_space(4, seed=90 + seed)

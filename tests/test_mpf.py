@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from mm_lab import mpf
 from mm_lab.errors import ArityMismatch, MMLabError, NotIncreasing
-from oracles import refine_local_minima_loop
+from oracles import defect_table_full, refine_local_minima_loop
 
 
 def test_eval_spot_values():
@@ -142,18 +143,27 @@ def _grid_values(F, extent, h):
     return grid, mpf.eval_mpf(F, list(np.meshgrid(grid, grid, indexing="ij")))
 
 
+def _polished(F, grid, vals):
+    """``vals`` with the cells of the lockstep polish overlaid on a copy."""
+    cells, values = mpf._polish_local_minima(F, grid, vals)
+    out = vals.copy()
+    out[cells] = values
+    return out
+
+
 def _count_eval_calls(monkeypatch):
     """Route mpf.eval_mpf through a counter of top-level calls and their sizes.
 
-    Nested calls (piecewise segments, generator inverses) run at depth > 1
-    and are not counted.
+    A call's size is the element count of its broadcast arguments.  Nested
+    calls (piecewise segments, generator inverses) run at depth > 1 and are
+    not counted.
     """
     sizes, depth = [], [0]
     inner = mpf.eval_mpf
 
     def counting(F, args):
         if depth[0] == 0:
-            sizes.append(int(np.asarray(args[0]).size))
+            sizes.append(math.prod(np.broadcast_shapes(*(np.shape(a) for a in args))))
         depth[0] += 1
         try:
             return inner(F, args)
@@ -187,7 +197,7 @@ def test_refine_local_minima_matches_loop_oracle(token):
     F = mpf.builtin(token)
     n = int(token.partition(":")[2]) if token.startswith("gn") else 0
     grid, vals = _grid_values(F, max(8.0, n + 8.0), 1 / 16)
-    got = mpf._refine_local_minima(F, grid, vals)
+    got = _polished(F, grid, vals)
     assert got.tobytes() == refine_local_minima_loop(F, grid, vals).tobytes()
 
 
@@ -195,7 +205,7 @@ def test_refine_local_minima_matches_loop_oracle(token):
 def test_refine_local_minima_matches_loop_oracle_on_custom_2d(name):
     F = _CUSTOM_2D[name]
     grid, vals = _grid_values(F, 12.0, 1 / 16)
-    got = mpf._refine_local_minima(F, grid, vals)
+    got = _polished(F, grid, vals)
     assert np.count_nonzero(got != vals) > 1
     assert got.tobytes() == refine_local_minima_loop(F, grid, vals).tobytes()
 
@@ -205,7 +215,7 @@ def test_refine_cell_cap_keeps_the_lowest_cells_in_stable_order():
     # them), so only the 64 lowest are polished
     F = mpf.builtin("fp:inf")
     grid, vals = _grid_values(F, 8.0, 1 / 16)
-    got = mpf._refine_local_minima(F, grid, vals)
+    got = _polished(F, grid, vals)
     assert np.count_nonzero(got != vals) == mpf._REFINE_CELL_CAP
     assert got.tobytes() == refine_local_minima_loop(F, grid, vals).tobytes()
     # 100 tied minima above the function: the stable sort polishes the first
@@ -213,7 +223,7 @@ def test_refine_cell_cap_keeps_the_lowest_cells_in_stable_order():
     grid = np.arange(201) / 16
     vals = 10.0 + np.tile([1.0, 0.0], 101)[:201]
     F = mpf.builtin("h2")
-    got = mpf._refine_local_minima(F, grid, vals)
+    got = _polished(F, grid, vals)
     assert np.array_equal(np.flatnonzero(got != vals), np.arange(1, 129, 2))
     assert got.tobytes() == refine_local_minima_loop(F, grid, vals).tobytes()
 
@@ -241,9 +251,9 @@ def test_defect_table_eval_calls_do_not_grow_with_cells(monkeypatch):
 def test_refine_without_cells_makes_no_eval_calls(monkeypatch, F, D, h):
     grid, vals = _grid_values(F, D, h)
     sizes = _count_eval_calls(monkeypatch)
-    got = mpf._refine_local_minima(F, grid, vals)
+    cells, values = mpf._polish_local_minima(F, grid, vals)
     assert sizes == []
-    assert got is not vals and got.tobytes() == vals.tobytes()
+    assert values.size == 0 and len(cells) == F.arity and all(c.size == 0 for c in cells)
     rep = mpf.defect_table(F, D=D, h=h)
     assert sizes == [vals.size]
     assert rep.sup_defect == 0.0
@@ -253,15 +263,65 @@ def test_refine_single_cell_matches_loop_oracle():
     # fn1:4 drops to its plateau at 2.25: one strict grid minimum
     F = mpf.builtin("fn1:4")
     grid, vals = _grid_values(F, 8.0, 1 / 64)
-    got = mpf._refine_local_minima(F, grid, vals)
+    got = _polished(F, grid, vals)
     assert got.tobytes() == refine_local_minima_loop(F, grid, vals).tobytes()
     F = mpf.builtin("fp:2")
     grid = np.arange(5) / 16
     vals = np.ones((5, 5))
     vals[2, 2] = 0.5
-    got = mpf._refine_local_minima(F, grid, vals)
+    got = _polished(F, grid, vals)
     assert got[2, 2] < 0.5
     assert got.tobytes() == refine_local_minima_loop(F, grid, vals).tobytes()
+
+
+def _defect_cases():
+    """(name, D, h, probe) cases for the comparison with defect_table_full."""
+    cases = []
+    named = [t for t in mpf.GALLERY_TOKENS if mpf.builtin(t).arity <= 2] + sorted(_CUSTOM_2D)
+    named += [f"{g}:{n}" for g in ("gn1", "gn2", "gn3") for n in (1, 2, 4, 8, 16)]
+    named += ["fn1:3", "fn2:4", "fn3:5", "fn1:16"]
+    for name in named:
+        n = int(name.partition(":")[2]) if name[:2] in ("gn", "fn") else 4
+        cases += [(name, 8.0, 1 / 16, n + 8.0), (name, n + 8.0, 1 / 16, n + 8.0)]
+    # the classifier's largest table (1537 rows) and an 833-row grid, not a
+    # multiple of the 64-row block
+    cases += [("gn3:16", 8.0, 1 / 64, 24.0), ("gn2:16", 24.0, 1 / 64, 24.0),
+              ("gn3:5", 13.0, 1 / 64, 13.0), ("dip+tilt", 13.0, 1 / 64, 13.0),
+              ("fn2:4", 13.0, 1 / 64, 13.0)]
+    # grids of 2 rows, without an interior cell, and of 3 rows, with one
+    # (0 < h <= D leaves at least 2 rows)
+    for name in ("gn3:1", "fp:2", "dip+tilt", "h1"):
+        cases += [(name, 1 / 64, 1 / 64, 1 / 64), (name, 1 / 64, 1 / 64, 1 / 32),
+                  (name, 1 / 32, 1 / 64, 1 / 32)]
+    return cases
+
+
+@pytest.mark.parametrize("name, D, h, probe", _defect_cases())
+def test_defect_table_matches_full_grid_oracle(name, D, h, probe):
+    F = _CUSTOM_2D[name] if name in _CUSTOM_2D else mpf.builtin(name)
+    rep = mpf.defect_table(F, D=D, h=h, probe=probe)
+    table, sup = defect_table_full(F, D, h, probe)
+    assert rep.table.shape == table.shape and rep.table.tobytes() == table.tobytes()
+    assert rep.sup_defect.hex() == sup.hex()
+    full = table if D == probe else defect_table_full(F, probe, h, probe)[0]
+    assert rep.sup_probe.hex() == float(full.max()).hex()
+
+
+def test_defect_table_peak_memory_is_about_one_grid_array():
+    # gn3:16 out to probe 24 at h = 1/64: 1537^2 cells, 18.9 MB per float64 array
+    grid_bytes = 1537 ** 2 * 8
+    tracemalloc.start()
+    try:
+        mpf.defect_table(mpf.builtin("gn3:16"), D=8.0, probe=24.0)
+        table_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        mpf.classify_sequence(mpf.family("gn3"), mpf.family_limit("gn3"),
+                              D_list=(4.0, 8.0), n_list=(1, 2, 4, 8, 16))
+        classify_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table_peak <= 1.5 * grid_bytes
+    assert classify_peak <= 3 * grid_bytes
 
 
 def test_classifier_reproduces_separations():
