@@ -709,7 +709,7 @@ def defect_table(F: MPF, D: float, h: float = 1.0 / 64.0,
     m = int(round(probe / h))
     m_D = int(round(D / h))
     grid = np.arange(m + 1) * h
-    vals = np.broadcast_to(eval_mpf(F, _grid_args(grid, F.arity)), (m + 1,) * F.arity)
+    vals = eval_mpf(F, _grid_args(grid, F.arity))
     cells, polished = _polish_local_minima(F, grid, vals)
     # a 1-D table runs as a single row
     rows = vals.reshape(-1, m + 1)
