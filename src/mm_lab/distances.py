@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import maximum_flow
 
 from .core import (
     MASS_TOL,
@@ -92,11 +90,18 @@ def _check_measure(space, v) -> np.ndarray:
     return np.maximum(v, 0.0)
 
 
+def maximum_flow(graph, source: int, sink: int):
+    """scipy's max-flow solve, imported on the first call rather than with mm_lab."""
+    from scipy.sparse.csgraph import maximum_flow as solve
+    return solve(graph, source, sink)
+
+
 def _min_cut(src_caps, snk_caps, adj: np.ndarray):
     """Integer max-flow source -> rows -> columns -> sink, rows to columns uncapped where adj.
 
     Returns the flow value and the rows x columns flow block.
     """
+    from scipy.sparse import csr_array
     n, m = adj.shape
     ii, jj = np.nonzero(adj)
     # CSR rows: the source, the n rows, the m columns, the sink

@@ -27,8 +27,12 @@ _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 class PhiSpec:
     """Homeomorphism of [0, inf) used as a sum generator.
 
-    Known names carry a closed-form inverse; anything else (piecewise) falls
-    back to vectorized bisection with bracket doubling, tolerance 1e-12.
+    Known names carry a closed-form inverse.  A piecewise generator finds
+    each point's segment with one searchsorted on phi(breaks) and inverts
+    ``linear`` and ``power_sum`` segments in closed form, clipped to the
+    segment, so an upward jump inverts to the jump point; points on any
+    other segment fall back to vectorized bisection with bracket doubling,
+    tolerance 1e-12.
     """
 
     name: str
@@ -58,7 +62,41 @@ class PhiSpec:
             return np.arcsinh(y)
         if self.name == "quad":
             return np.sqrt(y + 1.0) - 1.0
+        if self.name == "piecewise":
+            return _piecewise_inverse(self, y)
         return _bisect_inverse(self, y)
+
+
+def _segment_inverse(seg, y):
+    """Closed-form inverse of one increasing generator segment, or None."""
+    p = seg.params
+    if seg.kind == "linear" and p["a"] > 0:
+        return (y - p["b"]) / p["a"]
+    if seg.kind == "power_sum" and p["alpha"] > 0:
+        return y ** (1.0 / p["alpha"])
+    return None
+
+
+def _piecewise_inverse(phi, y):
+    # side="right" puts y = phi(b) on the segment right of b, as
+    # _eval_unary_piecewise puts s = b there
+    breaks = np.asarray(phi.params["breaks"], dtype=float)
+    seg_of = np.searchsorted(phi(breaks), y, side="right")
+    edges = np.concatenate([[0.0], breaks, [_INF]])
+    out = np.empty_like(y)
+    rest = np.zeros(y.shape, dtype=bool)
+    for j, seg in enumerate(phi.params["segments"]):
+        mask = seg_of == j
+        if not mask.any():
+            continue
+        s = _segment_inverse(seg, y[mask])
+        if s is None:
+            rest |= mask
+        else:
+            out[mask] = np.clip(s, edges[j], edges[j + 1])
+    if rest.any():
+        out[rest] = _bisect_inverse(phi, y[rest])
+    return out
 
 
 def _bisect_inverse(phi, y):
@@ -604,10 +642,22 @@ def _grid_args(grid: np.ndarray, arity: int) -> list:
 
 
 def _strict_minima(c: np.ndarray, neighbours) -> tuple:
-    """Indices where c is at most every neighbour + 1e-15 and below one by more."""
-    le = np.logical_and.reduce([c <= v + 1e-15 for v in neighbours])
-    lt = np.logical_or.reduce([c < v - 1e-15 for v in neighbours])
-    return np.nonzero(le & lt)
+    """Indices where c is at most every neighbour + 1e-15 and below one by more.
+
+    Rounding is monotone, so c <= fl(v + 1e-15) for every v exactly when
+    c <= fl(min v + 1e-15), and c < fl(v - 1e-15) for some v exactly when
+    c < fl(max v - 1e-15): two comparisons instead of one per neighbour.
+    ``np.minimum`` keeps a NaN neighbour (no cell beside it qualifies) and
+    ``np.fmax`` skips it, as the per-neighbour comparisons do.
+    """
+    a, b, *rest = neighbours
+    lo, hi = np.minimum(a, b), np.fmax(a, b)
+    for v in rest:
+        np.minimum(lo, v, out=lo)
+        np.fmax(hi, v, out=hi)
+    lo += 1e-15
+    hi -= 1e-15
+    return np.nonzero((c <= lo) & (c < hi))
 
 
 def _local_minima(vals: np.ndarray) -> tuple:
@@ -698,7 +748,9 @@ def defect_table(F: MPF, D: float, h: float = 1.0 / 64.0,
     clamped at zero.  In 2-D the suffix minimum runs over blocks of 64 rows
     from the top of the grid down, carrying one row between blocks, so the
     grid values are the only grid-sized array; each block also yields its
-    sup for ``sup_probe``.  Supports arity 1 and 2.
+    sup for ``sup_probe``.  Down the rows a block takes the minimum of each
+    row and the one above it, bottom up, one contiguous row at a time, then
+    accumulates along the columns.  Supports arity 1 and 2.
     """
     if probe is None:
         probe = D
@@ -723,7 +775,9 @@ def defect_table(F: MPF, D: float, h: float = 1.0 / 64.0,
         here = (cells[0] >= r0) & (cells[0] < r1)
         blk[cells[0][here] - r0, cells[1][here]] = polished[here]
         np.minimum(blk[-1], carry, out=blk[-1])
-        blk = np.minimum.accumulate(blk[::-1], axis=0)[::-1]
+        # row by row: accumulate(axis=0) would walk columns with a strided inner loop
+        for i in range(len(blk) - 2, -1, -1):
+            np.minimum(blk[i], blk[i + 1], out=blk[i])
         blk = np.minimum.accumulate(blk[:, ::-1], axis=1)[:, ::-1]
         carry = blk[0]
         defect = np.maximum(rows[r0:r1] - blk, 0.0)

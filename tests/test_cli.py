@@ -137,6 +137,27 @@ def test_lemma_batteries_csv_same_across_hash_seeds(tmp_path):
     assert csvs[0] == csvs[1]
 
 
+def test_scipy_loads_on_the_first_flow_solve_only():
+    # importing mm_lab and the falsifier need numpy alone; the first max-flow
+    # solve brings in scipy.sparse
+    src = str(Path(core.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "import mm_lab\n"
+            "from mm_lab.cli import main\n"
+            "loaded = lambda: any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+            "print(loaded())\n"
+            "main(['mpf', 'check', '--fn', 'petrik', '--samples', '100'])\n"
+            "print(loaded())\n"
+            "X = mm_lab.random_metric_space(4, seed=0)\n"
+            "mm_lab.prokhorov(X, X.weight, [1.0, 0.0, 0.0, 0.0])\n"
+            "print(loaded())\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    lines = run.stdout.splitlines()
+    assert [lines[0], lines[2], lines[3]] == ["False", "False", "True"], run.stdout
+
+
 def test_sphere_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("MML_CACHE_DIR", str(tmp_path / "cache"))
     from mm_lab.gallery import sample_sphere

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mm_lab import mpf
 from mm_lab.errors import ArityMismatch, MMLabError, NotIncreasing
@@ -46,15 +46,99 @@ def test_mulholland_matches_closed_forms():
     assert mq(1.0, 1.0) == pytest.approx(math.sqrt(7.0) - 1.0, abs=1e-9)
 
 
+def _opaque(phi: mpf.PhiSpec) -> mpf.PhiSpec:
+    """phi with every segment behind scale(1, .): the same values, no closed-form inverse."""
+    segs = tuple(mpf.scale(1.0, seg) for seg in phi.params["segments"])
+    return mpf.PhiSpec("piecewise", {"breaks": phi.params["breaks"], "segments": segs})
+
+
 def test_bisected_inverse_does_not_depend_on_its_batch():
-    # (700, 700) needs the widest bracket; the other points must not bisect past their own tol
-    F = mpf.builtin("petrik")
+    # petrik's generator, but every point bisects; (700, 700) needs the
+    # widest bracket, and the other points must not bisect past their own tol
+    F = mpf.make_mulholland(_opaque(mpf.petrik_phi()))
     pts = [(0.3, 0.3), (5.0, 5.0), (700.0, 700.0)]
     alone = [mpf.eval_mpf(F, [np.array(s), np.array(t)]) for s, t in pts]
     together = mpf.eval_mpf(F, [np.array([p[0] for p in pts]), np.array([p[1] for p in pts])])
     assert together.tolist() == [float(v) for v in alone]
     # one-point values keep the bits they had under the batch-wide stopping rule
     assert [float(v).hex() for v in alone[:2]] == ["0x1.3333333333000p-1", "0x1.c48c6001f0a00p+2"]
+
+
+def test_gallery_generators_invert_in_closed_form(monkeypatch):
+    F = mpf.builtin("petrik")
+    assert F(0.3, 0.3) == 0.6
+    assert F(5.0, 5.0) == 50.0 ** 0.5
+    calls = []
+    bisect = mpf._bisect_inverse
+    monkeypatch.setattr(mpf, "_bisect_inverse",
+                        lambda phi, y: calls.append(np.size(y)) or bisect(phi, y))
+    for token in mpf.GALLERY_TOKENS:
+        assert mpf.check_triangle_triplets(mpf.builtin(token), samples=5000, seed=1).passed
+    assert calls == []
+    # the counter does see a generator without closed-form segments
+    mpf.make_mulholland(_opaque(mpf.petrik_phi()))(0.3, 0.3)
+    assert calls
+
+
+@st.composite
+def piecewise_generators(draw):
+    """Strictly increasing piecewise generators, continuous or with upward jumps.
+
+    Segments are linear maps or powers s^alpha, which invert in closed form,
+    and exactly one s^alpha + a s + c, which does not.  Each segment starts
+    where the previous one ends, up to rounding, or above it by a jump.  A
+    power segment past 0 takes the alpha that meets its start value, and is
+    linear where that alpha is out of [0.3, 4].
+    """
+    breaks = sorted(draw(st.lists(st.floats(0.05, 8.0), min_size=1, max_size=4, unique=True)))
+    edges = [0.0] + breaks
+    opaque = draw(st.integers(0, len(breaks)))
+    segs, end = [], 0.0
+    for j, b in enumerate(edges):
+        start = end + (draw(st.sampled_from([0.0, 0.0, 0.5, 2.0])) if j else 0.0)
+        a = draw(st.floats(0.2, 4.0))
+        alpha = draw(st.floats(0.3, 4.0))
+        if j and start > 0 and b != 1.0:
+            alpha = math.log(start) / math.log(b)
+        power = 0.3 <= alpha <= 4.0 and draw(st.booleans())
+        if j == opaque:
+            seg = mpf.combine("add_F", [mpf.power_sum(alpha if power else 2.0, arity=1),
+                                        mpf.linear(a)])
+            seg = mpf.combine("add_F", [seg, mpf.const(start - float(mpf.eval_mpf(seg, [b])))])
+        elif power:
+            seg = mpf.power_sum(alpha, arity=1)
+        else:
+            seg = mpf.linear(a, start - a * b)
+        segs.append(seg)
+        if j < len(breaks):
+            end = float(mpf.eval_mpf(seg, [edges[j + 1]]))
+    return mpf.PhiSpec("piecewise", {"breaks": tuple(breaks), "segments": tuple(segs)})
+
+
+@settings(max_examples=60)
+@given(piecewise_generators(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_piecewise_inverse_matches_bisection(phi, fracs):
+    breaks = np.asarray(phi.params["breaks"])
+    at = phi(breaks)
+    # y = 0, phi at every break (the right segment's value), the left
+    # segment's value there, the middle of every jump, and points up to phi(12)
+    left = [float(mpf.eval_mpf(seg, [b])) for seg, b in zip(phi.params["segments"], breaks)]
+    y = np.concatenate([[0.0], at, left, (at + left) / 2, np.array(fracs) * float(phi(12.0))])
+    got = phi.inverse(y)
+    want = mpf._bisect_inverse(phi, y)
+    assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, want)).all()
+    assert got[0] == 0.0 or phi.params["segments"][0].kind == "sum"
+
+
+def test_piecewise_inverse_maps_jumps_to_the_jump_point():
+    # s on [0, 1), s + 1 on [1, 2), s^2 from 2: up by 1 at s = 1 and s = 2
+    phi = mpf.PhiSpec("piecewise", {"breaks": (1.0, 2.0), "segments": (
+        mpf.identity(), mpf.linear(1.0, 1.0), mpf.power_sum(2.0, arity=1))})
+    y = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 9.0])
+    got = phi.inverse(y)
+    assert got.tolist() == [0.0, 0.5, 1.0, 1.0, 1.0, 1.5, 2.0, 2.0, 2.0, 3.0]
+    assert np.abs(got - mpf._bisect_inverse(phi, y)).max() <= 1e-12
+    assert phi.inverse(np.array(3.5)).shape == () and float(phi.inverse(3.5)) == 2.0
 
 
 def test_mulholland_rejects_nonincreasing_generator():
