@@ -608,7 +608,7 @@ def concentration_certificate(source: FiniteMMSpace, target: FiniteMMSpace,
     pool = _candidate_observables(source, n_obs, seed)
     evidence = []
     eps_haus = 0.0
-    for k, f_vals in enumerate(pool):
+    for f_vals in pool:
         best, _g = _lip1_target_fit(source, target, p, f_vals)
         evidence.append(float(best))
         eps_haus = max(eps_haus, best)

@@ -180,63 +180,93 @@ def _od_exact(space: FiniteMMSpace, kappa: float):
     return t, values, {"surrogate": t, "orderings": P}
 
 
-def _candidate_observables(space: FiniteMMSpace, count: int, seed) -> list:
+def _candidate_observables(space: FiniteMMSpace, count: int, seed) -> np.ndarray:
     """Deterministic pool of 1-Lipschitz observables (distance cones, coordinates).
 
-    The distance cones min_a (c_a + d(., a)) read contiguous rows of one
-    transposed copy of the distance matrix.  The coordinate projections go
-    through one Lipschitz screen together; only the directions it flags are
-    rescaled by project_to_lip1, the others are 1-Lipschitz already and are
-    used as they are.
+    Returns one (rows, n) array, rows <= count: the distance columns of up to
+    32 anchors, then distance cones min_a (c_a + d(., a)) over 1, 2, 3 anchors
+    in turn, then coordinate projections.  Cone k draws its anchors and
+    offsets from its own generator [seed, 202, k]; the cones are then built
+    one arity at a time, on contiguous rows of one transposed copy of the
+    distance matrix, straight into their rows of the pool.  The coordinate
+    projections go through one Lipschitz screen together; only the
+    directions it flags are rescaled by project_to_lip1, the others are
+    1-Lipschitz already and are used as they are.
     """
     n, d = space.n, space.dist
-    out = []
-    rng = np.random.default_rng([int(seed) & 0x7FFFFFFF, 101])
+    key = int(seed) & 0x7FFFFFFF
+    rng = np.random.default_rng([key, 101])
     anchors = np.arange(n) if n <= 32 else rng.choice(n, 32, replace=False)
-    out.extend(d[:, a].copy() for a in anchors)
-    if len(out) < count // 2:
-        dT = np.ascontiguousarray(d.T)
-    k = 0
-    while len(out) < count // 2:
-        sub = np.random.default_rng([int(seed) & 0x7FFFFFFF, 202, k])
-        m = 1 + k % 3
-        a = sub.integers(0, n, m)
-        c = sub.random(m) * space.diam
-        out.append((c[:, None] + dT[a]).min(axis=0))
-        k += 1
-    if space.coords is not None and len(out) < count:
+    n_cones = max(0, count // 2 - len(anchors))
+    dirs = []
+    if space.coords is not None:
         dims = space.coords.shape[1]
         dirs = [np.eye(dims)[i] for i in range(min(dims, 16))]
-        sub = np.random.default_rng([int(seed) & 0x7FFFFFFF, 303])
+        sub = np.random.default_rng([key, 303])
         extra = sub.normal(size=(min(32, max(4, count // 8)), dims))
         extra /= np.linalg.norm(extra, axis=1, keepdims=True)
         dirs.extend(extra)
-        proj = np.array([space.coords @ u for u in dirs[: count - len(out)]])
-        flagged = _exceeds_lip1(space, proj)
-        out.extend(project_to_lip1(space, v) if f else v for v, f in zip(proj, flagged))
-    return out[:count]
+        dirs = dirs[: max(0, count - len(anchors) - n_cones)]
+    pool = np.empty((min(count, len(anchors) + n_cones + len(dirs)), n))
+    head = anchors[: len(pool)]
+    pool[: len(head)] = d[:, head].T
+    if n_cones:
+        dT = np.ascontiguousarray(d.T)
+        for r in range(min(3, n_cones)):
+            # cones k = r, r + 3, ... take r + 1 anchors each
+            subs = (np.random.default_rng([key, 202, k]) for k in range(r, n_cones, 3))
+            a, c = zip(*((sub.integers(0, n, r + 1), sub.random(r + 1) * space.diam)
+                         for sub in subs))
+            a, c = np.array(a), np.array(c)
+            rows = pool[len(anchors) + r: len(anchors) + n_cones: 3]
+            np.add(c[:, 0, None], dT[a[:, 0]], out=rows)
+            for i in range(1, r + 1):
+                cone = dT[a[:, i]]
+                cone += c[:, i, None]
+                np.minimum(rows, cone, out=rows)
+    if dirs:
+        proj = pool[len(anchors) + n_cones:]
+        for row, u in zip(proj, dirs):
+            np.matmul(space.coords, u, out=row)
+        for i in np.nonzero(_exceeds_lip1(space, proj))[0]:
+            proj[i] = project_to_lip1(space, proj[i])
+    return pool
 
 
 def _pd_of_rows(values: np.ndarray, weights, alpha: float) -> np.ndarray:
     """_pd_of_values of every row of a 2-D array, from one row-wise sort.
 
     A row whose sorted values hold a gap <= 1e-12, which _merge_sorted would
-    merge, goes through _pd_of_values itself.  Every other row has distinct
-    values, so any sort gives it the stable order, and the row-wise cumsum
-    adds in the same order as the 1-D one: the results are the same bits.
+    merge, goes through _pd_of_values itself; a -0.0/0.0 tie is such a gap,
+    so the order a sort gives equal values never reaches a result.  Every
+    other row has distinct values, so any sort gives it the stable order,
+    and the row-wise cumsum adds in the same order as the 1-D one: the
+    results are the same bits.  When all weights are equal, weights[order]
+    is weights for every row, so one 1-D prefix and one searchsorted give
+    the window ends j of every row, and the rows need only a sort.
     """
     rows, n = values.shape
-    order = np.argsort(values, axis=1)
-    pos = np.take_along_axis(values, order, axis=1)
-    prefix = np.zeros((rows, n + 1))
-    np.cumsum(weights[order], axis=1, out=prefix[:, 1:])
-    j = np.empty((rows, n), dtype=np.intp)
-    for r in range(rows):
-        j[r] = np.searchsorted(prefix[r], prefix[r, :-1] + alpha - MASS_TOL, side="left") - 1
-    valid = j < n
-    spans = np.take_along_axis(pos, np.minimum(j, n - 1), axis=1) - pos
-    spans[~valid] = np.inf
-    pd = np.where(valid.any(axis=1), spans.min(axis=1), pos[:, -1] - pos[:, 0])
+    if np.ptp(weights) == 0:
+        pos = np.sort(values, axis=1)
+        prefix = np.concatenate([[0.0], np.cumsum(weights)])
+        j = np.searchsorted(prefix, prefix[:-1] + alpha - MASS_TOL, side="left") - 1
+        valid = j < n
+        if valid.any():
+            pd = (pos[:, j[valid]] - pos[:, valid]).min(axis=1)
+        else:
+            pd = pos[:, -1] - pos[:, 0]
+    else:
+        order = np.argsort(values, axis=1)
+        pos = np.take_along_axis(values, order, axis=1)
+        prefix = np.zeros((rows, n + 1))
+        np.cumsum(weights[order], axis=1, out=prefix[:, 1:])
+        j = np.empty((rows, n), dtype=np.intp)
+        for r in range(rows):
+            j[r] = np.searchsorted(prefix[r], prefix[r, :-1] + alpha - MASS_TOL, side="left") - 1
+        valid = j < n
+        spans = np.take_along_axis(pos, np.minimum(j, n - 1), axis=1) - pos
+        spans[~valid] = np.inf
+        pd = np.where(valid.any(axis=1), spans.min(axis=1), pos[:, -1] - pos[:, 0])
     for r in np.nonzero((np.diff(pos, axis=1) <= 1e-12).any(axis=1))[0]:
         pd[r] = _pd_of_values(values[r], weights, alpha)
     return pd
@@ -249,8 +279,9 @@ _LOCAL_SEARCH_MAX_N = 400
 def _od_heuristic(space: FiniteMMSpace, kappa: float, budget: int, seed):
     """Best partial diameter over the candidate pool, then local search.
 
-    The pool is ranked in blocks of 256 rows by _pd_of_rows; the first
-    observable with the largest value wins, as in a one-by-one scan.  On at
+    The pool is ranked in views of 256 rows by _pd_of_rows; the first
+    observable with the largest value wins, as in a one-by-one scan, and is
+    copied out so that the result does not keep the pool alive.  On at
     most 400 points, single values then move to the ends and the midpoint
     of their Lipschitz interval while that improves and the budget lasts.
     """
@@ -259,10 +290,10 @@ def _od_heuristic(space: FiniteMMSpace, kappa: float, budget: int, seed):
     pool = _candidate_observables(space, max(16, budget // 4), seed)
     best_v, best_pd = None, -1.0
     for start in range(0, len(pool), _RANK_BLOCK):
-        pds = _pd_of_rows(np.array(pool[start: start + _RANK_BLOCK]), w, target)
+        pds = _pd_of_rows(pool[start: start + _RANK_BLOCK], w, target)
         i = int(np.argmax(pds))
         if pds[i] > best_pd:
-            best_v, best_pd = pool[start + i], float(pds[i])
+            best_v, best_pd = pool[start + i].copy(), float(pds[i])
     evals = len(pool)
     if space.n <= _LOCAL_SEARCH_MAX_N and best_v is not None:
         rng = np.random.default_rng([int(seed) & 0x7FFFFFFF, 404])
@@ -450,8 +481,8 @@ def levy_radius(space: FiniteMMSpace, kappa: float, budget: int = 8000, seed=0,
         return best
     pool = _candidate_observables(space, max(16, budget // 2), seed)
     if space.n <= EXACT_OD_BOUND:
-        pool.append(observable_diameter(space, kappa, mode="exact_tiny").witness.values)
-    blocks = (np.array(pool[start: start + _RANK_BLOCK]) for start in range(0, len(pool), _RANK_BLOCK))
+        pool = np.vstack([pool, observable_diameter(space, kappa, mode="exact_tiny").witness.values])
+    blocks = (pool[start: start + _RANK_BLOCK] for start in range(0, len(pool), _RANK_BLOCK))
     return max((float(_levy_radius_of_rows(rows, w, kappa).max()) for rows in blocks), default=0.0)
 
 

@@ -13,6 +13,7 @@ from mm_lab.errors import BadAlpha, BadKappa
 from mm_lab.product import ProductSpec, product
 
 from oracles import (
+    candidate_pool_loop,
     kappa_distance_oracle,
     levy_radius_loop,
     od_exact_closure_loop,
@@ -189,11 +190,39 @@ def test_heuristic_od_matches_loop_oracle():
         assert est.meta["evaluations"] == evals, name
 
 
+def test_heuristic_od_witness_owns_its_values():
+    # ranked from views of the pool, the winner is copied out: an ODEstimate
+    # must not keep the whole pool alive
+    sph = gallery.sample_sphere(4, 1.0, 450, metric="chordal", seed=4, cache=False).space
+    for X in (sph, core.random_metric_space(40, seed=2)):
+        _, values, _ = inv._od_heuristic(X, 0.1, 4000, seed=7)
+        assert values.base is None
+        est = inv.observable_diameter(X, 0.1, mode="heuristic_lb", budget=4000, seed=7)
+        assert est.witness.values.base is None
+
+
+def test_candidate_pool_matches_loop_oracle():
+    X = core.random_metric_space(40, seed=4)
+    bare = core.validate_space({"dist": X.dist, "weight": X.weight})
+    cases = [
+        # 32 anchors, cones of every arity, then coordinate directions
+        (X, 200), (X, 41), (bare, 200),
+        # fewer rows than anchors: the pool is the first anchors alone
+        (X, 20), (core.random_metric_space(12, seed=5), 8),
+    ]
+    for space, count in cases:
+        for seed in (0, 7):
+            pool = inv._candidate_observables(space, count, seed)
+            want = np.array(candidate_pool_loop(space, count, seed))
+            assert pool.shape == want.shape, (space.n, count)
+            assert pool.tobytes() == want.tobytes(), (space.n, count)
+
+
 def test_pd_of_rows_falls_back_on_merged_atoms():
     # every cone on the cube has tied values, so the oracle case above takes the fallback
     cube = product(ProductSpec(tuple([two_point(1.0)] * 7), mpf.lp(2.0, 7),
                                check_samples=0))
-    pool = np.array(inv._candidate_observables(cube, 200, seed=7))
+    pool = inv._candidate_observables(cube, 200, seed=7)
     assert (np.diff(np.sort(pool, axis=1), axis=1) <= 1e-12).any(axis=1).all()
     # 0 and 5e-13 merge into one atom of mass 0.75 and partial diameter 0;
     # kept apart, the lightest window of mass 0.75 would span 5e-13
@@ -202,6 +231,18 @@ def test_pd_of_rows_falls_back_on_merged_atoms():
     want = [inv._pd_of_values(v, w, 0.75) for v in rows]
     assert want[:2] == [0.0, 0.0]
     assert inv._pd_of_rows(rows, w, 0.75).tolist() == want
+    # equal weights share one prefix; unequal ones go through the argsort path
+    rows = np.array([
+        [0.0, 0.5, 1.0, 2.0], [3.0, -1.0, 0.25, 0.0],
+        [0.0, 5e-13, 1.0, 2.0], [2.0, 1.0, 5e-13, 0.0],
+        # a -0.0/0.0 tie: the sort may put either first, the result may not care
+        [-0.0, 0.0, 1.0, 0.5], [0.0, -0.0, 1.0, 0.5], [1.0, 1.0, 1.0, 1.0],
+    ])
+    for w in (np.full(4, 0.25), np.array([0.25, 0.5, 0.125, 0.125])):
+        for alpha in (0.2, 0.5, 0.75, 1.0):
+            got = inv._pd_of_rows(rows, w, alpha)
+            for v, g in zip(rows, got):
+                assert g.hex() == inv._pd_of_values(v, w, alpha).hex(), (w, alpha, v)
 
 
 def test_heuristic_od_certifies_only_the_witness(monkeypatch):
@@ -287,7 +328,7 @@ def _tail_boundary_kappas(row, weights):
 
 def test_levy_radius_of_rows_matches_values():
     X = gallery.sample_sphere(8, 1.0, 1000, metric="chordal", seed=3, cache=False).space
-    pool = np.array(inv._candidate_observables(X, 300, seed=0))
+    pool = inv._candidate_observables(X, 300, seed=0)
     # most rows take the row-wise path, not the per-row fallback
     assert (np.diff(np.sort(pool, axis=1), axis=1) > 1e-12).all(axis=1).sum() > 150
     for kappa in (0.05, 0.2, 0.5, 0.9):
