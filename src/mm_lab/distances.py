@@ -1,7 +1,9 @@
 """Coupling distances and closeness certificates between finite mm-spaces.
 
 Prokhorov distances and Lipschitz-up-to-additive-error domains from one
-min-cut helper (with a definition-direct Prokhorov brute force as oracle),
+min-cut helper, which solves a stack of threshold graphs in one max-flow
+call, and one bisection that batches its probes into such stacks (with a
+definition-direct Prokhorov brute force as oracle),
 the Ky Fan metric, the box distance on equal-mass chunks, near-isomorphism
 search, and concentration certificates for maps onto tiny targets.
 """
@@ -27,7 +29,13 @@ from .errors import HostMismatch, MMLabError, NotRational, TargetTooLarge, TooLa
 from .invariants import _candidate_observables, _levy_mean_of_values, EXACT_OD_BOUND
 from .mpf import MPF
 
-_FLOW_SCALE = 10 ** 9  # int32 capacities for scipy maximum_flow
+_FLOW_SCALE = 10 ** 9  # int32 capacities per edge for scipy maximum_flow; totals read in int64
+# edges one stacked solve may take, counted as width x the search's densest
+# graph: past about 2^14 a stack costs more than the solves it saves (n = 50)
+_STACK_EDGES = 16384
+# and no more adjacency entries than this: a sparse graph on many points
+# stacks dense (n, m) masks, whose cost the edge count does not show
+_STACK_CELLS = 1 << 18
 _BRUTE_BOUND = 12
 _PROFILE_BOUND = 12  # subset tables of at most 4096 rows for the box lower bound
 _COVER_EXACT_BOUND = 16
@@ -97,20 +105,37 @@ def maximum_flow(graph, source: int, sink: int):
 
 
 def _min_cut(src_caps, snk_caps, adj: np.ndarray):
-    """Integer max-flow source -> rows -> columns -> sink, rows to columns uncapped where adj.
+    """Integer max-flows source -> rows -> columns -> sink on a stack of graphs.
 
-    Returns the flow value and the rows x columns flow block.
+    ``adj`` is a (K, n, m) stack of adjacencies, rows to columns uncapped
+    where true; every copy takes the source capacities ``src_caps`` and the
+    sink capacities ``snk_caps``.  The K copies go into one scipy solve as
+    disjoint graphs between one shared source and sink, so its fixed cost is
+    paid once: a maximum flow of the union restricts to a maximum flow of
+    each copy.  Returns the K flow values, summed in int64 from the blocks,
+    and the (K, n, m) rows x columns flow blocks.
     """
     from scipy.sparse import csr_array
-    n, m = adj.shape
-    ii, jj = np.nonzero(adj)
-    # CSR rows: the source, the n rows, the m columns, the sink
-    indptr = np.cumsum(np.concatenate([[0, n], np.bincount(ii, minlength=n), np.ones(m, int), [0]]))
-    indices = np.concatenate([np.arange(1, n + 1), jj + n + 1, np.full(m, n + m + 1)])
-    caps = np.concatenate([src_caps, np.full(len(ii), _FLOW_SCALE), snk_caps]).astype(np.int32)
-    graph = csr_array((caps, indices, indptr), shape=(n + m + 2, n + m + 2))
-    res = maximum_flow(graph, 0, n + m + 1)
-    return res.flow_value, res.flow[1: n + 1, n + 1: n + m + 1].toarray()
+    K, n, m = adj.shape
+    adj = adj.reshape(K * n, m)
+    rows, sink = K * n, K * (n + m) + 1
+    first_col = np.arange(rows) // n * m + rows + 1  # the first column node of each row's copy
+    counts = np.count_nonzero(adj, axis=1)
+    # CSR rows: the source, the K * n rows, the K * m columns, the sink
+    indptr = np.cumsum(np.concatenate([[0, rows], counts, np.ones(K * m, int), [0]]))
+    indices = np.concatenate([np.arange(1, rows + 1), np.repeat(first_col, counts) + np.nonzero(adj)[1],
+                              np.full(K * m, sink)])
+    caps = np.concatenate([np.tile(src_caps, K), np.full(counts.sum(), _FLOW_SCALE),
+                           np.tile(snk_caps, K)]).astype(np.int32)
+    flow = maximum_flow(csr_array((caps, indices, indptr), shape=(sink + 1, sink + 1)), 0, sink).flow
+    # a row node's flow goes back to the source (node 0) or on to a column of its copy
+    ptr = flow.indptr[1: rows + 2]
+    to, amount = flow.indices[ptr[0]: ptr[-1]], flow.data[ptr[0]: ptr[-1]]
+    at = np.repeat(np.arange(rows) * m - first_col, np.diff(ptr)) + to  # index into the blocks
+    blocks = np.zeros(rows * m, dtype=np.int32)
+    blocks[at[to > 0]] = amount[to > 0]
+    blocks = blocks.reshape(K, n, m)
+    return blocks.sum(axis=(1, 2), dtype=np.int64), blocks
 
 
 def _cut_side(src_caps, adj: np.ndarray, block: np.ndarray):
@@ -124,21 +149,42 @@ def _cut_side(src_caps, adj: np.ndarray, block: np.ndarray):
         rows = grown
 
 
-def _first_fit(cands, least):
+def _stack_width(edges: int, cells: int) -> int:
+    """Probes per solve for a search whose densest graph has ``edges`` of ``cells`` possible edges."""
+    return max(1, min(_STACK_EDGES // max(1, edges), _STACK_CELLS // max(1, cells)))
+
+
+def _first_fit(cands, least, width: int = 1):
     """Bisect for the first k whose least value on [cands[k], cands[k+1]) lies below cands[k+1].
 
-    ``least(k)`` returns that value, then what the caller keeps; the test is
-    monotone in k, and the last interval, open above, is taken untested.
+    ``least(ks)`` returns, for each k of the list, that value and then what
+    the caller keeps; the test is monotone in k, and the last interval, open
+    above, is taken untested.  Each call of ``least`` probes up to ``width``
+    of the midpoints the bisection can reach next, level by level, and the
+    bisection then walks through the answers; so any width returns the
+    bisection's k and out, and width 1 probes exactly its sequence.
     """
-    lo, hi, found = 0, len(cands) - 1, None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        out = least(mid)
-        if out[0] < cands[mid + 1]:
-            hi, found = mid, out
-        else:
-            lo = mid + 1
-    return hi, found or least(hi)
+    last = len(cands) - 1
+    lo, hi, found, seen = 0, last, None, {}
+    while True:
+        while lo < hi and (mid := (lo + hi) // 2) in seen:
+            if seen[mid][0] < cands[mid + 1]:
+                hi, found = mid, seen[mid]
+            else:
+                lo = mid + 1
+        if lo >= hi and (found or hi in seen):
+            return hi, found or seen[hi]
+        batch, spans = [], [(lo, hi)]
+        for a, b in spans:  # breadth first through the bisection tree below (lo, hi)
+            if len(batch) == width:
+                break
+            if a < b:
+                mid = (a + b) // 2
+                batch.append(mid)
+                spans += [(a, mid), (mid + 1, b)]
+        if len(batch) < width and found is None and hi == last:
+            batch.append(last)  # the untested last interval, should every probe fail
+        seen.update(zip(batch, least(batch)))
 
 
 def prokhorov(space: FiniteMMSpace, mu, nu, lam: float = 1.0):
@@ -148,8 +194,10 @@ def prokhorov(space: FiniteMMSpace, mu, nu, lam: float = 1.0):
     only along pairs with d <= eps must reach 1 - lam * eps.  The flow only
     changes at the distinct distances d_k, so on [d_k, d_k+1) the least
     feasible radius is max(d_k, shortfall_k / lam).  Feasibility is monotone
-    in k, so a binary search over the distances, on masses in units of 1e-9,
-    finds the first interval holding its own least radius.  There the min
+    in k, so a bisection over the distances, on masses in units of 1e-9,
+    finds the first interval holding its own least radius; the probes of its
+    next levels share one stacked max-flow solve (:func:`_first_fit`), so on
+    up to 12 points one solve settles every probe.  There the min
     cut leaves the critical nu-points A unreached, and the value is priced
     in floats as the brute force prices A: max(d_k, (nu(A) - mu(N(A))) / lam)
     with N(A) within d_k of A.  It is exact except on ties within about
@@ -167,12 +215,13 @@ def prokhorov(space: FiniteMMSpace, mu, nu, lam: float = 1.0):
     full = min(int(mu_int.sum()), int(nu_int.sum()))
     radii = np.unique(d)
 
-    def least_radius(k: int):
-        flow, block = _min_cut(mu_int, nu_int, d <= radii[k])
-        return max(float(radii[k]), max(0, full - flow) / _FLOW_SCALE / lam), block
+    def least_radius(ks):
+        flows, blocks = _min_cut(mu_int, nu_int, d <= radii[ks][:, None, None])
+        return [(max(float(radii[k]), max(0, full - int(flow)) / _FLOW_SCALE / lam), block)
+                for k, flow, block in zip(ks, flows, blocks)]
 
     # at the diameter every pair is admissible and the flow is full
-    k, (_, block) = _first_fit(radii, least_radius)
+    k, (_, block) = _first_fit(radii, least_radius, _stack_width(d.size, d.size))
     adj = d <= radii[k]
     critical = ~_cut_side(mu_int, adj, block)[1]
     near = adj[:, critical].any(axis=1)
@@ -382,22 +431,30 @@ def _cut_domain_eps(gap: np.ndarray, w: np.ndarray, grid=None, left=None):
     and a point joins if either copy does, a half-integral LP optimum rounded
     up (Nemhauser-Trotter): at most twice the least mass, an upper bound.
     """
-    cands = np.unique(np.append(gap[gap > 0], 0.0)) if grid is None else grid
+    cands = np.unique(np.append(gap[gap > 0], 0.0)) if grid is None else np.asarray(grid, float)
     w_int = np.round(w * _FLOW_SCALE).astype(np.int32)
-    both = np.ones(len(w), dtype=bool)
-    left, right = (both, both) if left is None else (left, ~left)
+    if left is None:
+        left = right = np.ones(len(w), dtype=bool)
+    else:
+        right = ~left
+        gap = gap[np.ix_(left, right)]
 
-    def least(k: int):
-        viol = gap[np.ix_(left, right)] > cands[k]
-        cover = np.zeros(len(w), dtype=bool)
-        if viol.any():
-            block = _min_cut(w_int[left], w_int[right], viol)[1]
-            rows, cols = _cut_side(w_int[left], viol, block)
-            cover[left] = ~rows
-            cover[right] |= cols
-        return max(float(cands[k]), float(w[cover].sum())), cover
+    def least(ks):
+        viol = gap > cands[ks][:, None, None]
+        cut = viol.any(axis=(1, 2))
+        blocks = iter(_min_cut(w_int[left], w_int[right], viol[cut])[1] if cut.any() else ())
+        outs = []
+        for k, v, solved in zip(ks, viol, cut):
+            cover = np.zeros(len(w), dtype=bool)
+            if solved:
+                rows, cols = _cut_side(w_int[left], v, next(blocks))
+                cover[left] = ~rows
+                cover[right] |= cols
+            outs.append((max(float(cands[k]), float(w[cover].sum())), cover))
+        return outs
 
-    _, (eps, cover) = _first_fit(cands, least)
+    # the lowest candidate has the most violating pairs
+    _, (eps, cover) = _first_fit(cands, least, _stack_width(int((gap > cands[0]).sum()), gap.size))
     return eps, np.nonzero(~cover)[0]
 
 

@@ -627,3 +627,61 @@ def lip_eps_candidate_scan(gap, w):
         if mass <= eps + 1e-12:
             return eps
     return math.inf
+
+
+def min_cut_single(src_caps, snk_caps, adj, flow_scale=10 ** 9):
+    """Integer max-flow source -> rows -> columns -> sink on one graph, one scipy solve.
+
+    The library's former one-graph min cut: returns scipy's flow value and
+    the rows x columns flow block.
+    """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_flow
+    n, m = adj.shape
+    ii, jj = np.nonzero(adj)
+    indptr = np.cumsum(np.concatenate([[0, n], np.bincount(ii, minlength=n), np.ones(m, int), [0]]))
+    indices = np.concatenate([np.arange(1, n + 1), jj + n + 1, np.full(m, n + m + 1)])
+    caps = np.concatenate([src_caps, np.full(len(ii), flow_scale), snk_caps]).astype(np.int32)
+    graph = csr_array((caps, indices, indptr), shape=(n + m + 2, n + m + 2))
+    res = maximum_flow(graph, 0, n + m + 1)
+    return res.flow_value, res.flow[1: n + 1, n + 1: n + m + 1].toarray()
+
+
+def first_fit_bisect(cands, least):
+    """The library's former one-probe-per-call bisection; ``least(k)`` takes one k."""
+    lo, hi, found = 0, len(cands) - 1, None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        out = least(mid)
+        if out[0] < cands[mid + 1]:
+            hi, found = mid, out
+        else:
+            lo = mid + 1
+    return hi, found or least(hi)
+
+
+def cut_domain_eps_bisect(gap, w, grid=None, left=None, flow_scale=10 ** 9):
+    """The library's former ``_cut_domain_eps``: one solve per probe of the bisection.
+
+    Returns eps, the domain and the number of max-flow solves made.
+    """
+    from mm_lab.distances import _cut_side
+    cands = np.unique(np.append(gap[gap > 0], 0.0)) if grid is None else grid
+    w_int = np.round(w * flow_scale).astype(np.int32)
+    both = np.ones(len(w), dtype=bool)
+    left, right = (both, both) if left is None else (left, ~left)
+    solves = []
+
+    def least(k):
+        viol = gap[np.ix_(left, right)] > cands[k]
+        cover = np.zeros(len(w), dtype=bool)
+        if viol.any():
+            solves.append(k)
+            block = min_cut_single(w_int[left], w_int[right], viol, flow_scale)[1]
+            rows, cols = _cut_side(w_int[left], viol, block)
+            cover[left] = ~rows
+            cover[right] |= cols
+        return max(float(cands[k]), float(w[cover].sum())), cover
+
+    _, (eps, cover) = first_fit_bisect(cands, least)
+    return eps, np.nonzero(~cover)[0], len(solves)

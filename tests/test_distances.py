@@ -12,9 +12,12 @@ from mm_lab.errors import NotRational, TooLarge
 from oracles import (
     _min_cover_mass_bnb,
     box_distance_perm_loop,
+    cut_domain_eps_bisect,
+    first_fit_bisect,
     ky_fan_loop,
     lip_domain_subset_loop,
     lip_eps_candidate_scan,
+    min_cut_single,
 )
 from strategies import weighted_deviations
 
@@ -122,7 +125,125 @@ def test_prokhorov_real_solves_by_flow(monkeypatch):
     radii = np.unique(np.abs(pos[:, None] - pos[None, :]))
     assert dst.prokhorov_real(a, b) > 0.0
     assert not brute
-    assert 1 <= len(flows) <= math.ceil(math.log2(len(radii))) + 1
+    # every probe of the search fits one stacked solve
+    assert len(radii) * len(pos) ** 2 <= dst._STACK_EDGES
+    assert len(flows) == 1
+
+
+def _count_flows(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return maximum_flow(*args, **kwargs)
+
+    monkeypatch.setattr(dst, "maximum_flow", counted)
+    return calls
+
+
+def test_prokhorov_on_at_most_six_points_solves_once(monkeypatch):
+    calls = _count_flows(monkeypatch)
+    rng = np.random.default_rng(31)
+    for t in range(40):
+        n = 2 + t % 5
+        X = core.random_metric_space(n, seed=6000 + t)
+        if t % 2:  # tied distances
+            X = core.validate_space({"dist": np.ceil(X.dist * 4) / 4 * (1 - np.eye(n)),
+                                     "weight": X.weight})
+        mu, nu = (m / m.sum() for m in rng.random((2, n)) + 0.05)
+        lam = (0.1, 0.5, 1.0, 2.0)[t % 4]
+        calls.clear()
+        eps, plan = dst.prokhorov(X, mu, nu, lam=lam)
+        assert len(calls) == 1
+        assert plan.check(X.dist, mu, nu)
+        assert abs(eps - dst.prokhorov_bruteforce(X, mu, nu, lam=lam)) <= 1e-15
+
+
+def _random_caps(rng, n):
+    return np.round(rng.dirichlet(np.ones(n)) * dst._FLOW_SCALE).astype(np.int32)
+
+
+def _assert_stack_matches_single_solves(src, snk, adj):
+    flows, blocks = dst._min_cut(src, snk, adj)
+    assert flows.dtype == np.int64 and blocks.shape == adj.shape
+    for a, flow, block in zip(adj, flows, blocks):
+        value, single = min_cut_single(src, snk, a)
+        assert flow == value == block.sum(dtype=np.int64)
+        # a feasible flow: nonnegative, on the graph's edges, within the capacities
+        assert (block >= 0).all() and not block[~a].any()
+        assert (block.sum(axis=1) <= src).all() and (block.sum(axis=0) <= snk).all()
+        # every maximum flow leaves the same source side of the least cut
+        rows, cols = dst._cut_side(src, a, block)
+        rows1, cols1 = dst._cut_side(src, a, single)
+        assert (rows == rows1).all() and (cols == cols1).all()
+    return flows
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.integers(1, 8), st.integers(1, 8))
+def test_stacked_min_cut_matches_single_graph_solves(seed, copies, n, m):
+    rng = np.random.default_rng(seed)
+    adj = rng.random((copies, n, m)) < rng.random((copies, 1, 1))
+    adj[rng.random(copies) < 0.25] = False  # copies with no edges
+    _assert_stack_matches_single_solves(_random_caps(rng, n), _random_caps(rng, m), adj)
+
+
+def test_stacked_min_cut_single_copy_and_empty_copies():
+    rng = np.random.default_rng(2)
+    src, snk = _random_caps(rng, 4), _random_caps(rng, 3)
+    full = np.ones((1, 4, 3), dtype=bool)
+    for adj in (full, ~full, rng.random((1, 4, 3)) < 0.5, np.zeros((3, 4, 3), dtype=bool)):
+        _assert_stack_matches_single_solves(src, snk, adj)
+
+
+def test_stacked_min_cut_reads_totals_past_int32():
+    rng = np.random.default_rng(9)
+    n, m = 7, 5
+    adj = rng.random((6, n, m)) < 0.6
+    adj[0] = True
+    adj[3] = False
+    flows = _assert_stack_matches_single_solves(_random_caps(rng, n), _random_caps(rng, m), adj)
+    assert flows.sum() > 2 ** 31
+
+
+def _step_predicate(rng, L, monotone):
+    """Candidates and a least(k) whose test passes from a random k on, or at random.
+
+    A failing value equals the next candidate, so the test is strict there.
+    """
+    cands = np.cumsum(rng.random(L) + 0.01)
+    passes = np.arange(L) >= rng.integers(0, L + 1) if monotone else rng.random(L) < 0.5
+    values = np.where(passes, cands, np.append(cands[1:], np.inf))
+    return cands, lambda k: (float(values[k]), ("kept", k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_batched_first_fit_returns_the_bisection_result(L, seed, monotone):
+    cands, least = _step_predicate(np.random.default_rng(seed), L, monotone)
+    expected = first_fit_bisect(cands, least)
+    for width in range(1, L + 2):
+        sizes = []
+
+        def batched(ks):
+            assert 1 <= len(ks) <= width and len(set(ks)) == len(ks)
+            sizes.append(len(ks))
+            return [least(k) for k in ks]
+
+        assert dst._first_fit(cands, batched, width) == expected
+        if width >= L:  # every midpoint and the last interval fit one call
+            assert len(sizes) == 1
+
+
+def test_first_fit_width_one_probes_the_bisection_sequence():
+    rng = np.random.default_rng(12)
+    for L in range(1, 60):
+        for monotone in (True, False):
+            cands, least = _step_predicate(rng, L, monotone)
+            old, new = [], []
+            first_fit_bisect(cands, lambda k: old.append(k) or least(k))
+            dst._first_fit(cands, lambda ks: new.append(list(ks)) or [least(k) for k in ks])
+            assert new == [[k] for k in old]
 
 
 @given(st.integers(0, 150))
@@ -460,6 +581,52 @@ def test_two_fiber_min_cut_cover_is_least(case, q):
     least = _min_cover_mass_bnb(viol, X.weight)
     assert 1.0 - X.weight[dom].sum() == pytest.approx(least, abs=1e-12)
     assert eps == pytest.approx(max(thr, least), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lip_maps(sizes=(17, 30)), st.sampled_from([None, (0.1, 0.25, 0.5, 1.0)]), st.booleans())
+def test_cut_domain_eps_matches_the_one_solve_per_probe_bisection(case, grid, split):
+    X, Y, p = case
+    gap = Y.dist[np.ix_(p, p)] - X.dist
+    left = p == 0 if split else None
+    eps, dom = dst._cut_domain_eps(gap, X.weight, grid, left)
+    eps1, dom1, _ = cut_domain_eps_bisect(gap, X.weight, grid, left)
+    assert eps == eps1 and dom.tolist() == dom1.tolist()
+
+
+def _points_space(pts):
+    return core.validate_space({"dist": np.linalg.norm(pts[:, None] - pts[None, :], axis=-1),
+                                "weight": np.full(len(pts), 1 / len(pts))})
+
+
+def _fibers_at_distance_two():
+    # two fibers of 160 points at distance 2 whose cross pairs mostly sit
+    # closer than 2: the violation graphs have more edges than a stack takes
+    X = _points_space(np.random.default_rng(4).normal(size=(320, 3)) * 0.4)
+    return np.arange(320) % 2, X, two_point(2.0)
+
+
+def _one_point_moved():
+    # only the pairs of the moved point violate: few edges, but a stack
+    # would hold 600 x 600 masks
+    pts = np.random.default_rng(5).normal(size=(600, 3))
+    moved = pts.copy()
+    moved[0] += 0.5
+    return np.arange(600), _points_space(pts), _points_space(moved)
+
+
+@pytest.mark.parametrize("make", [_fibers_at_distance_two, _one_point_moved])
+def test_lip_up_to_eps_past_the_stack_bounds_solves_as_the_bisection(monkeypatch, make):
+    p, X, Y = make()
+    gap = Y.dist[np.ix_(p, p)] - X.dist
+    left = p == 0 if Y.n <= 2 else None
+    sub = gap if left is None else gap[np.ix_(left, ~left)]
+    assert dst._stack_width(int((sub > 0).sum()), sub.size) == 1
+    eps1, dom1, solves = cut_domain_eps_bisect(gap, X.weight, left=left)
+    calls = _count_flows(monkeypatch)
+    eps, dom = dst.lip_up_to_eps(p, X, Y)
+    assert len(calls) == solves > 1
+    assert eps == eps1 and dom.tolist() == dom1.tolist()
 
 
 def test_lip_up_extension_matches_within_ky():
