@@ -14,13 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import load_space, save_space, space_from_json, validate_space
+from .core import BATTERY_TOL, load_space, save_space
 from .errors import MMLabError
 from .experiments import SUITES, ExperimentSpec, run_suite, write_csv
 from .invariants import (
     BATTERY_NAMES,
     concentration_function,
-    kappa_distance,
     levy_mean,
     levy_radius,
     observable_diameter,
@@ -135,7 +134,7 @@ def main(argv=None) -> int:
     p.add_argument("lemma", choices=list(BATTERY_NAMES))
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--csv")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=BATTERY_TOL)
     _add_common(p)
 
     p = sub.add_parser("experiment", help="run an experiment suite")
@@ -168,10 +167,9 @@ def _dispatch(args) -> int:
         return _cmd_mpf(args)
 
     if cmd == "product":
-        from .mpf import builtin as b
         from .product import ProductSpec, product
         spaces = tuple(load_space(s) for s in args.space)
-        F = b(args.fn)
+        F = builtin(args.fn)
         prod = product(ProductSpec(spaces, F, seed=args.seed))
         save_space(prod, args.out)
         print(f"product: {prod.n} points -> {args.out}")
@@ -207,7 +205,7 @@ def _dispatch(args) -> int:
 
     if cmd == "battery":
         rep = run_inequality_battery(args.lemma, trials=args.trials, seed=args.seed,
-                                     tol=max(args.tol, 1e-9))
+                                     tol=max(args.tol, BATTERY_TOL))
         if args.csv:
             write_csv(args.csv, ("index", "lhs", "rhs", "pass"),
                       [(r.index, r.lhs, r.rhs, r.passed) for r in rep.rows])
@@ -295,7 +293,8 @@ def _cmd_invariant(args) -> int:
         print(f"alpha({args.r}) in [{res.lower:.9g}, {res.upper:.9g}] [{res.mode}]")
         return 0
     if args.what == "lr":
-        val = levy_radius(space, args.kappa, budget=args.budget, seed=args.seed)
+        mode = "exact_tiny" if args.mode in ("exact", "exact_tiny") else "heuristic_lb"
+        val = levy_radius(space, args.kappa, budget=args.budget, seed=args.seed, mode=mode)
         print(f"levy radius lower bound at kappa={args.kappa}: {val:.9g}")
         return 0
     if args.what == "lm":

@@ -26,6 +26,13 @@ from .errors import (
 
 MASS_TOL = 1e-12
 METRIC_TOL = 1e-9
+# Decisions that several modules must make alike: the row kernels of
+# invariants give the bits of the 1-D kernels only while they share these.
+MERGE_GAP = 1e-12  # sorted atoms at most this far apart merge into one
+TAIL_SLACK = 1e-15  # tail_mass counts the mass of dev > t + TAIL_SLACK
+ZERO_MASS = 1e-15  # a weight at most this is no atom; below -ZERO_MASS it is negative
+BATTERY_TOL = 1e-9  # every battery row and product check asserts lhs <= rhs + BATTERY_TOL
+
 DEFAULT_POINT_CAP = 4096
 # full cubic triangle sweep up to this size, sampled triplets beyond
 _EXHAUSTIVE_TRIANGLE_N = 512
@@ -99,7 +106,7 @@ class LipFunction:
 
 
 def tail_mass(dev: np.ndarray, weight: np.ndarray, thresholds) -> np.ndarray:
-    """Mass ``weight[dev > t + 1e-15].sum()`` at every threshold t.
+    """Mass ``weight[dev > t + TAIL_SLACK].sum()`` at every threshold t.
 
     One stable sort of the deviations, one suffix sum of the sorted weights,
     and one searchsorted per threshold: O((n + m) log n) for m thresholds.
@@ -107,17 +114,18 @@ def tail_mass(dev: np.ndarray, weight: np.ndarray, thresholds) -> np.ndarray:
     order = np.argsort(dev, kind="stable")
     dev_sorted = dev[order]
     suffix = np.concatenate([np.cumsum(weight[order][::-1])[::-1], [0.0]])
-    first_above = np.searchsorted(dev_sorted, np.asarray(thresholds, float) + 1e-15, side="right")
+    first_above = np.searchsorted(dev_sorted, np.asarray(thresholds, float) + TAIL_SLACK,
+                                  side="right")
     return suffix[first_above]
 
 
 def _merge_sorted(pos, mass):
-    """Sort atoms and merge each run whose neighbours lie within 1e-12 of each other."""
+    """Sort atoms and merge each run whose neighbours lie within MERGE_GAP of each other."""
     order = np.argsort(pos, kind="stable")
     pos, mass = np.asarray(pos, float)[order], np.asarray(mass, float)[order]
     keep = np.empty(len(pos), dtype=bool)
     keep[0] = True
-    np.greater(np.diff(pos), 1e-12, out=keep[1:])
+    np.greater(np.diff(pos), MERGE_GAP, out=keep[1:])
     groups = np.cumsum(keep) - 1
     out_p = pos[keep]
     out_m = np.bincount(groups, weights=mass, minlength=keep.sum())
@@ -268,14 +276,14 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
     if bad is not None:
         raise TriangleViolation(*bad)
 
-    neg = np.nonzero(weight < -1e-15)[0]
+    neg = np.nonzero(weight < -ZERO_MASS)[0]
     if neg.size:
         raise NegativeWeight(int(neg[0]), float(weight[neg[0]]))
     total = float(weight.sum())
     if abs(total - 1.0) > MASS_TOL:
         raise NotNormalized(total)
 
-    keep = weight > 1e-15
+    keep = weight > ZERO_MASS
     if not keep.all():
         idx = np.nonzero(keep)[0]
         labels = [labels[i] for i in idx]
@@ -371,13 +379,13 @@ def mcshane_extend(space: FiniteMMSpace, domain_idx, domain_values) -> np.ndarra
 def real_distribution(pairs) -> RealDistribution:
     """Build a sorted, merged, normalized RealDistribution from (position, mass) pairs.
 
-    Atoms closer than 1e-12 to their neighbour merge into the leftmost one.
+    Atoms within MERGE_GAP of their neighbour merge into the leftmost one.
     """
     pairs = list(pairs)
     pos = np.asarray([p for p, _ in pairs], dtype=float)
     mass = np.asarray([m for _, m in pairs], dtype=float)
-    if (mass < -1e-15).any():
-        i = int(np.nonzero(mass < -1e-15)[0][0])
+    if (mass < -ZERO_MASS).any():
+        i = int(np.nonzero(mass < -ZERO_MASS)[0][0])
         raise NegativeWeight(i, float(mass[i]))
     total = float(mass.sum())
     if abs(total - 1.0) > MASS_TOL:
@@ -482,11 +490,11 @@ def load_space(path, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
         return space_from_json(json.load(fh), cap=cap)
 
 
-def random_metric_space(n: int, seed, dim: int = 3, weight_floor: float = 0.05) -> FiniteMMSpace:
-    """Random Euclidean point cloud with strictly positive random weights."""
+def random_metric_space(n: int, seed) -> FiniteMMSpace:
+    """Random Euclidean point cloud in R^3 with strictly positive random weights."""
     rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(n, dim))
-    w = weight_floor + rng.random(n)
+    pts = rng.normal(size=(n, 3))
+    w = 0.05 + rng.random(n)
     w = w / w.sum()
     diff = pts[:, None, :] - pts[None, :, :]
     d = np.sqrt((diff * diff).sum(axis=2))

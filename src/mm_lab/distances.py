@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    BATTERY_TOL,
     MASS_TOL,
+    ZERO_MASS,
     FiniteMMSpace,
     LipFunction,
     RealDistribution,
@@ -26,7 +28,7 @@ from .core import (
     validate_space,
 )
 from .errors import HostMismatch, MMLabError, NotRational, TargetTooLarge, TooLarge
-from .invariants import _candidate_observables, _levy_mean_of_values, EXACT_OD_BOUND
+from .invariants import _candidate_observables, _levy_mean_of_values
 from .mpf import MPF
 
 _FLOW_SCALE = 10 ** 9  # int32 capacities per edge for scipy maximum_flow; totals read in int64
@@ -40,6 +42,8 @@ _BRUTE_BOUND = 12
 _PROFILE_BOUND = 12  # subset tables of at most 4096 rows for the box lower bound
 _COVER_EXACT_BOUND = 16
 _CHUNK_CAP = 8
+_ISO_SEARCH_BUDGET = 600  # single-point reassignments of epsilon_mm_iso_search
+_CERT_TARGET_BOUND = 6  # target points of concentration_certificate
 
 
 # ---------------------------------------------------------------------------
@@ -80,11 +84,11 @@ class SubtransportPlan:
     radius: float
     deficiency: float
 
-    def check(self, dist: np.ndarray, mu, nu, tol: float = MASS_TOL) -> bool:
+    def check(self, dist: np.ndarray, mu, nu) -> bool:
         pi = self.matrix
-        ok_rows = (pi.sum(axis=1) <= np.asarray(mu) + tol).all()
-        ok_cols = (pi.sum(axis=0) <= np.asarray(nu) + tol).all()
-        ok_supp = not (pi[dist > self.radius + 1e-12] > tol).any()
+        ok_rows = (pi.sum(axis=1) <= np.asarray(mu) + MASS_TOL).all()
+        ok_cols = (pi.sum(axis=0) <= np.asarray(nu) + MASS_TOL).all()
+        ok_supp = not (pi[dist > self.radius + 1e-12] > MASS_TOL).any()
         ok_def = abs(self.deficiency - (1.0 - pi.sum())) <= 1e-9
         return bool(ok_rows and ok_cols and ok_supp and ok_def)
 
@@ -248,7 +252,7 @@ def prokhorov_bruteforce(space: FiniteMMSpace, mu, nu, lam: float = 1.0) -> floa
     mu = _check_measure(space, mu)
     nu = _check_measure(space, nu)
     d = space.dist
-    support_nu = np.nonzero(nu > 1e-15)[0]
+    support_nu = np.nonzero(nu > ZERO_MASS)[0]
     worst = 0.0
     for r in range(1, len(support_nu) + 1):
         for A in itertools.combinations(support_nu, r):
@@ -341,8 +345,7 @@ def _chunk_couplings(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     return seqs
 
 
-def box_distance(x: FiniteMMSpace, y: FiniteMMSpace, mode: str = "exact_tiny",
-                 budget: int = 600, seed=0):
+def box_distance(x: FiniteMMSpace, y: FiniteMMSpace, mode: str = "exact_tiny", seed=0):
     """Box distance: exact over integer couplings of equal-mass chunks, or bounds.
 
     Exact mode splits both spaces into k equal-mass chunks (k <= 8) and
@@ -376,7 +379,7 @@ def box_distance(x: FiniteMMSpace, y: FiniteMMSpace, mode: str = "exact_tiny",
             lo, batch = lo + batch, min(2 * batch, 1 << (18 - k))
         return best
     if mode == "bound":
-        cert = epsilon_mm_iso_search(x, y, budget=budget, seed=seed)
+        cert = epsilon_mm_iso_search(x, y, seed=seed)
         upper = 3.0 * cert.eps
         lower = _box_lower_profile(x, y)
         return (min(lower, upper), upper)
@@ -510,13 +513,12 @@ class IsoCertificate:
     eps_prok: float
 
 
-def epsilon_mm_iso_search(x: FiniteMMSpace, y: FiniteMMSpace, budget: int = 600,
-                          seed=0) -> IsoCertificate:
+def epsilon_mm_iso_search(x: FiniteMMSpace, y: FiniteMMSpace, seed=0) -> IsoCertificate:
     """Search point maps x -> y approximately preserving distances and measure.
 
     Exhaustive when the map space is tiny, otherwise greedy weight matching
-    plus budgeted single-point reassignment under the combined objective
-    max(distortion-with-domain, pushforward Prokhorov).
+    plus _ISO_SEARCH_BUDGET random single-point reassignments under the
+    combined objective max(distortion-with-domain, pushforward Prokhorov).
     """
 
     def pushed(p):
@@ -553,7 +555,7 @@ def epsilon_mm_iso_search(x: FiniteMMSpace, y: FiniteMMSpace, budget: int = 600,
     tot, e_d, e_p, dom = objective(p)
     rng = np.random.default_rng([int(seed) & 0x7FFFFFFF, 55])
     spent = 0
-    while spent < budget:
+    while spent < _ISO_SEARCH_BUDGET:
         i = int(rng.integers(0, x.n))
         j = int(rng.integers(0, y.n))
         if p[i] == j:
@@ -649,8 +651,8 @@ def concentration_certificate(source: FiniteMMSpace, target: FiniteMMSpace,
     observables matched by 1-Lipschitz target functions in Ky Fan distance.
     The overall epsilon is the worst of the three.
     """
-    if target.n > EXACT_OD_BOUND:
-        raise TargetTooLarge(f"target has {target.n} > {EXACT_OD_BOUND} points")
+    if target.n > _CERT_TARGET_BOUND:
+        raise TargetTooLarge(f"target has {target.n} > {_CERT_TARGET_BOUND} points")
     p = np.asarray(p_map, dtype=int)
     if p.shape != (source.n,):
         raise MMLabError("map must assign a target index to every source point")
@@ -681,7 +683,7 @@ def concentration_certificate(source: FiniteMMSpace, target: FiniteMMSpace,
 # product compatibility checks
 
 def lprok_product_check(x: FiniteMMSpace, mu, mu2, y: FiniteMMSpace, nu, nu2,
-                        F: MPF, lam: float = 1.0, tol: float = 1e-6) -> dict:
+                        F: MPF, lam: float = 1.0) -> dict:
     """Product-measure Prokhorov against the worst of sum and doubled image."""
     from .product import ProductSpec, product
     prod = product(ProductSpec((x, y), F, check_samples=0))
@@ -691,11 +693,11 @@ def lprok_product_check(x: FiniteMMSpace, mu, mu2, y: FiniteMMSpace, nu, nu2,
     px = prokhorov(x, mu, mu2, lam)[0]
     py = prokhorov(y, nu, nu2, lam)[0]
     rhs = max(px + py, 2.0 * float(F(px, py)))
-    return {"lhs": float(lhs), "rhs": float(rhs), "pass": bool(lhs <= rhs + tol),
+    return {"lhs": float(lhs), "rhs": float(rhs), "pass": bool(lhs <= rhs + BATTERY_TOL),
             "prok_x": px, "prok_y": py}
 
 
-def box_product_check(x, y, z, w, F_or_p, tol: float = 1e-9) -> dict:
+def box_product_check(x, y, z, w, F_or_p) -> dict:
     """Box distance of products against factor box distances."""
     from .mpf import lp as lp_desc
     from .product import ProductSpec, product
@@ -714,5 +716,5 @@ def box_product_check(x, y, z, w, F_or_p, tol: float = 1e-9) -> dict:
         rhs = bxy + bzw
     else:
         rhs = max(bxy + bzw, 2.0 * float(F(0.5 * bxy, 0.5 * bzw)))
-    return {"lhs": float(lhs), "rhs": float(rhs), "pass": bool(lhs <= rhs + tol),
+    return {"lhs": float(lhs), "rhs": float(rhs), "pass": bool(lhs <= rhs + BATTERY_TOL),
             "box_xy": bxy, "box_zw": bzw}

@@ -6,8 +6,6 @@ digits and plots are plain polyline SVGs with no external tooling.
 """
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,6 +15,7 @@ from .errors import BadSpec, NotRational
 
 SUITES = ("sphere_od_decay", "cex_1dim_collapse", "lemma_batteries",
           "box_convergence", "classifier_demo")
+_PARAM_KEYS = ("seed", "trials", "N", "budget")  # each suite reads those it needs
 
 
 @dataclass(frozen=True)
@@ -53,11 +52,11 @@ def write_csv(path, header, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_svg(path, xs, ys, title: str, logx: bool = False, logy: bool = False) -> None:
-    """Minimal polyline chart; axes are linear or log10 as requested."""
+def write_svg(path, xs, ys, title: str) -> None:
+    """Minimal polyline chart on log10 axes."""
     W, H, pad = 640, 420, 48
-    fx = np.log10(np.asarray(xs, float)) if logx else np.asarray(xs, float)
-    fy = np.log10(np.maximum(np.asarray(ys, float), 1e-300)) if logy else np.asarray(ys, float)
+    fx = np.log10(np.asarray(xs, float))
+    fy = np.log10(np.maximum(np.asarray(ys, float), 1e-300))
     x0, x1 = float(fx.min()), float(fx.max())
     y0, y1 = float(fy.min()), float(fy.max())
     sx = (W - 2 * pad) / (x1 - x0 if x1 > x0 else 1.0)
@@ -89,24 +88,23 @@ def _fit_slope(xs, ys) -> float:
 def _suite_sphere_od_decay(params):
     from .gallery import sample_sphere
     from .invariants import observable_diameter
-    n_list = params.get("n_list", (2, 4, 8, 16, 32))
+    n_list = (2, 4, 8, 16, 32)
     N = params.get("N", 2000)
-    kappa = params.get("kappa", 0.1)
     seed = params.get("seed", 7)
     budget = params.get("budget", 20000)
     rows, ods = [], []
     for n in n_list:
         sph = sample_sphere(n, 1.0, N, metric="chordal", seed=seed)
-        est = observable_diameter(sph.space, kappa, mode="heuristic_lb",
+        est = observable_diameter(sph.space, 0.1, mode="heuristic_lb",
                                   budget=budget, seed=seed)
         rows.append((n, est.value))
         ods.append(est.value)
     slope = _fit_slope(n_list, ods)
-    lo, hi = params.get("slope_range", (-0.75, -0.30))
+    lo, hi = -0.75, -0.30
     passed = lo <= slope <= hi
     rows = [r + (slope,) for r in rows]
     summary = (f"log-log slope {slope:.4f} in [{lo}, {hi}]: {'PASS' if passed else 'FAIL'}",)
-    return ("n", "od_lower_bound", "slope"), rows, passed, summary, (list(n_list), ods, True, True)
+    return ("n", "od_lower_bound", "slope"), rows, passed, summary, (n_list, ods)
 
 
 def _suite_cex_1dim_collapse(params):
@@ -114,14 +112,11 @@ def _suite_cex_1dim_collapse(params):
     from .gallery import build_counterexample_1dim, two_point
     from .mpf import builtin
     from .product import metric_transform
-    fn = params.get("fn", "h1")
-    s = params.get("s", 2.0)
-    s_n = params.get("sn", 3.0)
-    n = params.get("n", 50)
+    s, s_n = 2.0, 3.0
     N = params.get("N", 1500)
     seed = params.get("seed", 7)
-    F = builtin(fn)
-    bundle = build_counterexample_1dim(lambda k: F, s, s_n, n=n, N=N, seed=seed)
+    F = builtin("h1")
+    bundle = build_counterexample_1dim(lambda k: F, s, s_n, n=50, N=N, seed=seed)
     Nn = bundle.sphere_coords.shape[0]
 
     a = bundle.sphere_coords
@@ -148,8 +143,8 @@ def _suite_cex_1dim_collapse(params):
         ("antipodal_max_gap", anti_gap, anti_gap <= 1e-9),
         ("cross_distances_in_range", 1.0 if in_range else 0.0, in_range),
         ("transformed_at_least_limit", float(tcross.min()), above),
-        ("per_point_min_pct5", pct5, pct5 <= params.get("pct5_bound", 1.25)),
-        ("certificate_overall", cert.overall, cert.overall <= params.get("cert_bound", 0.3)),
+        ("per_point_min_pct5", pct5, pct5 <= 1.25),
+        ("certificate_overall", cert.overall, cert.overall <= 0.3),
         ("naive_limit_lip_eps", eps_naive, eps_naive == 0.5),
     ]
     passed = all(r[2] for r in rows)
@@ -159,12 +154,11 @@ def _suite_cex_1dim_collapse(params):
 
 def _suite_lemma_batteries(params):
     from .invariants import BATTERY_NAMES, run_inequality_battery
-    which = params.get("which", BATTERY_NAMES)
     trials = params.get("trials", 50)
     seed = params.get("seed", 7)
     rows = []
     ok = True
-    for name in which:
+    for name in BATTERY_NAMES:
         rep = run_inequality_battery(name, trials=trials, seed=seed)
         worst = max((r.lhs - r.rhs for r in rep.rows), default=0.0)
         rows.append((name, trials, len(rep.failures), worst, rep.all_pass))
@@ -177,15 +171,12 @@ def _suite_box_convergence(params):
     from .core import random_metric_space
     from .distances import box_distance, prokhorov
     seed = params.get("seed", 7)
-    steps = params.get("steps", 6)
     X = random_metric_space(4, seed=seed)
-    rng = np.random.default_rng(seed)
     base = np.round(X.weight * 8) / 8.0
     base[0] += 1.0 - base.sum()
     rows = []
     ok = True
-    prev = None
-    for k in range(steps):
+    for k in range(6):
         mix = 1.0 / (k + 1.0)
         nu = (1.0 - mix) * base + mix * np.full(X.n, 1.0 / X.n)
         nu = np.round(nu * 8) / 8.0
@@ -206,8 +197,6 @@ def _suite_box_convergence(params):
 
 def _suite_classifier_demo(params):
     from .mpf import classify_sequence, family, family_limit
-    n_list = params.get("n_list", (1, 2, 4, 8, 16))
-    D_list = params.get("D_list", (4.0, 8.0))
     expected = {
         "const:fp:2": (True, True, True, True, True),
         "gn1": (False, True, True, True, True),
@@ -217,7 +206,7 @@ def _suite_classifier_demo(params):
     rows = []
     ok = True
     for token, want in expected.items():
-        v = classify_sequence(family(token), family_limit(token), D_list, n_list)
+        v = classify_sequence(family(token), family_limit(token), (4.0, 8.0), (1, 2, 4, 8, 16))
         got = tuple(v.conditions[k] for k in (1, 2, 3, 4, 5))
         match = got == want
         ok = ok and match
@@ -239,6 +228,9 @@ def run_suite(spec: ExperimentSpec) -> SuiteResult:
     """Run a named suite; artifacts land in spec.out_dir when given."""
     if spec.suite not in _SUITE_FNS:
         raise BadSpec(f"unknown suite {spec.suite!r}; options: {SUITES}")
+    unknown = sorted(set(spec.params) - set(_PARAM_KEYS))
+    if unknown:
+        raise BadSpec(f"unknown suite parameters {unknown}; options: {_PARAM_KEYS}")
     header, rows, passed, summary, plot = _SUITE_FNS[spec.suite](dict(spec.params))
     csv_path = svg_path = None
     if spec.out_dir:
@@ -247,9 +239,8 @@ def run_suite(spec: ExperimentSpec) -> SuiteResult:
         csv_path = str(out / f"{spec.suite}.csv")
         write_csv(csv_path, header, rows)
         if plot is not None:
-            xs, ys, logx, logy = plot
             svg_path = str(out / f"{spec.suite}.svg")
-            write_svg(svg_path, xs, ys, spec.suite, logx=logx, logy=logy)
+            write_svg(svg_path, *plot, spec.suite)
     return SuiteResult(suite=spec.suite, rows=tuple(tuple(r) for r in rows),
                        header=tuple(header), passed=bool(passed),
                        summary=tuple(summary), csv_path=csv_path, svg_path=svg_path)

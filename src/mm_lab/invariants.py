@@ -15,7 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    BATTERY_TOL,
     MASS_TOL,
+    MERGE_GAP,
+    TAIL_SLACK,
     FiniteMMSpace,
     LipFunction,
     RealDistribution,
@@ -24,15 +27,16 @@ from .core import (
     _subset_masses,
     _subset_table,
     as_lip,
-    mcshane_extend,
     project_to_lip1,
     real_distribution,
     tail_mass,
 )
 from .errors import BadAlpha, BadKappa, MMLabError, TooLarge
-from .mpf import MPF, eval_mpf
+from .mpf import eval_mpf
 
 EXACT_OD_BOUND = 6
+_LEVY_GRID_BOUND = 6  # points of the McShane grid of levy_radius(mode="exact_tiny")
+_LEVY_GRID_ROWS = 2_000_000
 _EXACT_SUBSET_BOUND = 16
 
 
@@ -236,9 +240,9 @@ def _candidate_observables(space: FiniteMMSpace, count: int, seed) -> np.ndarray
 def _pd_of_rows(values: np.ndarray, weights, alpha: float) -> np.ndarray:
     """_pd_of_values of every row of a 2-D array, from one row-wise sort.
 
-    A row whose sorted values hold a gap <= 1e-12, which _merge_sorted would
-    merge, goes through _pd_of_values itself; a -0.0/0.0 tie is such a gap,
-    so the order a sort gives equal values never reaches a result.  Every
+    A row whose sorted values hold a gap <= MERGE_GAP, which _merge_sorted
+    would merge, goes through _pd_of_values itself; a -0.0/0.0 tie is such a
+    gap, so the order a sort gives equal values never reaches a result.  Every
     other row has distinct values, so any sort gives it the stable order,
     and the row-wise cumsum adds in the same order as the 1-D one: the
     results are the same bits.  When all weights are equal, weights[order]
@@ -267,7 +271,7 @@ def _pd_of_rows(values: np.ndarray, weights, alpha: float) -> np.ndarray:
         spans = np.take_along_axis(pos, np.minimum(j, n - 1), axis=1) - pos
         spans[~valid] = np.inf
         pd = np.where(valid.any(axis=1), spans.min(axis=1), pos[:, -1] - pos[:, 0])
-    for r in np.nonzero((np.diff(pos, axis=1) <= 1e-12).any(axis=1))[0]:
+    for r in np.nonzero((np.diff(pos, axis=1) <= MERGE_GAP).any(axis=1))[0]:
         pd[r] = _pd_of_values(values[r], weights, alpha)
     return pd
 
@@ -431,10 +435,10 @@ def _levy_radius_of_values(values, weights, kappa: float) -> float:
 def _levy_radius_of_rows(values: np.ndarray, weights, kappa: float) -> np.ndarray:
     """_levy_radius_of_values of every row of a 2-D array, from row-wise sorts.
 
-    A row whose sorted values hold a gap <= 1e-12, which _merge_sorted would
-    merge, goes through _levy_radius_of_values itself.  Every other row has
-    distinct values, so its Levy mean adds the same masses in the same order
-    as the 1-D one; the deviations are sorted stably, as tail_mass sorts
+    A row whose sorted values hold a gap <= MERGE_GAP, which _merge_sorted
+    would merge, goes through _levy_radius_of_values itself.  Every other row
+    has distinct values, so its Levy mean adds the same masses in the same
+    order as the 1-D one; the deviations are sorted stably, as tail_mass sorts
     them, and the candidate radii 0 and the deviations are tried in
     ascending order, as np.unique orders them: the results are the same bits.
     """
@@ -454,11 +458,11 @@ def _levy_radius_of_rows(values: np.ndarray, weights, kappa: float) -> np.ndarra
     cand = np.concatenate([np.zeros((rows, 1)), dev_sorted], axis=1)
     above = np.empty((rows, n + 1), dtype=np.intp)
     for r in range(rows):
-        above[r] = np.searchsorted(dev_sorted[r], cand[r] + 1e-15, side="right")
+        above[r] = np.searchsorted(dev_sorted[r], cand[r] + TAIL_SLACK, side="right")
     ok = np.take_along_axis(suffix, above, axis=1) <= kappa + MASS_TOL
     first = np.take_along_axis(cand, np.argmax(ok, axis=1)[:, None], axis=1)[:, 0]
     radius = np.where(ok.any(axis=1), first, dev_sorted[:, -1])
-    for r in np.nonzero((np.diff(pos, axis=1) <= 1e-12).any(axis=1))[0]:
+    for r in np.nonzero((np.diff(pos, axis=1) <= MERGE_GAP).any(axis=1))[0]:
         radius[r] = _levy_radius_of_values(values[r], weights, kappa)
     return radius
 
@@ -471,33 +475,31 @@ def levy_radius(space: FiniteMMSpace, kappa: float, budget: int = 8000, seed=0,
     """
     if not (0.0 < kappa < 1.0):
         raise BadKappa(f"kappa = {kappa} outside (0, 1)")
-    w = space.weight
     if mode == "exact_tiny":
-        if space.n > EXACT_OD_BOUND:
-            raise TooLarge(space.n, EXACT_OD_BOUND)
-        best = 0.0
-        for vals in mcshane_grid_family(space, delta=space.diam / 16.0):
-            best = max(best, _levy_radius_of_values(vals, w, kappa))
-        return best
-    pool = _candidate_observables(space, max(16, budget // 2), seed)
-    if space.n <= EXACT_OD_BOUND:
-        pool = np.vstack([pool, observable_diameter(space, kappa, mode="exact_tiny").witness.values])
+        if space.n > _LEVY_GRID_BOUND:
+            raise TooLarge(space.n, _LEVY_GRID_BOUND)
+        pool = mcshane_grid_family(space, delta=space.diam / 16.0)
+    else:
+        pool = _candidate_observables(space, max(16, budget // 2), seed)
+        if space.n <= EXACT_OD_BOUND:
+            witness = observable_diameter(space, kappa, mode="exact_tiny").witness
+            pool = np.vstack([pool, witness.values])
     blocks = (pool[start: start + _RANK_BLOCK] for start in range(0, len(pool), _RANK_BLOCK))
-    return max((float(_levy_radius_of_rows(rows, w, kappa).max()) for rows in blocks), default=0.0)
+    return max(float(_levy_radius_of_rows(rows, space.weight, kappa).max()) for rows in blocks)
 
 
-def mcshane_grid_family(space: FiniteMMSpace, delta: float, max_rows: int = 2_000_000):
-    """All grid-discretized 1-Lipschitz value vectors with v_0 = 0.
+def mcshane_grid_family(space: FiniteMMSpace, delta: float) -> np.ndarray:
+    """All grid-discretized 1-Lipschitz value vectors with v_0 = 0, one per row.
 
     Candidates per point are the delta-grid points inside the Lipschitz
     interval induced by earlier assignments, plus the interval endpoints, so
     the family covers the Lipschitz polytope within delta per coordinate.
+    More than _LEVY_GRID_ROWS rows raise TooLarge.
     """
     n, d = space.n, space.dist
     diam = space.diam
     if n == 1:
-        yield np.zeros(1)
-        return
+        return np.zeros((1, 1))
     K = int(math.ceil(diam / delta)) if delta > 0 else 0
     grid = np.arange(-K, K + 1) * delta
     frontier = np.zeros((1, 1))
@@ -507,8 +509,8 @@ def mcshane_grid_family(space: FiniteMMSpace, delta: float, max_rows: int = 2_00
         inside = (grid[None, :] >= lo[:, None] - 1e-12) & (grid[None, :] <= hi[:, None] + 1e-12)
         counts = inside.sum(axis=1) + 2
         total = int(counts.sum())
-        if total > max_rows:
-            raise TooLarge(total, max_rows)
+        if total > _LEVY_GRID_ROWS:
+            raise TooLarge(total, _LEVY_GRID_ROWS)
         rows = np.repeat(np.arange(len(frontier)), counts)
         vals = np.empty(total)
         pos = 0
@@ -519,7 +521,7 @@ def mcshane_grid_family(space: FiniteMMSpace, delta: float, max_rows: int = 2_00
             vals[pos + 2: pos + c] = grid[inside[row]]
             pos += c
         frontier = np.concatenate([frontier[rows], vals[:, None]], axis=1)
-    yield from frontier
+    return frontier
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +627,9 @@ def _od_value(space, kappa, budget=4000, seed=0):
     return observable_diameter(space, kappa, budget=budget, seed=seed).value
 
 
-def _tiny_space(rng, n=None, dim=3):
+def _tiny_space(rng, n):
     from .core import random_metric_space
-    n = n or int(rng.integers(2, 4))
-    return random_metric_space(n, seed=int(rng.integers(0, 2**31 - 1)), dim=dim)
+    return random_metric_space(n, seed=int(rng.integers(0, 2**31 - 1)))
 
 
 def _rational_weights(rng, n, denom=8):
@@ -640,7 +641,7 @@ def _random_lip(rng, space):
     return project_to_lip1(space, rng.normal(size=space.n) * space.diam)
 
 
-def _trial_key_1dim(rng, tol):
+def _trial_key_1dim(rng):
     from .mpf import builtin
     from .product import metric_transform
     X = _tiny_space(rng, n=int(rng.integers(2, 5)))
@@ -653,7 +654,7 @@ def _trial_key_1dim(rng, tol):
     return lhs, rhs, {"fn": token, "kappa": kappa}
 
 
-def _trial_key_lp(rng, tol):
+def _trial_key_lp(rng):
     from .product import lp_product
     X = _tiny_space(rng, n=int(rng.integers(2, 4)))
     Y = _tiny_space(rng, n=2)
@@ -666,7 +667,7 @@ def _trial_key_lp(rng, tol):
     return lhs, rhs, {"p": p, "kappa": k, "kappa2": kp}
 
 
-def _trial_key_F(rng, tol):
+def _trial_key_F(rng):
     from .mpf import builtin
     from .product import ProductSpec, product
     token = ("fexp", "fp:2", "falpha:0.5", "mul:quad")[int(rng.integers(0, 4))]
@@ -683,7 +684,7 @@ def _trial_key_F(rng, tol):
     return lhs, rhs, {"fn": token, "kappa": k, "kappa2": kp, "product_points": prod.n}
 
 
-def _trial_LO(rng, tol):
+def _trial_LO(rng):
     from .mpf import lp as lp_desc
     from .product import ProductSpec, product
     X = _tiny_space(rng, n=int(rng.integers(2, 4)))
@@ -694,7 +695,7 @@ def _trial_LO(rng, tol):
     return _od_value(pf, kappa), _od_value(pg, kappa), {"kappa": kappa}
 
 
-def _trial_conc_fct(rng, tol):
+def _trial_conc_fct(rng):
     X = _tiny_space(rng, n=int(rng.integers(2, 6)))
     kappa = float(rng.uniform(0.05, 0.9))
     lhs = _od_value(X, kappa)
@@ -707,7 +708,7 @@ def _trial_conc_fct(rng, tol):
     return lhs, 2.0 * rhs_r, {"kappa": kappa}
 
 
-def _trial_key_lp_N(rng, tol):
+def _trial_key_lp_N(rng):
     from .mpf import lp as lp_desc
     from .product import ProductSpec, product
     Xs = [_tiny_space(rng, n=2) for _ in range(3)]
@@ -720,7 +721,7 @@ def _trial_key_lp_N(rng, tol):
     return lhs, rhs, {"kappas": (k1, k2, k3)}
 
 
-def _trial_key_F_N(rng, tol):
+def _trial_key_F_N(rng):
     from .mpf import cyclic_sum_max, lp as lp_desc
     from .product import ProductSpec, product
     F = cyclic_sum_max() if rng.random() < 0.5 else lp_desc(2.0, arity=3)
@@ -740,7 +741,7 @@ def _trial_key_F_N(rng, tol):
     return lhs, rhs, {"kappas": (k1, k2, k3), "fn": F.kind}
 
 
-def _trial_lm_lem(rng, tol):
+def _trial_lm_lem(rng):
     from .distances import prokhorov
     X = _tiny_space(rng, n=int(rng.integers(2, 6)))
     nu = rng.random(X.n) + 0.1
@@ -759,7 +760,7 @@ def _trial_lm_lem(rng, tol):
     return lhs, rhs, {"kappa": kappa, "eps": eps, "deficiency": plan.deficiency}
 
 
-def _trial_lprok(rng, tol):
+def _trial_lprok(rng):
     from .distances import lprok_product_check
     from .mpf import builtin
     X = _tiny_space(rng, n=3)
@@ -774,19 +775,14 @@ def _trial_lprok(rng, tol):
     return res["lhs"], res["rhs"], {"lambda": lam}
 
 
-def _trial_box1(rng, tol):
-    from .distances import box_distance
+def _trial_box1(rng):
+    from .distances import box_product_check
     from .gallery import two_point
-    from .product import lp_product
-    spaces = [two_point(float(rng.uniform(0.5, 3.0))) for _ in range(4)]
-    X, Y, Z, W = spaces
-    lhs = box_distance(lp_product(X, Z, 2.0, check_samples=0),
-                       lp_product(Y, W, 2.0, check_samples=0), mode="exact_tiny")
-    rhs = box_distance(X, Y, mode="exact_tiny") + box_distance(Z, W, mode="exact_tiny")
-    return lhs, rhs, {}
+    res = box_product_check(*(two_point(float(rng.uniform(0.5, 3.0))) for _ in range(4)), 2.0)
+    return res["lhs"], res["rhs"], {}
 
 
-def _trial_box_le_2prok(rng, tol):
+def _trial_box_le_2prok(rng):
     from .distances import box_distance, prokhorov
     X = _tiny_space(rng, n=int(rng.integers(2, 5)))
     denom = (4, 6, 8)[int(rng.integers(0, 3))] if X.n <= 3 else 4
@@ -797,7 +793,7 @@ def _trial_box_le_2prok(rng, tol):
     return lhs, 2.0 * prok, {}
 
 
-def _trial_lr_le_od(rng, tol):
+def _trial_lr_le_od(rng):
     X = _tiny_space(rng, n=int(rng.integers(2, 6)))
     kappa = float(rng.uniform(0.05, 0.45))
     lhs = levy_radius(X, kappa, budget=2000, seed=int(rng.integers(0, 1 << 30)))
@@ -805,7 +801,7 @@ def _trial_lr_le_od(rng, tol):
     return lhs, rhs, {"kappa": kappa}
 
 
-def _trial_prok_le_ky(rng, tol):
+def _trial_prok_le_ky(rng):
     from .distances import ky_fan, prokhorov_real
     X = _tiny_space(rng, n=int(rng.integers(2, 6)))
     f = _random_lip(rng, X)
@@ -837,7 +833,7 @@ BATTERY_NAMES = tuple(_BATTERIES)
 
 
 def run_inequality_battery(lemma: str, trials: int = 50, seed=0,
-                           tol: float = 1e-6) -> BatteryReport:
+                           tol: float = BATTERY_TOL) -> BatteryReport:
     """Run one inequality battery; every row asserts lhs <= rhs + tol.
 
     A failure on validated inputs is release-blocking since each inequality
@@ -849,7 +845,7 @@ def run_inequality_battery(lemma: str, trials: int = 50, seed=0,
     rows = []
     for i in range(trials):
         rng = np.random.default_rng([zlib.crc32(lemma.encode()), int(seed) & 0x7FFFFFFF, i])
-        lhs, rhs, meta = trial(rng, tol)
+        lhs, rhs, meta = trial(rng)
         rows.append(BatteryRow(index=i, lhs=float(lhs), rhs=float(rhs),
                                passed=bool(lhs <= rhs + tol), meta=meta))
     return BatteryReport(lemma=lemma, rows=tuple(rows), tol=tol)

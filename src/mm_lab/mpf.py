@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import METRIC_TOL
 from .errors import ArityMismatch, InconsistentArity, MMLabError, NotIncreasing
 
 _INF = float("inf")
@@ -292,16 +293,16 @@ def scale(c: float, F: MPF) -> MPF:
     return MPF("scale", F.arity, {"c": float(c)}, (F,))
 
 
-def make_mulholland(phi: PhiSpec, arity: int = 2, sample_hi: float = 10.0) -> MPF:
+def make_mulholland(phi: PhiSpec, arity: int = 2) -> MPF:
     """Descriptor for phi^{-1}(phi(s_1) + ... + phi(s_N)).
 
     The generator must vanish at 0 and be strictly increasing; both are
-    checked on a sample grid and a NotIncreasing error carries a witness.
+    checked on a grid of [0, 10], and a NotIncreasing error carries a witness.
     """
     v0 = float(phi(np.array(0.0)))
     if abs(v0) > 1e-12:
         raise MMLabError(f"generator must vanish at 0, got {v0}")
-    grid = np.concatenate([[0.0], np.geomspace(1e-6, sample_hi, 200)])
+    grid = np.concatenate([[0.0], np.geomspace(1e-6, 10.0, 200)])
     vals = phi(grid)
     diffs = np.diff(vals)
     bad = np.nonzero(diffs <= 0)[0]
@@ -543,7 +544,7 @@ def _boundary_triplets(arity: int, horizon: float) -> np.ndarray:
 
 
 def check_triangle_triplets(F: MPF, samples: int = 100_000, horizon: float = 8.0,
-                            seed: int = 0, tol: float = 1e-9) -> TripletVerdict:
+                            seed: int = 0) -> TripletVerdict:
     """Search for triangle triplets whose images break the triangle inequality.
 
     One random triangle triplet is drawn per coordinate (rejection sampling in
@@ -566,7 +567,8 @@ def check_triangle_triplets(F: MPF, samples: int = 100_000, horizon: float = 8.0
             fb - fa - fc,
             fc - fa - fb,
         ])
-        guard = tol * np.maximum(1.0, np.maximum.reduce([np.abs(fa), np.abs(fb), np.abs(fc)]))
+        guard = METRIC_TOL * np.maximum(
+            1.0, np.maximum.reduce([np.abs(fa), np.abs(fb), np.abs(fc)]))
         idx = np.nonzero(slack > guard)[0]
         if idx.size:
             i = int(idx[0])
@@ -634,6 +636,7 @@ class DefectReport:
 
 _REFINE_CELL_CAP = 64
 _ROW_BLOCK = 64
+_ZERO_DEFECT = 1e-9  # a sampled defect at most this counts as isotone
 
 
 def _grid_args(grid: np.ndarray, arity: int) -> list:
@@ -808,23 +811,25 @@ class SequenceVerdict:
     converges_uniformly: bool
 
 
-def _limit_is_zero(values, atol: float = 1e-6, shrink: float = 0.25) -> bool:
-    """Numeric surrogate for 'the sequence tends to zero' along growing n."""
+def _limit_is_zero(values) -> np.ndarray:
+    """Numeric surrogate for 'the sequence tends to zero' along axis 0 (growing n).
+
+    True where the last value is at most 1e-6, or where the sequence never
+    rises by more than 1e-6 and ends at most a quarter of its peak.
+    """
     v = np.asarray(values, dtype=float)
-    if v[-1] <= atol:
-        return True
-    peak = v.max()
-    tail_ok = all(v[i + 1] <= v[i] + atol for i in range(len(v) - 1))
-    return bool(tail_ok and v[-1] <= shrink * peak)
+    noninc = (v[1:] <= v[:-1] + 1e-6).all(axis=0)
+    return (v[-1] <= 1e-6) | (noninc & (v[-1] <= 0.25 * v.max(axis=0)))
 
 
 def classify_sequence(F_seq, F_limit: MPF, D_list, n_list, h: float = 1.0 / 64.0,
-                      probe: float | None = None, zero_tol: float = 1e-9) -> SequenceVerdict:
+                      probe: float | None = None) -> SequenceVerdict:
     """Test the five isotonicity conditions on a descriptor family.
 
-    F_seq maps an index n to a descriptor; all descriptors must share arity
-    with F_limit.  Defect tables are evaluated on one extended grid per n,
-    with the global condition probed out to max(D_list, n + 8).
+    F_seq is a callable mapping an index n to a descriptor; all descriptors
+    must share arity with F_limit.  Defect tables are evaluated on one
+    extended grid per n, with the global condition probed out to
+    max(D_list, n + 8).
     """
     n_list = sorted(int(n) for n in n_list)
     D_list = sorted(float(D) for D in D_list)
@@ -834,7 +839,7 @@ def classify_sequence(F_seq, F_limit: MPF, D_list, n_list, h: float = 1.0 / 64.0
     arity = F_limit.arity
     descriptors = {}
     for n in n_list:
-        F = F_seq(n) if callable(F_seq) else F_seq[n]
+        F = F_seq(n)
         if F.arity != arity:
             raise InconsistentArity(f"descriptor at n={n} has arity {F.arity}, limit has {arity}")
         descriptors[n] = F
@@ -856,16 +861,12 @@ def classify_sequence(F_seq, F_limit: MPF, D_list, n_list, h: float = 1.0 / 64.0
             sup_window[D].append(float(rep.table[: k + 1][..., : k + 1].max()))
 
     limit_rep = defect_table(F_limit, D=Dmax, h=h, probe=max(Dmax, n_list[-1] + 8.0))
-    c1 = all(v <= zero_tol for v in sup_at_Dmax)
-    c2 = _limit_is_zero(sup_global)
+    c1 = all(v <= _ZERO_DEFECT for v in sup_at_Dmax)
+    c2 = bool(_limit_is_zero(sup_global))
     c3 = all(_limit_is_zero(sup_window[D]) for D in D_list)
     stack = np.stack(pointwise)
-    last = stack[-1]
-    peak = stack.max(axis=0)
-    noninc = np.all(stack[1:] <= stack[:-1] + 1e-6, axis=0)
-    point_ok = (last <= 1e-6) | (noninc & (last <= 0.25 * peak))
-    c4 = bool(point_ok.all())
-    c5 = limit_rep.sup_defect <= zero_tol
+    c4 = bool(_limit_is_zero(stack).all())
+    c5 = limit_rep.sup_defect <= _ZERO_DEFECT
 
     raw = {1: c1, 2: c2, 3: c3, 4: c4, 5: c5}
     chained = {}
@@ -878,14 +879,14 @@ def classify_sequence(F_seq, F_limit: MPF, D_list, n_list, h: float = 1.0 / 64.0
     pts = _grid_args(conv_grid, arity)
     lim_vals = eval_mpf(F_limit, pts)
     diffs = [float(np.abs(eval_mpf(descriptors[n], pts) - lim_vals).max()) for n in n_list]
-    conv_unif = _limit_is_zero(diffs, atol=1e-6)
+    conv_unif = bool(_limit_is_zero(diffs))
 
     evidence = {
         "n_list": n_list,
         "sup_defect_on_Dmax": sup_at_Dmax,
         "sup_defect_global_probe": sup_global,
         "sup_defect_per_window": {D: sup_window[D] for D in D_list},
-        "pointwise_last": last,
+        "pointwise_last": stack[-1],
         "uniform_gap_to_limit": diffs,
         "raw_conditions": raw,
         "limit_sup_defect": limit_rep.sup_defect,

@@ -121,6 +121,16 @@ def levy_radius_loop(values, weights, kappa, center):
     return float(dev.max())
 
 
+def levy_radius_exact_loop(space, kappa):
+    """levy_radius(mode="exact_tiny") one McShane grid row at a time, by the 1-D kernel."""
+    from mm_lab.invariants import _levy_radius_of_values, mcshane_grid_family
+
+    best = 0.0
+    for vals in mcshane_grid_family(space, delta=space.diam / 16.0):
+        best = max(best, _levy_radius_of_values(vals, space.weight, kappa))
+    return best
+
+
 def triangle_check_loop(d, tol):
     """First (i, j, k, gap) with d[i, k] - d[i, j] - d[j, k] > tol, pivot j outermost."""
     n = d.shape[0]

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mm_lab import core
+from mm_lab import cli, core, invariants as inv
 from mm_lab.cli import main
+from mm_lab.errors import BadSpec
+from mm_lab.experiments import ExperimentSpec, run_suite
 
 
 @pytest.fixture()
@@ -106,6 +108,33 @@ def test_gallery_and_cert(tmp_path, capsys):
     assert "overall=" in capsys.readouterr().out
 
 
+def test_invariant_lr_routes_mode(tmp_path, capsys):
+    X = core.random_metric_space(4, seed=18)
+    path = tmp_path / "x.json"
+    core.save_space(X, path)
+    args = ["invariant", "lr", "--space", str(path), "--kappa", "0.45"]
+    exact = inv.levy_radius(X, 0.45, mode="exact_tiny")
+    heuristic = inv.levy_radius(X, 0.45, budget=20_000, seed=7)
+    assert f"{exact:.9g}" != f"{heuristic:.9g}"
+    for mode, want in (("exact", exact), ("exact_tiny", exact), ("auto", heuristic),
+                       ("heuristic", heuristic)):
+        assert main(args + ["--mode", mode]) == 0
+        assert capsys.readouterr().out.endswith(f": {want:.9g}\n"), mode
+
+
+def test_battery_cli_default_tol_is_the_library_default(monkeypatch):
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.append(kwargs["tol"])
+        return inv.run_inequality_battery(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_inequality_battery", record)
+    assert main(["battery", "prok_le_ky", "--trials", "1"]) == 0
+    assert seen == [core.BATTERY_TOL]
+    assert inv.run_inequality_battery("prok_le_ky", trials=1).tol == core.BATTERY_TOL
+
+
 def test_battery_cli(tmp_path, capsys):
     csv = tmp_path / "rows.csv"
     assert main(["battery", "prok_le_ky", "--trials", "5", "--csv", str(csv)]) == 0
@@ -122,6 +151,11 @@ def test_experiment_deterministic_csv(tmp_path):
     c1 = (out1 / "box_convergence.csv").read_bytes()
     c2 = (out2 / "box_convergence.csv").read_bytes()
     assert c1 == c2
+
+
+def test_run_suite_rejects_unknown_params():
+    with pytest.raises(BadSpec, match="steps"):
+        run_suite(ExperimentSpec(suite="box_convergence", params={"seed": 5, "steps": 2}))
 
 
 def test_lemma_batteries_csv_same_across_hash_seeds(tmp_path):

@@ -32,10 +32,12 @@ def test_validate_triangle_violation():
 
 
 def test_validate_drops_zero_weight_points():
-    s = core.validate_space({"labels": list("abc"),
-                             "dist": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
-                             "weight": [0.5, 0.5, 0.0]})
-    assert s.n == 2 and s.labels == ("a", "b")
+    # a weight at ZERO_MASS is dropped, one ulp above it is kept
+    for w, n in ((0.0, 2), (core.ZERO_MASS, 2), (np.nextafter(core.ZERO_MASS, 1.0), 3)):
+        s = core.validate_space({"labels": list("abc"),
+                                 "dist": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+                                 "weight": [0.5, 0.5, w]})
+        assert s.n == n and s.labels == ("a", "b", "c")[:n]
 
 
 def test_validate_weight_errors():

@@ -15,6 +15,7 @@ from mm_lab.product import ProductSpec, product
 from oracles import (
     candidate_pool_loop,
     kappa_distance_oracle,
+    levy_radius_exact_loop,
     levy_radius_loop,
     od_exact_closure_loop,
     od_heuristic_loop,
@@ -237,6 +238,8 @@ def test_pd_of_rows_falls_back_on_merged_atoms():
         [0.0, 5e-13, 1.0, 2.0], [2.0, 1.0, 5e-13, 0.0],
         # a -0.0/0.0 tie: the sort may put either first, the result may not care
         [-0.0, 0.0, 1.0, 0.5], [0.0, -0.0, 1.0, 0.5], [1.0, 1.0, 1.0, 1.0],
+        # atoms exactly MERGE_GAP apart merge, one ulp further apart they do not
+        [0.0, core.MERGE_GAP, 1.0, 2.0], [0.0, np.nextafter(core.MERGE_GAP, 1.0), 1.0, 2.0],
     ])
     for w in (np.full(4, 0.25), np.array([0.25, 0.5, 0.125, 0.125])):
         for alpha in (0.2, 0.5, 0.75, 1.0):
@@ -345,6 +348,9 @@ def test_levy_radius_of_rows_matches_values():
          np.full(41, 1 / 41)),
         # deviations tied in pairs: the tail sums add each pair in stable order
         (np.concatenate([-half, half, [0.0]]), w / w.sum()),
+        # atoms exactly MERGE_GAP apart merge, one ulp further apart they do not
+        (np.array([0.0, core.MERGE_GAP, 1.0, 2.0]), np.full(4, 0.25)),
+        (np.array([0.0, np.nextafter(core.MERGE_GAP, 1.0), 1.0, 2.0]), np.full(4, 0.25)),
     ]
     for row, weights in cases:
         for kappa in _tail_boundary_kappas(row, weights):
@@ -365,6 +371,24 @@ def test_levy_radius_exact_tiny_grid():
     X = two_point(2.0)
     val = inv.levy_radius(X, 0.3, mode="exact_tiny")
     assert val == pytest.approx(1.0, abs=2 * X.diam / 16)
+
+
+def test_levy_radius_exact_tiny_matches_row_loop():
+    rng = np.random.default_rng(5)
+    spaces = [core.random_metric_space(2 + t % 3, seed=300 + t) for t in range(5)]
+    # 5 and 6 points on a line, all but one close together: a grid family of
+    # thousands of rows, where random spaces make up to a million
+    for n in (5, 6):
+        x = np.append(0.01 * np.arange(n - 1), 1.0)
+        spaces.append(core.validate_space({"dist": np.abs(x[:, None] - x),
+                                           "weight": np.full(n, 1.0 / n)}))
+    for X in spaces:
+        # under uniform weights too; tied grid values send rows to the 1-D fallback
+        w = rng.random(X.n) + 0.1
+        for space in (X.reweighted(w / w.sum()), X.reweighted(np.full(X.n, 1.0 / X.n))):
+            kappa = float(rng.uniform(0.05, 0.5))
+            want = levy_radius_exact_loop(space, kappa)
+            assert inv.levy_radius(space, kappa, mode="exact_tiny").hex() == want.hex()
 
 
 def test_kappa_distance_examples_and_oracle():

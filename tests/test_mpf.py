@@ -408,6 +408,21 @@ def test_defect_table_peak_memory_is_about_one_grid_array():
     assert classify_peak <= 3 * grid_bytes
 
 
+def test_limit_is_zero_decides_each_column_alone():
+    seqs = np.array([
+        [0.0, 0.0, 0.0, 0.0],
+        [1.0, 0.5, 0.3, 0.25],  # ends at a quarter of its peak
+        [1.0, 0.5, 0.3, 0.26],
+        [1.0, 0.1, 0.2, 0.2],  # rises on the way
+        [1.0, 0.2, 0.2 + 1e-6, 0.2],  # rises by no more than 1e-6
+        [0.5, 1.0, 3.0, 1e-6],  # small enough at the end
+    ])
+    want = [True, True, False, False, True, True]
+    assert [bool(mpf._limit_is_zero(s)) for s in seqs] == want
+    assert mpf._limit_is_zero(seqs.T).tolist() == want
+    assert mpf._limit_is_zero(seqs.T.reshape(4, 2, 3)).tolist() == [want[:3], want[3:]]
+
+
 def test_classifier_reproduces_separations():
     n_list = (1, 2, 4, 8)
     D_list = (4.0,)
