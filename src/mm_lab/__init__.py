@@ -42,7 +42,6 @@ from .mpf import (
     mpf_to_json,
 )
 from .invariants import (
-    BATTERY_NAMES,
     KappaDistance,
     ODEstimate,
     concentration_function,
@@ -51,7 +50,6 @@ from .invariants import (
     levy_radius,
     observable_diameter,
     partial_diameter,
-    run_inequality_battery,
 )
 from .product import ProductSpec, levy_projection, lp_product, metric_transform, product
 from .distances import (
@@ -59,12 +57,10 @@ from .distances import (
     IsoCertificate,
     SubtransportPlan,
     box_distance,
-    box_product_check,
     concentration_certificate,
     epsilon_mm_iso_search,
     ky_fan,
     lip_up_to_eps,
-    lprok_product_check,
     prokhorov,
     prokhorov_bruteforce,
     prokhorov_real,
@@ -79,6 +75,12 @@ from .gallery import (
     four_point_Z,
     sample_sphere,
     two_point,
+)
+from .batteries import (
+    BATTERY_NAMES,
+    box_product_check,
+    lprok_product_check,
+    run_inequality_battery,
 )
 from .experiments import ExperimentSpec, SuiteResult, run_suite
 

@@ -14,19 +14,36 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import BATTERY_TOL, load_space, save_space
+from .batteries import BATTERY_NAMES, run_inequality_battery
+from .core import BATTERY_TOL, as_lip, load_space, pushforward, save_space
+from .distances import box_distance, concentration_certificate, ky_fan, prokhorov
 from .errors import MMLabError
 from .experiments import SUITES, ExperimentSpec, run_suite, write_csv
+from .gallery import (
+    build_counterexample_1dim,
+    build_counterexample_2dim,
+    example_5_1,
+    four_point_Z,
+    sample_sphere,
+    two_point,
+)
 from .invariants import (
-    BATTERY_NAMES,
     concentration_function,
     levy_mean,
     levy_radius,
     observable_diameter,
     partial_diameter,
-    run_inequality_battery,
 )
-from .mpf import builtin, classify_sequence, defect_table, family, family_limit, mpf_to_json
+from .mpf import (
+    builtin,
+    check_triangle_triplets,
+    classify_sequence,
+    defect_table,
+    family,
+    family_limit,
+    mpf_to_json,
+)
+from .product import ProductSpec, metric_transform, product
 
 
 def _add_common(p):
@@ -167,7 +184,6 @@ def _dispatch(args) -> int:
         return _cmd_mpf(args)
 
     if cmd == "product":
-        from .product import ProductSpec, product
         spaces = tuple(load_space(s) for s in args.space)
         F = builtin(args.fn)
         prod = product(ProductSpec(spaces, F, seed=args.seed))
@@ -176,7 +192,6 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "transform":
-        from .product import metric_transform
         space = load_space(args.space)
         out = metric_transform(space, builtin(args.fn))
         save_space(out, args.out)
@@ -190,7 +205,6 @@ def _dispatch(args) -> int:
         return _cmd_dist(args)
 
     if cmd == "cert":
-        from .distances import concentration_certificate
         source = load_space(args.source)
         target = load_space(args.target)
         p_map = np.asarray(json.loads(Path(args.map_file).read_text()), dtype=int)
@@ -230,7 +244,6 @@ def _dispatch(args) -> int:
 
 
 def _cmd_mpf(args) -> int:
-    from .mpf import check_triangle_triplets
     if args.action == "show":
         print(json.dumps(mpf_to_json(builtin(args.fn)), indent=2))
         return 0
@@ -282,7 +295,6 @@ def _cmd_invariant(args) -> int:
         print(f"od(kappa={args.kappa}) = {est.value:.9g} [{est.mode}]")
         return 0
     if args.what == "pd":
-        from .core import as_lip, pushforward
         ident = as_lip(space, space.dist[0], lip_const=1.0)
         val = partial_diameter(pushforward(space, ident), args.alpha)
         print(f"pd of anchor observable at alpha={args.alpha}: {val:.9g}")
@@ -298,7 +310,6 @@ def _cmd_invariant(args) -> int:
         print(f"levy radius lower bound at kappa={args.kappa}: {val:.9g}")
         return 0
     if args.what == "lm":
-        from .core import as_lip, pushforward
         ident = as_lip(space, space.dist[0], lip_const=1.0)
         mi = levy_mean(pushforward(space, ident))
         print(f"levy mean of anchor observable: {mi.mean:.9g} (medians [{mi.low:.9g}, {mi.high:.9g}])")
@@ -307,7 +318,6 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_dist(args) -> int:
-    from .distances import box_distance, ky_fan, prokhorov
     if args.what == "prok":
         space = load_space(args.space)
         mu = _load_measure(args.mu, space)
@@ -338,14 +348,6 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_gallery(args) -> int:
-    from .gallery import (
-        build_counterexample_1dim,
-        build_counterexample_2dim,
-        example_5_1,
-        four_point_Z,
-        sample_sphere,
-        two_point,
-    )
     out = Path(args.out)
     if args.what == "sphere":
         sph = sample_sphere(args.n, args.r, args.N, metric=args.metric, seed=args.seed)

@@ -146,13 +146,6 @@ def _subset_table(rows, ufunc, empty) -> np.ndarray:
     return table
 
 
-def _subset_masses(weight) -> np.ndarray:
-    """Mass of every subset, indexed by its bit mask."""
-    k = len(weight)
-    bits = ((np.arange(1 << k)[:, None] >> np.arange(k)[None, :]) & 1).astype(float)
-    return bits @ weight
-
-
 def _triangle_pivots(d: np.ndarray, tol: float):
     """Ascending pivots j at which d[i, k] - (d[i, j] + d[j, k]) > tol can hold.
 
@@ -240,6 +233,9 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
         weight = np.asarray(candidate.weight, dtype=float)
         coords = candidate.coords
     elif isinstance(candidate, dict):
+        for key in ("dist", "weight"):
+            if key not in candidate:
+                raise MMLabError(f"space record has no {key!r}")
         labels = list(candidate.get("labels", []))
         dist = np.asarray(candidate["dist"], dtype=float)
         weight = np.asarray(candidate["weight"], dtype=float)
@@ -247,9 +243,7 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
         if coords is not None:
             coords = np.asarray(coords, dtype=float)
     else:
-        labels, dist, weight = candidate[0], np.asarray(candidate[1], float), np.asarray(candidate[2], float)
-        labels = list(labels)
-        coords = None
+        raise MMLabError(f"a space record is an object, not a {type(candidate).__name__}")
 
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise MMLabError(f"distance matrix shape {dist.shape} is not square")
@@ -464,7 +458,9 @@ def space_to_json(space: FiniteMMSpace) -> dict:
 
 def space_from_json(obj: dict, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
     """Load a space record; derives the matrix from coords when dist is absent."""
-    if "dist" not in obj:
+    if isinstance(obj, dict) and "dist" not in obj:
+        if "coords" not in obj:
+            raise MMLabError("space record has neither 'dist' nor 'coords'")
         coords = np.asarray(obj["coords"], dtype=float)
         metric = obj.get("metric", "euclidean")
         diff = coords[:, None, :] - coords[None, :, :]
@@ -472,6 +468,8 @@ def space_from_json(obj: dict, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
         if metric == "euclidean":
             dist = chord
         elif metric == "geodesic_sphere":
+            if "radius" not in obj:
+                raise MMLabError("metric 'geodesic_sphere' needs a 'radius'")
             r = float(obj["radius"])
             dist = 2.0 * r * np.arcsin(np.clip(chord / (2.0 * r), 0.0, 1.0))
         else:

@@ -16,20 +16,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    BATTERY_TOL,
     MASS_TOL,
     ZERO_MASS,
     FiniteMMSpace,
     LipFunction,
     RealDistribution,
-    _subset_masses,
     _subset_table,
+    mcshane_extend,
     tail_mass,
     validate_space,
 )
 from .errors import HostMismatch, MMLabError, NotRational, TargetTooLarge, TooLarge
 from .invariants import _candidate_observables, _levy_mean_of_values
-from .mpf import MPF
 
 _FLOW_SCALE = 10 ** 9  # int32 capacities per edge for scipy maximum_flow; totals read in int64
 # edges one stacked solve may take, counted as width x the search's densest
@@ -403,7 +401,7 @@ def _subset_diameters(d: np.ndarray) -> np.ndarray:
 def _partial_diameters(space: FiniteMMSpace):
     """Partial diameter of the space at any array of mass levels, from its subsets."""
     diams = _subset_diameters(space.dist)
-    masses = _subset_masses(space.weight)
+    masses = _subset_table(space.weight, np.add, 0.0)
     order = np.argsort(masses, kind="stable")
     # best[k]: smallest diameter from the k-th lightest subset on; best[2^n] = diam
     best = np.append(np.minimum.accumulate(diams[order][::-1])[::-1], space.diam)
@@ -474,7 +472,7 @@ def _least_domain_eps(gap: np.ndarray, w: np.ndarray, eps_grid=None, left=None):
     n = len(w)
     grid = None if eps_grid is None else sorted(float(e) for e in eps_grid)
     if n <= _COVER_EXACT_BOUND:
-        cost = np.maximum(_subset_diameters(gap), _subset_masses(w)[::-1])
+        cost = np.maximum(_subset_diameters(gap), _subset_table(w, np.add, 0.0)[::-1])
         best = int(np.argmin(cost))
         eps, domain = float(cost[best]), np.nonzero(best >> np.arange(n) & 1)[0]
     else:
@@ -613,7 +611,7 @@ def _lip1_target_fit(source: FiniteMMSpace, target: FiniteMMSpace, p: np.ndarray
         return ky_fan(source, f_vals, gv[p])
 
     for gv in candidates:
-        gv = _project_target_lip(target, gv)
+        gv = mcshane_extend(target, np.arange(target.n), gv)
         s = score(gv)
         if s < best:
             best, best_g = s, gv.copy()
@@ -628,17 +626,13 @@ def _lip1_target_fit(source: FiniteMMSpace, target: FiniteMMSpace, p: np.ndarray
                 for cand in np.linspace(max(lo, best_g[j] - step), min(hi, best_g[j] + step), 9):
                     trial = best_g.copy()
                     trial[j] = cand
-                    trial = _project_target_lip(target, trial)
+                    trial = mcshane_extend(target, np.arange(target.n), trial)
                     s = score(trial)
                     if s < best - 1e-12:
                         best, best_g = s, trial
                         improved = True
         step /= 3.0
     return best, best_g
-
-
-def _project_target_lip(target: FiniteMMSpace, g: np.ndarray) -> np.ndarray:
-    return (g[None, :] + target.dist).min(axis=1)
 
 
 def concentration_certificate(source: FiniteMMSpace, target: FiniteMMSpace,
@@ -677,44 +671,3 @@ def concentration_certificate(source: FiniteMMSpace, target: FiniteMMSpace,
         epsilon_prok=float(eps_prok), epsilon_haus=float(eps_haus),
         overall=float(overall), observables=tuple(evidence),
         meta={"seed": seed, "budget": budget, "samples": len(pool)})
-
-
-# ---------------------------------------------------------------------------
-# product compatibility checks
-
-def lprok_product_check(x: FiniteMMSpace, mu, mu2, y: FiniteMMSpace, nu, nu2,
-                        F: MPF, lam: float = 1.0) -> dict:
-    """Product-measure Prokhorov against the worst of sum and doubled image."""
-    from .product import ProductSpec, product
-    prod = product(ProductSpec((x, y), F, check_samples=0))
-    pm = np.outer(mu, nu).ravel()
-    pm2 = np.outer(mu2, nu2).ravel()
-    lhs = prokhorov(prod, pm, pm2, lam)[0]
-    px = prokhorov(x, mu, mu2, lam)[0]
-    py = prokhorov(y, nu, nu2, lam)[0]
-    rhs = max(px + py, 2.0 * float(F(px, py)))
-    return {"lhs": float(lhs), "rhs": float(rhs), "pass": bool(lhs <= rhs + BATTERY_TOL),
-            "prok_x": px, "prok_y": py}
-
-
-def box_product_check(x, y, z, w, F_or_p) -> dict:
-    """Box distance of products against factor box distances."""
-    from .mpf import lp as lp_desc
-    from .product import ProductSpec, product
-    if isinstance(F_or_p, (int, float)):
-        F = lp_desc(float(F_or_p))
-        lp_form = True
-    else:
-        F = F_or_p
-        lp_form = False
-    pxz = product(ProductSpec((x, z), F, check_samples=0))
-    pyw = product(ProductSpec((y, w), F, check_samples=0))
-    lhs = box_distance(pxz, pyw, mode="exact_tiny")
-    bxy = box_distance(x, y, mode="exact_tiny")
-    bzw = box_distance(z, w, mode="exact_tiny")
-    if lp_form:
-        rhs = bxy + bzw
-    else:
-        rhs = max(bxy + bzw, 2.0 * float(F(0.5 * bxy, 0.5 * bzw)))
-    return {"lhs": float(lhs), "rhs": float(rhs), "pass": bool(lhs <= rhs + BATTERY_TOL),
-            "box_xy": bxy, "box_zw": bzw}

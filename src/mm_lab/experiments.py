@@ -11,7 +11,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .batteries import BATTERY_NAMES, run_inequality_battery
+from .core import random_metric_space
+from .distances import box_distance, concentration_certificate, lip_up_to_eps, prokhorov
 from .errors import BadSpec, NotRational
+from .gallery import build_counterexample_1dim, sample_sphere, two_point
+from .invariants import observable_diameter
+from .mpf import builtin, classify_sequence, family, family_limit
+from .product import metric_transform
 
 SUITES = ("sphere_od_decay", "cex_1dim_collapse", "lemma_batteries",
           "box_convergence", "classifier_demo")
@@ -86,8 +93,6 @@ def _fit_slope(xs, ys) -> float:
 # suites
 
 def _suite_sphere_od_decay(params):
-    from .gallery import sample_sphere
-    from .invariants import observable_diameter
     n_list = (2, 4, 8, 16, 32)
     N = params.get("N", 2000)
     seed = params.get("seed", 7)
@@ -108,10 +113,6 @@ def _suite_sphere_od_decay(params):
 
 
 def _suite_cex_1dim_collapse(params):
-    from .distances import concentration_certificate, lip_up_to_eps
-    from .gallery import build_counterexample_1dim, two_point
-    from .mpf import builtin
-    from .product import metric_transform
     s, s_n = 2.0, 3.0
     N = params.get("N", 1500)
     seed = params.get("seed", 7)
@@ -153,7 +154,6 @@ def _suite_cex_1dim_collapse(params):
 
 
 def _suite_lemma_batteries(params):
-    from .invariants import BATTERY_NAMES, run_inequality_battery
     trials = params.get("trials", 50)
     seed = params.get("seed", 7)
     rows = []
@@ -168,8 +168,6 @@ def _suite_lemma_batteries(params):
 
 
 def _suite_box_convergence(params):
-    from .core import random_metric_space
-    from .distances import box_distance, prokhorov
     seed = params.get("seed", 7)
     X = random_metric_space(4, seed=seed)
     base = np.round(X.weight * 8) / 8.0
@@ -196,7 +194,6 @@ def _suite_box_convergence(params):
 
 
 def _suite_classifier_demo(params):
-    from .mpf import classify_sequence, family, family_limit
     expected = {
         "const:fp:2": (True, True, True, True, True),
         "gn1": (False, True, True, True, True),

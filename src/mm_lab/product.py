@@ -124,15 +124,11 @@ def levy_projection(f: LipFunction, x: FiniteMMSpace, y: FiniteMMSpace,
         raise NotLipschitz("certificate fails on the supplied l_p product")
     grid = f.values.reshape(n, m)
     if factor == "first":
-        vals = [fiber_levy_mean(grid[i], y.weight) for i in range(n)]
+        vals = [_levy_mean_of_values(grid[i], y.weight).mean for i in range(n)]
         host = x
     elif factor == "second":
-        vals = [fiber_levy_mean(grid[:, j], x.weight) for j in range(m)]
+        vals = [_levy_mean_of_values(grid[:, j], x.weight).mean for j in range(m)]
         host = y
     else:
         raise MMLabError("factor must be 'first' or 'second'")
     return as_lip(host, np.array(vals), lip_const=1.0)
-
-
-def fiber_levy_mean(values, masses) -> float:
-    return _levy_mean_of_values(values, masses).mean

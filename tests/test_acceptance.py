@@ -12,6 +12,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from mm_lab import (
     GALLERY_TOKENS,
+    batteries as bt,
     core,
     distances as dst,
     gallery,
@@ -50,9 +51,9 @@ def test_criterion_1_strassen_equivalence():
 
 def test_criterion_2_lemma_batteries():
     start = time.time()
-    batteries = inv.BATTERY_NAMES
+    batteries = bt.BATTERY_NAMES
     for name in batteries:
-        rep = inv.run_inequality_battery(name, trials=50, seed=7, tol=1e-6)
+        rep = bt.run_inequality_battery(name, trials=50, seed=7, tol=1e-6)
         assert rep.all_pass, (name, [(r.lhs, r.rhs, r.meta) for r in rep.failures])
     elapsed = time.time() - start
     assert elapsed < 120.0

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mm_lab import cli, core, invariants as inv
+from mm_lab import batteries, cli, core, invariants as inv
 from mm_lab.cli import main
 from mm_lab.errors import BadSpec
 from mm_lab.experiments import ExperimentSpec, run_suite
@@ -28,6 +28,21 @@ def test_space_validate_round_trip(tmp_path, space_file):
     b = core.load_space(out)
     assert np.array_equal(a.dist, b.dist)
     assert np.array_equal(a.weight, b.weight)
+
+
+@pytest.mark.parametrize("record, missing", [
+    ({"coords": [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], "weight": [0.5, 0.5],
+      "metric": "geodesic_sphere"}, "'radius'"),
+    ({"labels": ["a", "b"], "weight": [0.5, 0.5]}, "'coords'"),
+    ({"dist": [[0.0, 1.0], [1.0, 0.0]]}, "'weight'"),
+    ([[0.0, 1.0], [1.0, 0.0]], "list"),
+], ids=["no-radius", "no-dist-or-coords", "no-weight", "top-level-list"])
+def test_space_validate_reports_malformed_file(tmp_path, capsys, record, missing):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    assert main(["space", "validate", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err
 
 
 def test_mpf_check_and_defect(tmp_path, capsys):
@@ -127,12 +142,12 @@ def test_battery_cli_default_tol_is_the_library_default(monkeypatch):
 
     def record(*args, **kwargs):
         seen.append(kwargs["tol"])
-        return inv.run_inequality_battery(*args, **kwargs)
+        return batteries.run_inequality_battery(*args, **kwargs)
 
     monkeypatch.setattr(cli, "run_inequality_battery", record)
     assert main(["battery", "prok_le_ky", "--trials", "1"]) == 0
     assert seen == [core.BATTERY_TOL]
-    assert inv.run_inequality_battery("prok_le_ky", trials=1).tol == core.BATTERY_TOL
+    assert batteries.run_inequality_battery("prok_le_ky", trials=1).tol == core.BATTERY_TOL
 
 
 def test_battery_cli(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import maximum_flow
 
-from mm_lab import core, distances as dst, invariants as inv, mpf
+from mm_lab import batteries, core, distances as dst, invariants as inv, mpf
 from mm_lab.errors import NotRational, TooLarge
 
 from oracles import (
@@ -357,9 +357,9 @@ def test_box_product_inequality():
     rng = np.random.default_rng(11)
     for t in range(5):
         spaces = [two_point(float(rng.uniform(0.5, 3.0))) for _ in range(4)]
-        res = dst.box_product_check(*spaces, 2.0)
+        res = batteries.box_product_check(*spaces, 2.0)
         assert res["pass"], res
-        res_f = dst.box_product_check(*spaces, mpf.builtin("fexp"))
+        res_f = batteries.box_product_check(*spaces, mpf.builtin("fexp"))
         assert res_f["pass"], res_f
 
 
@@ -668,8 +668,8 @@ def test_lprok_product_check_random():
             v = rng.random(Z.n) + 0.1
             ms.append(v / v.sum())
         F = mpf.builtin("fp:2") if t % 2 else mpf.builtin("fexp")
-        res = dst.lprok_product_check(X, ms[0], ms[1], Y, ms[2], ms[3], F,
-                                      lam=[0.5, 1.0, 2.0][t % 3])
+        res = batteries.lprok_product_check(X, ms[0], ms[1], Y, ms[2], ms[3], F,
+                                            lam=[0.5, 1.0, 2.0][t % 3])
         assert res["pass"], res
 
 

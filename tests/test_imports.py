@@ -1,5 +1,8 @@
-"""Every module-level import of the library is used in its module."""
+"""Every module-level import of the library is used in its module, every
+relative import sits at the top of its module, and the modules import each
+other without a cycle."""
 import ast
+import graphlib
 from pathlib import Path
 
 import pytest
@@ -23,12 +26,67 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
+def local_relative_imports(source: str) -> list:
+    """Lines of the relative imports of ``source`` made inside a function."""
+    lines = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines.update(node.lineno for node in ast.walk(fn)
+                         if isinstance(node, ast.ImportFrom) and node.level)
+    return sorted(lines)
+
+
+def import_graph(paths) -> dict:
+    """Module name -> the sibling modules its relative imports name.
+
+    ``from . import x`` counts only when x is a module, so the package
+    attributes it reads (``__version__``) add no edge.
+    """
+    names = {p.stem for p in paths}
+    graph = {}
+    for path in paths:
+        deps = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                deps.update(t.split(".")[0] for t in targets if t.split(".")[0] in names)
+        graph[path.stem] = deps
+    return graph
+
+
+def find_cycle(graph: dict) -> list:
+    """One cycle of ``graph``, its first node repeated last, or [] when there is none."""
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        return exc.args[1]
+    return []
+
+
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_no_function_local_relative_imports(path):
+    assert local_relative_imports(path.read_text()) == []
+
+
+def test_module_imports_are_acyclic():
+    assert find_cycle(import_graph(_MODULES)) == []
 
 
 def test_checker_flags_an_unused_import():
     source = (Path(mm_lab.__file__).parent / "experiments.py").read_text()
     assert unused_imports("import os\n" + source) == [(1, "os")]
     assert unused_imports("from os import path, sep\nprint(sep)\n") == [(1, "path")]
+
+
+def test_checkers_flag_a_local_import_and_a_cycle():
+    source = "import os\n\n\ndef f():\n    from .x import y\n    return y, os\n"
+    assert local_relative_imports(source) == [5]
+    assert local_relative_imports("from .x import y\n") == []
+    cycle = find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}})
+    assert cycle[0] == cycle[-1] and sorted(cycle[1:]) == ["a", "b", "c"]
+    assert find_cycle({"a": {"b"}, "b": set(), "c": {"a", "b"}}) == []

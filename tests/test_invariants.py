@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mm_lab import core, gallery, invariants as inv, mpf
+from mm_lab import batteries, core, gallery, invariants as inv, mpf
 from mm_lab.errors import BadAlpha, BadKappa
 from mm_lab.product import ProductSpec, product
 
@@ -420,6 +420,24 @@ def test_kappa_distance_matches_oracle_random(seed):
     assert got == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_kappa_distance_greedy_is_a_witnessed_lower_bound(seed):
+    # both sides above 16 points: the greedy heuristic answers
+    X = core.random_metric_space(36, seed=seed)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(X.n)
+    A1, A2 = np.sort(perm[:17]), np.sort(perm[17:34])
+    kappa = float(rng.uniform(0.05, 0.3))
+    kd = inv.kappa_distance(X, A1, A2, kappa)
+    assert kd.mode == "heuristic_lb"
+    assert kd.value <= inv._kappa_distance_exact(X, A1, A2, kappa).value + 1e-12
+    b1, b2 = kd.witness
+    assert set(b1) <= set(A1.tolist()) and set(b2) <= set(A2.tolist())
+    assert X.weight[list(b1)].sum() >= kappa - core.MASS_TOL
+    assert X.weight[list(b2)].sum() >= kappa - core.MASS_TOL
+    assert X.dist[np.ix_(b1, b2)].min() == kd.value
+
+
 def test_mcshane_grid_family_members_are_lipschitz():
     X = core.random_metric_space(4, seed=77)
     count = 0
@@ -429,16 +447,16 @@ def test_mcshane_grid_family_members_are_lipschitz():
     assert count > 4
 
 
-@pytest.mark.parametrize("name", inv.BATTERY_NAMES)
+@pytest.mark.parametrize("name", batteries.BATTERY_NAMES)
 def test_each_battery_smoke(name):
-    rep = inv.run_inequality_battery(name, trials=3, seed=123)
+    rep = batteries.run_inequality_battery(name, trials=3, seed=123)
     assert rep.all_pass, [(r.lhs, r.rhs, r.meta) for r in rep.failures]
 
 
 def test_battery_rows_same_across_hash_seeds():
-    src = str(Path(inv.__file__).resolve().parents[1])
-    code = ("from mm_lab import invariants as inv\n"
-            "rep = inv.run_inequality_battery('prok_le_ky', trials=3, seed=7)\n"
+    src = str(Path(batteries.__file__).resolve().parents[1])
+    code = ("from mm_lab import batteries\n"
+            "rep = batteries.run_inequality_battery('prok_le_ky', trials=3, seed=7)\n"
             "print([(r.lhs, r.rhs, r.passed) for r in rep.rows])\n")
     outs = []
     for hash_seed in ("1", "2"):
