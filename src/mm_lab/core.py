@@ -236,7 +236,9 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
         for key in ("dist", "weight"):
             if key not in candidate:
                 raise MMLabError(f"space record has no {key!r}")
-        labels = list(candidate.get("labels", []))
+        labels = candidate.get("labels", [])
+        if not isinstance(labels, (list, tuple)):
+            raise MMLabError(f"space labels are a list, not a {type(labels).__name__}")
         dist = np.asarray(candidate["dist"], dtype=float)
         weight = np.asarray(candidate["weight"], dtype=float)
         coords = candidate.get("coords")
@@ -462,6 +464,8 @@ def space_from_json(obj: dict, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
         if "coords" not in obj:
             raise MMLabError("space record has neither 'dist' nor 'coords'")
         coords = np.asarray(obj["coords"], dtype=float)
+        if coords.ndim != 2:
+            raise MMLabError(f"coords of shape {coords.shape} are not one row per point")
         metric = obj.get("metric", "euclidean")
         diff = coords[:, None, :] - coords[None, :, :]
         chord = np.sqrt((diff * diff).sum(axis=2))
@@ -483,9 +487,17 @@ def save_space(space: FiniteMMSpace, path) -> None:
         json.dump(space_to_json(space), fh)
 
 
+def read_json(path):
+    """The JSON value in a file, or MMLabError naming a file it cannot read."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise MMLabError(f"cannot read {path}: {exc}") from exc
+
+
 def load_space(path, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
-    with open(path) as fh:
-        return space_from_json(json.load(fh), cap=cap)
+    return space_from_json(read_json(path), cap=cap)
 
 
 def random_metric_space(n: int, seed) -> FiniteMMSpace:

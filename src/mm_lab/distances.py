@@ -482,6 +482,14 @@ def _least_domain_eps(gap: np.ndarray, w: np.ndarray, eps_grid=None, left=None):
     return None if eps is None else (eps, domain)
 
 
+def _point_map(p_map, source: FiniteMMSpace, target: FiniteMMSpace) -> np.ndarray:
+    """``p_map`` as one target index per source point, or MMLabError."""
+    p = np.asarray(p_map, dtype=int)
+    if p.shape != (source.n,) or ((p < 0) | (p >= target.n)).any():
+        raise MMLabError("map must assign a target index to every source point")
+    return p
+
+
 def lip_up_to_eps(p_map, source: FiniteMMSpace, target: FiniteMMSpace,
                   eps_grid=None):
     """Smallest (grid) epsilon admitting a mass >= 1 - eps domain on which
@@ -494,9 +502,7 @@ def lip_up_to_eps(p_map, source: FiniteMMSpace, target: FiniteMMSpace,
     most 2 points, as an upper bound onto more.  Returns (inf, all points)
     when no grid epsilon admits a domain.
     """
-    p = np.asarray(p_map, dtype=int)
-    if p.shape != (source.n,):
-        raise MMLabError("map must assign a target index to every source point")
+    p = _point_map(p_map, source, target)
     found = _least_domain_eps(target.dist[np.ix_(p, p)] - source.dist, source.weight,
                               eps_grid, left=(p == 0) if target.n <= 2 else None)
     return found or (math.inf, np.arange(source.n))
@@ -514,59 +520,45 @@ class IsoCertificate:
 def epsilon_mm_iso_search(x: FiniteMMSpace, y: FiniteMMSpace, seed=0) -> IsoCertificate:
     """Search point maps x -> y approximately preserving distances and measure.
 
-    Exhaustive when the map space is tiny, otherwise greedy weight matching
-    plus _ISO_SEARCH_BUDGET random single-point reassignments under the
-    combined objective max(distortion-with-domain, pushforward Prokhorov).
+    The objective is max(distortion-with-domain, pushforward Prokhorov).
+    Exhaustive when there are at most 4096 maps, where the first least map
+    wins; otherwise greedy weight matching followed by _ISO_SEARCH_BUDGET
+    random single-point reassignments, each kept when it lowers the
+    objective by more than 1e-15.
     """
 
-    def pushed(p):
-        v = np.zeros(y.n)
-        np.add.at(v, p, x.weight)
-        return v
-
     def objective(p):
+        pushed = np.zeros(y.n)
+        np.add.at(pushed, p, x.weight)
         e_dist, dom = _least_domain_eps(np.abs(x.dist - y.dist[np.ix_(p, p)]), x.weight)
-        e_prok, _ = prokhorov(y, pushed(p), y.weight, lam=1.0)
-        return max(e_dist, e_prok), e_dist, e_prok, dom
+        e_prok, _ = prokhorov(y, pushed, y.weight, lam=1.0)
+        return IsoCertificate(eps=float(max(e_dist, e_prok)), mapping=p, domain=dom,
+                              eps_distortion=e_dist, eps_prok=e_prok)
 
-    maps = None
     if y.n ** x.n <= 4096:
-        maps = itertools.product(range(y.n), repeat=x.n)
-    if maps is not None:
-        best = None
-        for p in maps:
-            p = np.array(p, dtype=int)
-            tot, e_d, e_p, dom = objective(p)
-            if best is None or tot < best[0]:
-                best = (tot, p, dom, e_d, e_p)
-        tot, p, dom, e_d, e_p = best
-        return IsoCertificate(eps=float(tot), mapping=p, domain=dom,
-                              eps_distortion=e_d, eps_prok=e_p)
+        return min((objective(np.array(p, dtype=int))
+                    for p in itertools.product(range(y.n), repeat=x.n)),
+                   key=lambda cert: cert.eps)
 
-    order = np.argsort(-x.weight, kind="stable")
     capacity = y.weight.copy()
     p = np.zeros(x.n, dtype=int)
-    for i in order:
+    for i in np.argsort(-x.weight, kind="stable"):
         j = int(np.argmax(capacity))
         p[i] = j
         capacity[j] -= x.weight[i]
-    tot, e_d, e_p, dom = objective(p)
+    best = objective(p)
     rng = np.random.default_rng([int(seed) & 0x7FFFFFFF, 55])
-    spent = 0
-    while spent < _ISO_SEARCH_BUDGET:
+    for _ in range(_ISO_SEARCH_BUDGET):
         i = int(rng.integers(0, x.n))
         j = int(rng.integers(0, y.n))
-        if p[i] == j:
-            spent += 1
+        if best.mapping[i] == j:
             continue
-        trial = p.copy()
+        trial = best.mapping.copy()
         trial[i] = j
-        t_tot, t_d, t_p, t_dom = objective(trial)
-        spent += 1
-        if t_tot < tot - 1e-15:
-            p, tot, e_d, e_p, dom = trial, t_tot, t_d, t_p, t_dom
-    return IsoCertificate(eps=float(tot), mapping=p, domain=dom,
-                          eps_distortion=e_d, eps_prok=e_p)
+        cand = objective(trial)
+        if cand.eps < best.eps - 1e-15:
+            best = cand
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +566,10 @@ def epsilon_mm_iso_search(x: FiniteMMSpace, y: FiniteMMSpace, seed=0) -> IsoCert
 
 @dataclass(frozen=True)
 class ConcentrationCertificate:
-    """Evidence that a map transports the Lipschitz class of the source
-    onto the pullback class of a tiny target, in Ky Fan distance."""
+    """How far a map is from collapsing the source onto a tiny target:
+    ``epsilon_prok`` exact, ``epsilon_lip`` exact (an upper bound beyond 16
+    points onto more than 2), ``epsilon_haus`` the largest of the heuristic
+    fits in ``observables``, bounding from neither side, and ``overall``."""
 
     mapping: np.ndarray
     epsilon_lip: float
@@ -588,68 +582,60 @@ class ConcentrationCertificate:
 
 
 def _lip1_target_fit(source: FiniteMMSpace, target: FiniteMMSpace, p: np.ndarray,
-                     f_vals: np.ndarray):
-    """Minimize ky_fan(f, g o p) over 1-Lipschitz g on the target."""
-    m = target.n
-    fibers = [np.nonzero(p == j)[0] for j in range(m)]
-    g = np.empty(m)
+                     f_vals: np.ndarray) -> float:
+    """Ky Fan distance from f to g o p for a 1-Lipschitz g on the target.
+
+    g is the Levy mean of f on each fiber (the median of f on an empty one).
+    The McShane extensions of g and of its lower envelope max_k g_k - d(k, j)
+    are scored, and the first least kept.  Only a one-point target is
+    searched further, on a shrinking grid: on more points each coordinate of
+    a McShane extension already sits at both ends of its Lipschitz window.
+    """
+    every = np.arange(target.n)
     overall = float(np.median(f_vals))
-    for j in range(m):
-        if len(fibers[j]):
-            wj = source.weight[fibers[j]]
-            g[j] = _levy_mean_of_values(f_vals[fibers[j]], wj / wj.sum()).mean
+    g = np.empty(target.n)
+    for j in every:
+        fiber = p == j
+        if fiber.any():
+            wj = source.weight[fiber]
+            g[j] = _levy_mean_of_values(f_vals[fiber], wj / wj.sum()).mean
         else:
             g[j] = overall
-    candidates = [g]
     lower = (g[None, :] - target.dist).max(axis=1)
-    upper = (g[None, :] + target.dist).min(axis=1)
-    candidates.append(np.minimum(g, upper))
-    candidates.append(np.maximum(g, lower))
-    best_g, best = None, np.inf
-
-    def score(gv):
-        return ky_fan(source, f_vals, gv[p])
-
-    for gv in candidates:
-        gv = mcshane_extend(target, np.arange(target.n), gv)
-        s = score(gv)
-        if s < best:
-            best, best_g = s, gv.copy()
+    starts = [mcshane_extend(target, every, v) for v in (g, lower)]
+    best, center = min(((ky_fan(source, f_vals, gv[p]), gv[0]) for gv in starts),
+                       key=lambda sc: sc[0])
+    if target.n > 1:
+        return best
     step = max(best, target.diam / 8, 1e-6)
     for _ in range(3):
         improved = True
         while improved:
             improved = False
-            for j in range(m):
-                lo = (best_g[None, :] - target.dist).max(axis=1)[j] if m > 1 else best_g[j] - step
-                hi = (best_g[None, :] + target.dist).min(axis=1)[j] if m > 1 else best_g[j] + step
-                for cand in np.linspace(max(lo, best_g[j] - step), min(hi, best_g[j] + step), 9):
-                    trial = best_g.copy()
-                    trial[j] = cand
-                    trial = mcshane_extend(target, np.arange(target.n), trial)
-                    s = score(trial)
-                    if s < best - 1e-12:
-                        best, best_g = s, trial
-                        improved = True
+            for c in np.linspace(center - step, center + step, 9):
+                s = ky_fan(source, f_vals, np.full(source.n, c))
+                if s < best - 1e-12:
+                    best, center = s, c
+                    improved = True
         step /= 3.0
-    return best, best_g
+    return best
 
 
 def concentration_certificate(source: FiniteMMSpace, target: FiniteMMSpace,
                               p_map, budget: int = 4000, seed=0) -> ConcentrationCertificate:
-    """Certify how well a map collapses the source onto a tiny target.
+    """Measure how well a map collapses the source onto a tiny target.
 
-    Components: the Prokhorov gap of the pushforward measure, the additive
-    Lipschitz error of the map (which controls how far pulled-back target
-    observables sit from the source class), and a sampled sweep of source
-    observables matched by 1-Lipschitz target functions in Ky Fan distance.
-    The overall epsilon is the worst of the three.
+    The overall epsilon is the largest of three parts: the Prokhorov distance
+    of the pushforward from the target measure (exact); the additive
+    Lipschitz error of the map (:func:`lip_up_to_eps`: exact, an upper bound
+    beyond 16 source points onto more than 2); and the largest Ky Fan
+    distance from a sampled source observable to its heuristic 1-Lipschitz
+    fit on the target (:func:`_lip1_target_fit`), which bounds from neither
+    side.
     """
     if target.n > _CERT_TARGET_BOUND:
         raise TargetTooLarge(f"target has {target.n} > {_CERT_TARGET_BOUND} points")
-    p = np.asarray(p_map, dtype=int)
-    if p.shape != (source.n,):
-        raise MMLabError("map must assign a target index to every source point")
+    p = _point_map(p_map, source, target)
 
     pushed = np.zeros(target.n)
     np.add.at(pushed, p, source.weight)
@@ -659,15 +645,11 @@ def concentration_certificate(source: FiniteMMSpace, target: FiniteMMSpace,
 
     n_obs = max(8, min(40, budget // 100))
     pool = _candidate_observables(source, n_obs, seed)
-    evidence = []
-    eps_haus = 0.0
-    for f_vals in pool:
-        best, _g = _lip1_target_fit(source, target, p, f_vals)
-        evidence.append(float(best))
-        eps_haus = max(eps_haus, best)
+    evidence = tuple(float(_lip1_target_fit(source, target, p, f)) for f in pool)
+    eps_haus = max(evidence, default=0.0)
     overall = max(eps_lip, eps_prok, eps_haus)
     return ConcentrationCertificate(
         mapping=p, epsilon_lip=float(eps_lip), lip_domain=domain,
         epsilon_prok=float(eps_prok), epsilon_haus=float(eps_haus),
-        overall=float(overall), observables=tuple(evidence),
+        overall=float(overall), observables=evidence,
         meta={"seed": seed, "budget": budget, "samples": len(pool)})

@@ -7,10 +7,7 @@ that realize the transformed-metric collapse of non-isotone families.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -32,44 +29,18 @@ class SphereSample:
     space: FiniteMMSpace
 
 
-def _sphere_points(n: int, r: float, N: int, seed) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(N, n + 1))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    return r * g
-
-
 def sample_sphere(n: int, r: float, N: int, metric: str = "chordal",
-                  seed: int = 0, cache: bool = True) -> SphereSample:
+                  seed: int = 0) -> SphereSample:
     """Uniform i.i.d. sample of the n-sphere of radius r with 1/N weights.
 
-    Gaussian normalization gives uniformity; samples are memoized under
-    MML_CACHE_DIR keyed by every parameter.
+    Gaussian normalization gives uniformity.
     """
     if n < 1 or N < 2:
         raise MMLabError("need dimension >= 1 and at least 2 samples")
     if metric not in ("chordal", "geodesic"):
         raise MMLabError(f"unknown sphere metric {metric!r}")
-    pts = None
-    cache_file = None
-    cache_dir = os.environ.get("MML_CACHE_DIR") if cache else None
-    if cache_dir:
-        cache_file = Path(cache_dir) / f"sphere_n{n}_r{r!r}_N{N}_seed{seed}.npy"
-        if cache_file.exists():
-            pts = np.load(cache_file)
-    if pts is None:
-        pts = _sphere_points(n, r, N, seed)
-        if cache_file is not None:
-            cache_file.parent.mkdir(parents=True, exist_ok=True)
-            # write a private file, then rename it: readers never see a partial file
-            fd, tmp = tempfile.mkstemp(dir=cache_file.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    np.save(fh, pts)
-                os.replace(tmp, cache_file)
-            except BaseException:
-                os.unlink(tmp)
-                raise
+    g = np.random.default_rng(seed).normal(size=(N, n + 1))
+    pts = r * (g / np.linalg.norm(g, axis=1, keepdims=True))
     dist = sphere_distances(pts, r, metric)
     space = validate_space({
         "labels": [f"s{i}" for i in range(N)],

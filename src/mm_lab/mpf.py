@@ -65,7 +65,7 @@ class PhiSpec:
             return np.sqrt(y + 1.0) - 1.0
         if self.name == "piecewise":
             return _piecewise_inverse(self, y)
-        return _bisect_inverse(self, y)
+        raise MMLabError(f"unknown generator {self.name!r}")
 
 
 def _segment_inverse(seg, y):

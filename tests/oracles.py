@@ -695,3 +695,58 @@ def cut_domain_eps_bisect(gap, w, grid=None, left=None, flow_scale=10 ** 9):
 
     _, (eps, cover) = first_fit_bisect(cands, least)
     return eps, np.nonzero(~cover)[0], len(solves)
+
+
+def lip1_target_fit_loop(source, target, p, f_vals):
+    """Ky Fan target fit with a coordinate search on every target.
+
+    Scores the McShane extensions of g, of min(g, upper envelope) and of
+    max(g, lower envelope), then moves one coordinate at a time over nine
+    points of its Lipschitz window while a move gains more than 1e-12, three
+    times with a shrinking step.  Returns the least Ky Fan distance found.
+    """
+    from mm_lab.core import mcshane_extend
+    from mm_lab.distances import ky_fan
+    from mm_lab.invariants import _levy_mean_of_values
+
+    m = target.n
+    fibers = [np.nonzero(p == j)[0] for j in range(m)]
+    g = np.empty(m)
+    overall = float(np.median(f_vals))
+    for j in range(m):
+        if len(fibers[j]):
+            wj = source.weight[fibers[j]]
+            g[j] = _levy_mean_of_values(f_vals[fibers[j]], wj / wj.sum()).mean
+        else:
+            g[j] = overall
+    lower = (g[None, :] - target.dist).max(axis=1)
+    upper = (g[None, :] + target.dist).min(axis=1)
+    candidates = [g, np.minimum(g, upper), np.maximum(g, lower)]
+    best_g, best = None, np.inf
+
+    def score(gv):
+        return ky_fan(source, f_vals, gv[p])
+
+    for gv in candidates:
+        gv = mcshane_extend(target, np.arange(m), gv)
+        s = score(gv)
+        if s < best:
+            best, best_g = s, gv.copy()
+    step = max(best, target.diam / 8, 1e-6)
+    for _ in range(3):
+        improved = True
+        while improved:
+            improved = False
+            for j in range(m):
+                lo = (best_g[None, :] - target.dist).max(axis=1)[j] if m > 1 else best_g[j] - step
+                hi = (best_g[None, :] + target.dist).min(axis=1)[j] if m > 1 else best_g[j] + step
+                for cand in np.linspace(max(lo, best_g[j] - step), min(hi, best_g[j] + step), 9):
+                    trial = best_g.copy()
+                    trial[j] = cand
+                    trial = mcshane_extend(target, np.arange(m), trial)
+                    s = score(trial)
+                    if s < best - 1e-12:
+                        best, best_g = s, trial
+                        improved = True
+        step /= 3.0
+    return best

@@ -36,13 +36,52 @@ def test_space_validate_round_trip(tmp_path, space_file):
     ({"labels": ["a", "b"], "weight": [0.5, 0.5]}, "'coords'"),
     ({"dist": [[0.0, 1.0], [1.0, 0.0]]}, "'weight'"),
     ([[0.0, 1.0], [1.0, 0.0]], "list"),
-], ids=["no-radius", "no-dist-or-coords", "no-weight", "top-level-list"])
+    ({"coords": [1.0, 2.0], "weight": [0.5, 0.5]}, "coords"),
+    ({"labels": 5, "dist": [[0.0, 1.0], [1.0, 0.0]], "weight": [0.5, 0.5]}, "labels"),
+], ids=["no-radius", "no-dist-or-coords", "no-weight", "top-level-list", "1d-coords",
+        "labels-not-list"])
 def test_space_validate_reports_malformed_file(tmp_path, capsys, record, missing):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(record))
     assert main(["space", "validate", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and missing in err
+
+
+@pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not-json"])
+@pytest.mark.parametrize("flag", ["space", "measure", "map"])
+def test_unreadable_input_file_is_an_error(tmp_path, space_file, capsys, flag, text):
+    bad = tmp_path / "bad.json"
+    if text is not None:
+        bad.write_text(text)
+    argv = {
+        "space": ["space", "validate", "--in", str(bad)],
+        "measure": ["dist", "kyfan", "--space", str(space_file), "--f", str(bad),
+                    "--g", str(bad)],
+        "map": ["cert", "--source", str(space_file), "--target", str(space_file),
+                "--map", str(bad)],
+    }[flag]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+
+
+@pytest.mark.parametrize("index", [-1, 4], ids=["negative", "past-the-end"])
+def test_map_index_outside_the_target_is_an_error(tmp_path, space_file, capsys, index):
+    bad = tmp_path / "map.json"
+    bad.write_text(json.dumps([0, 1, 2, index]))
+    argv = ["cert", "--source", str(space_file), "--target", str(space_file), "--map", str(bad)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: map must assign a target index")
+
+
+def test_measure_object_without_weight_is_an_error(tmp_path, space_file, capsys):
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps({"mass": [0.25] * 4}))
+    argv = ["dist", "prok", "--space", str(space_file), "--mu", str(mu), "--nu", str(mu)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'weight'" in err
 
 
 def test_mpf_check_and_defect(tmp_path, capsys):
@@ -54,6 +93,16 @@ def test_mpf_check_and_defect(tmp_path, capsys):
     assert out.exists()
     text = capsys.readouterr().out
     assert "sup defect" in text
+
+
+def test_mpf_show_and_unary_defect_csv(tmp_path, capsys):
+    assert main(["mpf", "show", "--fn", "fp:2"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"kind": "lp", "arity": 2, "p": 2.0}
+    out = tmp_path / "defect.csv"
+    assert main(["mpf", "defect", "--fn", "h1", "--D", "2", "--h", "0.25", "-o", str(out)]) == 0
+    assert capsys.readouterr().out == "h1: sup defect 1 on [0,2.0]^1 (h=0.25, probe=16.0)\n"
+    rows = out.read_text().splitlines()
+    assert rows[:2] == ["s,defect", "0,0"] and len(rows) == 1 + 9
 
 
 def test_mpf_classify(capsys):
@@ -92,6 +141,39 @@ def test_product_transform_invariant_dist(tmp_path, space_file, capsys):
 
     assert main(["dist", "box", "--x", str(two), "--y", str(two)]) == 0
     assert "box = 0" in capsys.readouterr().out
+
+
+def test_invariant_pd_conc_lm_and_dist_kyfan(tmp_path, capsys):
+    four = tmp_path / "four.json"
+    assert main(["gallery", "four-point", "-o", str(four)]) == 0
+    assert capsys.readouterr().out == ""
+    assert core.load_space(four).labels == ("z00", "z10", "z01", "z11")
+    for what, line in (("pd", "pd of anchor observable at alpha=0.5: 0"),
+                       ("conc", "alpha(1.0) in [0.5, 0.5] [exact]"),
+                       ("lm", "levy mean of anchor observable: 1 (medians [1, 1])")):
+        assert main(["invariant", what, "--space", str(four)]) == 0
+        assert capsys.readouterr().out == line + "\n", what
+    f, g = tmp_path / "f.json", tmp_path / "g.json"
+    f.write_text(json.dumps([0.0, 1.0, 2.0, 3.0]))
+    g.write_text(json.dumps({"weight": [0.0, 1.0, 2.0, 2.5]}))
+    assert main(["dist", "kyfan", "--space", str(four), "--f", str(f), "--g", str(g)]) == 0
+    assert capsys.readouterr().out == "ky_fan = 0.25\n"
+
+
+def test_gallery_sphere_example51_counterexample2(tmp_path, capsys):
+    sph = tmp_path / "sph.json"
+    assert main(["gallery", "sphere", "--n", "2", "--N", "20", "-o", str(sph)]) == 0
+    assert capsys.readouterr().out == f"sphere sample: dim 2, 20 points -> {sph}\n"
+    assert core.load_space(sph).n == 20
+    glued = tmp_path / "glued"
+    assert main(["gallery", "example51", "--n", "2", "--N", "12", "-o", str(glued)]) == 0
+    assert capsys.readouterr().out == f"glued space (15 points) and limit -> {glued}/\n"
+    assert sorted(p.name for p in glued.iterdir()) == ["glued.json", "limit.json", "map.json"]
+    planar = tmp_path / "planar"
+    assert main(["gallery", "counterexample2", "--fn", "dip", "--s", "1", "--t", "1",
+                 "--sn", "2", "--tn", "2", "--n", "3", "--N", "4", "-o", str(planar)]) == 0
+    assert capsys.readouterr().out == f"planar collapse bundle -> {planar}/\n"
+    assert core.load_space(planar / "limit.json").n == 4
 
 
 def test_dist_box_bound(tmp_path, capsys):
@@ -205,14 +287,3 @@ def test_scipy_loads_on_the_first_flow_solve_only():
                          text=True, timeout=120, check=True)
     lines = run.stdout.splitlines()
     assert [lines[0], lines[2], lines[3]] == ["False", "False", "True"], run.stdout
-
-
-def test_sphere_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("MML_CACHE_DIR", str(tmp_path / "cache"))
-    from mm_lab.gallery import sample_sphere
-    a = sample_sphere(3, 1.0, 30, seed=2)
-    b = sample_sphere(3, 1.0, 30, seed=2)
-    names = [p.name for p in (tmp_path / "cache").iterdir()]
-    assert len(names) == 1 and names[0].endswith(".npy"), names
-    assert np.array_equal(a.space.coords, b.space.coords)
-    assert np.array_equal(a.space.dist, b.space.dist)

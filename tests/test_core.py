@@ -362,7 +362,7 @@ def test_lip1_screen_sends_zero_distance_splits_to_the_inf_path():
 
 
 def test_lip1_screen_passes_chordal_sphere_directions():
-    sph = gallery.sample_sphere(6, 1.0, 300, metric="chordal", seed=2, cache=False).space
+    sph = gallery.sample_sphere(6, 1.0, 300, metric="chordal", seed=2).space
     rng = np.random.default_rng(2)
     dirs = np.vstack([np.eye(7), rng.normal(size=(20, 7))])
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

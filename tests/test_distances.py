@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import maximum_flow
 
-from mm_lab import batteries, core, distances as dst, invariants as inv, mpf
-from mm_lab.errors import NotRational, TooLarge
+from mm_lab import batteries, core, distances as dst, gallery, invariants as inv, mpf
+from mm_lab.errors import MMLabError, NotRational, TooLarge
 
 from oracles import (
     _min_cover_mass_bnb,
@@ -15,6 +15,7 @@ from oracles import (
     cut_domain_eps_bisect,
     first_fit_bisect,
     ky_fan_loop,
+    lip1_target_fit_loop,
     lip_domain_subset_loop,
     lip_eps_candidate_scan,
     min_cut_single,
@@ -489,10 +490,83 @@ def test_epsilon_mm_iso_search():
         assert box <= 3 * cert3.eps + 1e-9
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_iso_search_walk_keeps_its_objective_and_brackets_the_box(seed):
+    # 4^7 maps is past the exhaustive branch: a greedy start, then the walk
+    X = _rational_space(7, 8, seed)
+    Y = _rational_space(4, 8, seed + 50)
+    assert Y.n ** X.n > 4096
+    cert = dst.epsilon_mm_iso_search(X, Y, seed=seed)
+    p = cert.mapping
+    e_dist, dom = dst._least_domain_eps(np.abs(X.dist - Y.dist[np.ix_(p, p)]), X.weight)
+    pushed = np.zeros(Y.n)
+    np.add.at(pushed, p, X.weight)
+    e_prok, _ = dst.prokhorov(Y, pushed, Y.weight)
+    assert (cert.eps_distortion, cert.eps_prok) == (e_dist, e_prok)
+    assert cert.eps == max(e_dist, e_prok)
+    assert np.array_equal(cert.domain, dom)
+    lower, upper = dst.box_distance(X, Y, mode="bound", seed=seed)
+    exact = dst.box_distance(X, Y, mode="exact_tiny")
+    assert upper == 3.0 * cert.eps
+    assert lower <= exact + 1e-12 and exact <= upper + 1e-12, (lower, exact, upper)
+
+
+@st.composite
+def _fit_cases(draw):
+    """A source of 1-12 points, a target of 1-6 points, random or on a line,
+    a map that may leave fibers empty, and observables on the source."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 10**6))
+    X = core.random_metric_space(n, seed=seed)
+    if draw(st.booleans()):
+        x = np.sort(np.random.default_rng(seed).random(m) * 3.0)
+        Y = core.validate_space({"dist": np.abs(x[:, None] - x[None, :]),
+                                 "weight": np.full(m, 1.0 / m)})
+    else:
+        Y = core.random_metric_space(m, seed=seed + 1)
+    hit = draw(st.integers(1, m))  # fibers hit + 1 .. m stay empty
+    p = np.array(draw(st.lists(st.integers(0, hit - 1), min_size=n, max_size=n)), dtype=int)
+    pool = list(inv._candidate_observables(X, 4, seed))
+    pool.append(np.random.default_rng(seed).normal(size=n) * X.diam)
+    return X, Y, p, pool
+
+
+@settings(max_examples=100)
+@given(_fit_cases())
+def test_lip1_target_fit_matches_coordinate_search_oracle(case):
+    X, Y, p, pool = case
+    for f in pool:
+        assert dst._lip1_target_fit(X, Y, p, f) == lip1_target_fit_loop(X, Y, p, f)
+
+
+def test_certificate_fit_scores_two_starts_per_observable(monkeypatch):
+    b = gallery.build_counterexample_1dim(lambda k: mpf.builtin("h1"), 2.0, 3.0,
+                                          n=6, N=40, seed=3)
+    calls = []
+    real_ky_fan = dst.ky_fan
+
+    def counted(*args):
+        calls.append(args)
+        return real_ky_fan(*args)
+
+    monkeypatch.setattr(dst, "ky_fan", counted)
+    cert = dst.concentration_certificate(b.transformed, b.limit_space, b.p_map,
+                                         budget=600, seed=3)
+    monkeypatch.undo()
+    k = cert.meta["samples"]
+    # onto a two-point target no coordinate search runs
+    assert b.limit_space.n == 2 and len(calls) == 2 * k
+    pool = inv._candidate_observables(b.transformed, k, 3)
+    assert cert.observables == tuple(
+        float(lip1_target_fit_loop(b.transformed, b.limit_space, b.p_map, f)) for f in pool)
+
+
 def test_lip_up_to_eps():
     X = core.random_metric_space(5, seed=31)
     eps, dom = dst.lip_up_to_eps(np.arange(5), X, X)
     assert eps == 0.0 and len(dom) == 5
+    with pytest.raises(MMLabError, match="target index"):
+        dst.lip_up_to_eps([-1, 0, 1, 2, 3], X, X)  # no index wraps around
 
     one = core.validate_space({"labels": ["z"], "dist": [[0.0]], "weight": [1.0]})
     eps1, _ = dst.lip_up_to_eps(np.zeros(5, dtype=int), X, one)

@@ -169,10 +169,10 @@ def _heuristic_cases():
     cases = []
     for metric in ("chordal", "geodesic"):
         for n in (2, 16):
-            sph = gallery.sample_sphere(n, 1.0, 600, metric=metric, seed=3, cache=False)
+            sph = gallery.sample_sphere(n, 1.0, 600, metric=metric, seed=3)
             cases.append((f"{metric} n={n}", sph.space, 20_000))
     cases.append(("local search", core.random_metric_space(120, seed=8), 3000))
-    sph = gallery.sample_sphere(4, 1.0, 450, metric="geodesic", seed=4, cache=False)
+    sph = gallery.sample_sphere(4, 1.0, 450, metric="geodesic", seed=4)
     bare = core.validate_space({"dist": sph.space.dist, "weight": sph.space.weight})
     cases.append(("no coordinates", bare, 8000))
     # 2^7 points whose distances take 7 values: many cones tie within 1e-12
@@ -194,7 +194,7 @@ def test_heuristic_od_matches_loop_oracle():
 def test_heuristic_od_witness_owns_its_values():
     # ranked from views of the pool, the winner is copied out: an ODEstimate
     # must not keep the whole pool alive
-    sph = gallery.sample_sphere(4, 1.0, 450, metric="chordal", seed=4, cache=False).space
+    sph = gallery.sample_sphere(4, 1.0, 450, metric="chordal", seed=4).space
     for X in (sph, core.random_metric_space(40, seed=2)):
         _, values, _ = inv._od_heuristic(X, 0.1, 4000, seed=7)
         assert values.base is None
@@ -257,7 +257,7 @@ def test_heuristic_od_certifies_only_the_witness(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(core, "lip_constant", counted)
-    sph = gallery.sample_sphere(8, 1.0, 500, metric="chordal", seed=5, cache=False)
+    sph = gallery.sample_sphere(8, 1.0, 500, metric="chordal", seed=5)
     inv.observable_diameter(sph.space, 0.1, mode="heuristic_lb", budget=4000, seed=5)
     assert len(calls) == 1
 
@@ -330,7 +330,7 @@ def _tail_boundary_kappas(row, weights):
 
 
 def test_levy_radius_of_rows_matches_values():
-    X = gallery.sample_sphere(8, 1.0, 1000, metric="chordal", seed=3, cache=False).space
+    X = gallery.sample_sphere(8, 1.0, 1000, metric="chordal", seed=3).space
     pool = inv._candidate_observables(X, 300, seed=0)
     # most rows take the row-wise path, not the per-row fallback
     assert (np.diff(np.sort(pool, axis=1), axis=1) > 1e-12).all(axis=1).sum() > 150
