@@ -11,11 +11,17 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .batteries import BATTERY_NAMES, run_inequality_battery
-from .core import BATTERY_TOL, as_lip, load_space, pushforward, read_json, save_space
+from .core import (
+    BATTERY_TOL,
+    _numbers,
+    as_lip,
+    load_space,
+    pushforward,
+    read_json,
+    save_space,
+)
 from .distances import box_distance, concentration_certificate, ky_fan, prokhorov
 from .errors import MMLabError
 from .experiments import SUITES, ExperimentSpec, run_suite, write_csv
@@ -56,7 +62,7 @@ def _load_measure(path, space):
         if "weight" not in data:
             raise MMLabError(f"{path}: measure object has no 'weight'")
         data = data["weight"]
-    v = np.asarray(data, dtype=float)
+    v = _numbers(data, f"measure in {path}")
     if v.shape != (space.n,):
         raise MMLabError(f"measure of shape {v.shape} on a {space.n}-point space")
     return v

@@ -168,16 +168,54 @@ def _triangle_pivots(d: np.ndarray, tol: float):
     return np.flatnonzero((cheb > np.minimum(d, d.T) + (tol - margin)).any(axis=1))
 
 
+def _triplet_draws(n: int):
+    """Points i, j, k of the fixed sample of _SAMPLED_TRIANGLE_COUNT triplets, in draw order."""
+    rng = np.random.default_rng(0)
+    dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    return [rng.integers(0, n, _SAMPLED_TRIANGLE_COUNT).astype(dtype) for _ in range(3)]
+
+
+def _flat_triplets(n: int, i, j, k):
+    """Flat indices (i*n + k, i*n + j, j*n + k), built in place over i and j."""
+    i *= n
+    ik = i + k
+    i += j
+    j *= n
+    j += k
+    return [ik, i, j]
+
+
 @functools.lru_cache(maxsize=2)
 def _sampled_triplets(n: int):
-    """Flat indices (i*n + k, i*n + j, j*n + k) of the fixed triplet sample on n points."""
-    rng = np.random.default_rng(0)
-    m = _SAMPLED_TRIANGLE_COUNT
-    i = rng.integers(0, n, m)
-    j = rng.integers(0, n, m)
-    k = rng.integers(0, n, m)
-    dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-    return tuple(_readonly((a * n + b).astype(dtype)) for a, b in ((i, k), (i, j), (j, k)))
+    """Flat indices of the fixed triplet sample on n points, stably sorted by row i.
+
+    Sorted, the gathers of d[i, k] and d[i, j] walk the matrix row by row
+    instead of jumping about it.  The sort key is the smallest unsigned type
+    holding n - 1, which numpy radix-sorts up to 65536 points.
+    """
+    i, j, k = _triplet_draws(n)
+    order = np.argsort(i.astype(np.min_scalar_type(n - 1)), kind="stable")
+    flat = _flat_triplets(n, i, j, k)
+    # free k before the gathers, which keeps the build's peak near 50 MB at n = 1000
+    del i, j, k
+    for t in range(3):
+        flat[t] = _readonly(flat[t][order])
+    return tuple(flat)
+
+
+def _max_slack(flat: np.ndarray, ik, ij, jk):
+    """Largest d[i, k] - d[i, j] - d[j, k] over the flat triplets, and its first position.
+
+    The largest slack is the same float in any order of the triplets.
+    """
+    best, at = -np.inf, -1
+    for lo in range(0, len(ik), _TRIANGLE_CHUNK):
+        part = slice(lo, lo + _TRIANGLE_CHUNK)
+        slack = flat.take(ik[part]) - flat.take(ij[part]) - flat.take(jk[part])
+        w = int(np.argmax(slack))
+        if slack[w] > best:
+            best, at = float(slack[w]), lo + w
+    return best, at
 
 
 def _triangle_check(d: np.ndarray, tol: float):
@@ -192,9 +230,11 @@ def _triangle_check(d: np.ndarray, tol: float):
     the same one, with the same slack bits, as a sweep over every pivot.
 
     Beyond that size a fixed sample of _SAMPLED_TRIANGLE_COUNT triplets,
-    drawn once per n, is scored in chunks; it falsifies but does not certify,
-    and the witness is the first triplet of largest slack.  Entries must be
-    finite.
+    drawn once per n, is scored in chunks; it falsifies but does not
+    certify.  The memoised sample is sorted by row, which gives the largest
+    slack but not the draw order; only when that slack exceeds tol is the
+    sample drawn again, unsorted and not memoised, and the witness is its
+    first triplet of largest slack in draw order.  Entries must be finite.
     """
     n = d.shape[0]
     if n <= _EXHAUSTIVE_TRIANGLE_N:
@@ -207,18 +247,20 @@ def _triangle_check(d: np.ndarray, tol: float):
                 return int(i), int(j), int(k), float(slack[i, k])
         return None
     flat = d.ravel()
-    ik, ij, jk = _sampled_triplets(n)
-    best, at = -np.inf, -1
-    for lo in range(0, len(ik), _TRIANGLE_CHUNK):
-        part = slice(lo, lo + _TRIANGLE_CHUNK)
-        slack = flat.take(ik[part]) - flat.take(ij[part]) - flat.take(jk[part])
-        w = int(np.argmax(slack))
-        if slack[w] > best:
-            best, at = float(slack[w]), lo + w
-    if best > tol:
-        i, k = divmod(int(ik[at]), n)
-        return i, int(ij[at]) % n, k, best
-    return None
+    if _max_slack(flat, *_sampled_triplets(n))[0] <= tol:
+        return None
+    ik, ij, jk = _flat_triplets(n, *_triplet_draws(n))
+    best, at = _max_slack(flat, ik, ij, jk)
+    i, k = divmod(int(ik[at]), n)
+    return i, int(ij[at]) % n, k, best
+
+
+def _numbers(value, what: str, dtype=float) -> np.ndarray:
+    """``np.asarray(value, dtype)``, or MMLabError naming ``what`` if that fails."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise MMLabError(f"{what} is not an array of numbers: {exc}") from exc
 
 
 def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
@@ -239,11 +281,11 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
         labels = candidate.get("labels", [])
         if not isinstance(labels, (list, tuple)):
             raise MMLabError(f"space labels are a list, not a {type(labels).__name__}")
-        dist = np.asarray(candidate["dist"], dtype=float)
-        weight = np.asarray(candidate["weight"], dtype=float)
+        dist = _numbers(candidate["dist"], "space dist")
+        weight = _numbers(candidate["weight"], "space weight")
         coords = candidate.get("coords")
         if coords is not None:
-            coords = np.asarray(coords, dtype=float)
+            coords = _numbers(coords, "space coords")
     else:
         raise MMLabError(f"a space record is an object, not a {type(candidate).__name__}")
 
@@ -463,7 +505,7 @@ def space_from_json(obj: dict, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
     if isinstance(obj, dict) and "dist" not in obj:
         if "coords" not in obj:
             raise MMLabError("space record has neither 'dist' nor 'coords'")
-        coords = np.asarray(obj["coords"], dtype=float)
+        coords = _numbers(obj["coords"], "space coords")
         if coords.ndim != 2:
             raise MMLabError(f"coords of shape {coords.shape} are not one row per point")
         metric = obj.get("metric", "euclidean")
@@ -474,7 +516,10 @@ def space_from_json(obj: dict, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
         elif metric == "geodesic_sphere":
             if "radius" not in obj:
                 raise MMLabError("metric 'geodesic_sphere' needs a 'radius'")
-            r = float(obj["radius"])
+            try:
+                r = float(obj["radius"])
+            except (TypeError, ValueError) as exc:
+                raise MMLabError(f"space radius {obj['radius']!r} is not a number") from exc
             dist = 2.0 * r * np.arcsin(np.clip(chord / (2.0 * r), 0.0, 1.0))
         else:
             raise MMLabError(f"unknown derived metric {metric!r}")

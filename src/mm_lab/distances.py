@@ -21,6 +21,7 @@ from .core import (
     FiniteMMSpace,
     LipFunction,
     RealDistribution,
+    _numbers,
     _subset_table,
     mcshane_extend,
     tail_mass,
@@ -484,7 +485,7 @@ def _least_domain_eps(gap: np.ndarray, w: np.ndarray, eps_grid=None, left=None):
 
 def _point_map(p_map, source: FiniteMMSpace, target: FiniteMMSpace) -> np.ndarray:
     """``p_map`` as one target index per source point, or MMLabError."""
-    p = np.asarray(p_map, dtype=int)
+    p = _numbers(p_map, "map", dtype=int)
     if p.shape != (source.n,) or ((p < 0) | (p >= target.n)).any():
         raise MMLabError("map must assign a target index to every source point")
     return p

@@ -38,8 +38,12 @@ def test_space_validate_round_trip(tmp_path, space_file):
     ([[0.0, 1.0], [1.0, 0.0]], "list"),
     ({"coords": [1.0, 2.0], "weight": [0.5, 0.5]}, "coords"),
     ({"labels": 5, "dist": [[0.0, 1.0], [1.0, 0.0]], "weight": [0.5, 0.5]}, "labels"),
+    ({"dist": [[0.0, 1.0], [1.0]], "weight": [0.5, 0.5]}, "space dist"),
+    ({"dist": [[0.0, "one"], ["one", 0.0]], "weight": [0.5, 0.5]}, "space dist"),
+    ({"coords": [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], "weight": [0.5, 0.5],
+      "metric": "geodesic_sphere", "radius": "x"}, "radius"),
 ], ids=["no-radius", "no-dist-or-coords", "no-weight", "top-level-list", "1d-coords",
-        "labels-not-list"])
+        "labels-not-list", "ragged-dist", "non-numeric-dist", "non-numeric-radius"])
 def test_space_validate_reports_malformed_file(tmp_path, capsys, record, missing):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(record))
@@ -73,6 +77,25 @@ def test_map_index_outside_the_target_is_an_error(tmp_path, space_file, capsys, 
     argv = ["cert", "--source", str(space_file), "--target", str(space_file), "--map", str(bad)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: map must assign a target index")
+
+
+@pytest.mark.parametrize("what", ["kyfan", "prok"])
+def test_non_numeric_measure_is_an_error(tmp_path, space_file, capsys, what):
+    bad = tmp_path / "mu.json"
+    bad.write_text(json.dumps(["x", 0.5, 0.25, 0.25]))
+    flags = {"kyfan": ("--f", "--g"), "prok": ("--mu", "--nu")}[what]
+    argv = ["dist", what, "--space", str(space_file), flags[0], str(bad), flags[1], str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: measure in ") and str(bad) in err
+
+
+def test_map_object_is_an_error(tmp_path, space_file, capsys):
+    bad = tmp_path / "map.json"
+    bad.write_text(json.dumps({"0": 0, "1": 1, "2": 2, "3": 3}))
+    argv = ["cert", "--source", str(space_file), "--target", str(space_file), "--map", str(bad)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: map is not an array of numbers")
 
 
 def test_measure_object_without_weight_is_an_error(tmp_path, space_file, capsys):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,42 @@ def test_sampled_triangle_check_matches_loop(n, case):
     got = core._triangle_check(d, core.METRIC_TOL)
     assert got == triangle_check_sampled_loop(d, core.METRIC_TOL)
     assert (got is None) == (case in ("clean", "below_tol"))
+
+
+def test_sampled_triangle_witness_is_first_in_draw_order():
+    # on the all-ones metric every slack is at most 0; stretching two disjoint
+    # pairs to 3 gives slack 1 to every sampled triplet (a, j, b) with {a, b}
+    # one of them, and the pair met first in draw order has the larger rows
+    n = 1000
+    rng = np.random.default_rng(0)
+    i, j, k = (rng.integers(0, n, 2_000_000) for _ in range(3))
+    distinct = (i != j) & (j != k) & (i != k)
+    p = int(np.flatnonzero(distinct & (i >= 900) & (k >= 900))[0])
+    q = int(np.flatnonzero(distinct & (i < 100) & (k < 100) & (np.arange(len(i)) > p))[0])
+    d = np.ones((n, n)) - np.eye(n)
+    for t in (p, q):
+        d[i[t], k[t]] = d[k[t], i[t]] = 3.0
+    pairs = {frozenset((i[t], k[t])) for t in (p, q)}
+    tied = [t for t in np.flatnonzero(distinct & ((i < 100) | (i >= 900)))
+            if frozenset((i[t], k[t])) in pairs and j[t] not in (i[t], k[t])]
+    row_first = min(tied, key=lambda t: (i[t], t))
+    want = triangle_check_sampled_loop(d, core.METRIC_TOL)
+    assert want == (int(i[tied[0]]), int(j[tied[0]]), int(k[tied[0]]), 1.0)
+    assert want[:3] != (i[row_first], j[row_first], k[row_first])
+    assert core._triangle_check(d, core.METRIC_TOL) == want
+
+
+def test_sampled_triplets_build_peak_and_row_order():
+    core._sampled_triplets.cache_clear()
+    tracemalloc.start()
+    try:
+        ik, ij, jk = core._sampled_triplets(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 70e6
+    assert (np.diff(ik // 1000) >= 0).all() and (ik // 1000 == ij // 1000).all()
+    assert (ij % 1000 == jk // 1000).all() and (ik % 1000 == jk % 1000).all()
 
 
 def test_sampled_triplets_drawn_once_per_size():

@@ -210,13 +210,33 @@ def test_candidate_pool_matches_loop_oracle():
         (X, 200), (X, 41), (bare, 200),
         # fewer rows than anchors: the pool is the first anchors alone
         (X, 20), (core.random_metric_space(12, seed=5), 8),
+        # a sphere_od pool: 2468 cones on 1000 points
+        (gallery.sample_sphere(5, 1.0, 1000, metric="chordal", seed=7).space, 5000),
     ]
+    # every size from one point, whose cones draw no anchor index, to 40
+    cases += [(core.random_metric_space(n, seed=n), 120) for n in range(1, 41)]
     for space, count in cases:
         for seed in (0, 7):
             pool = inv._candidate_observables(space, count, seed)
             want = np.array(candidate_pool_loop(space, count, seed))
             assert pool.shape == want.shape, (space.n, count)
             assert pool.tobytes() == want.tobytes(), (space.n, count)
+
+
+def test_cone_draws_match_numpy_generators():
+    # numpy does not promise Generator streams across versions (NEP 19), so
+    # the vectorised draws are pinned to the installed numpy; in the ranges
+    # 3 * 2**30 and 2**31 + 1 a quarter and a half of the Lemire draws reject
+    ks = np.concatenate([np.arange(120), [2**16, 2**31 - 1, 2**32 - 1]])
+    for key in (0, 1, 2**31 - 1):
+        for n in (1, 2, 3, 7, 1000, 2**31 + 1, 3 * 2**30):
+            for arity in (1, 2, 3):
+                a, c = inv._cone_draws(ks, key, n, arity, 1.75)
+                for r, k in enumerate(ks):
+                    sub = np.random.default_rng([key, 202, int(k)])
+                    assert a[r].tobytes() == sub.integers(0, n, arity).tobytes(), (key, n, k)
+                    assert c[r].tobytes() == (sub.random(arity) * 1.75).tobytes(), (key, n, k)
+
 
 
 def test_pd_of_rows_falls_back_on_merged_atoms():
