@@ -623,6 +623,9 @@ class DefectReport:
 
     ``table`` holds I on the grid of [0, D]^arity and ``sup_defect`` its sup;
     ``sup_probe`` is the sup of I over the whole probe grid, [0, probe]^arity.
+    For an ``add_f`` descriptor f_1(s_1) + f_2(s_2) the defect splits as
+    I_1(s_1) + I_2(s_2), and all three fields are sums of the parts' 1-D
+    reports.
     """
 
     D: float
@@ -690,10 +693,13 @@ def _polish_local_minima(F: MPF, grid: np.ndarray, vals: np.ndarray) -> tuple:
     grid value and polished value, so ``vals[cells] = values`` overlays the
     polish.  Piecewise-linear gallery descriptors attain quadrant infima at
     breakpoints or plateau edges, which the polish localizes; for custom
-    descriptors it is approximate.  All cells advance together, one eval_mpf
-    call per iteration: in 1-D a 40-step search, then min(f(x), f(lo),
-    f(hi)); in 2-D two rounds of coordinate descent, a 24-step sweep over
-    every x, then one over every y.
+    descriptors it is approximate.  Every bracket starts at its cell and
+    runs one step up, so a polished value is attained at or above the cell
+    and belongs in the infimum over its upper quadrant.  All cells advance
+    together, one eval_mpf call per iteration: in 1-D a 40-step search on
+    [x, x + h], then min(f(x*), f(x), f(x + h)); in 2-D two rounds of
+    coordinate descent, a 24-step sweep over [x, x + h] for every cell, then
+    one over [y, y + h].
     """
     cells = _local_minima(vals)
     values = vals[cells]
@@ -704,14 +710,15 @@ def _polish_local_minima(F: MPF, grid: np.ndarray, vals: np.ndarray) -> tuple:
         return cells, values
     h = grid[1] - grid[0]
     if vals.ndim == 1:
-        lo, hi = grid[cells[0]] - h, grid[cells[0]] + h
-        x = _golden_argmin(lambda u: eval_mpf(F, [u]), lo, hi)
-        ends = eval_mpf(F, [np.concatenate([x, np.maximum(lo, 0.0), hi])])
+        lo = grid[cells[0]]
+        x = _golden_argmin(lambda u: eval_mpf(F, [u]), lo, lo + h)
+        ends = eval_mpf(F, [np.concatenate([x, lo, lo + h])])
         return cells, np.minimum(values, ends.reshape(3, -1).min(axis=0))
-    x, y = grid[cells[0]], grid[cells[1]]
+    x0, y0 = grid[cells[0]], grid[cells[1]]
+    y = y0
     for _ in range(2):
-        x = _golden_argmin(lambda u: eval_mpf(F, [u, y]), x - h, x + h, iters=24)
-        y = _golden_argmin(lambda u: eval_mpf(F, [x, u]), y - h, y + h, iters=24)
+        x = _golden_argmin(lambda u: eval_mpf(F, [u, y]), x0, x0 + h, iters=24)
+        y = _golden_argmin(lambda u: eval_mpf(F, [x, u]), y0, y0 + h, iters=24)
     return cells, np.minimum(values, eval_mpf(F, [x, y]))
 
 
@@ -744,6 +751,38 @@ def defect_table(F: MPF, D: float, h: float = 1.0 / 64.0,
                  probe: float | None = None) -> DefectReport:
     """Tabulate I(s) = F(s) - inf_{s' >= s componentwise} F(s') on a grid.
 
+    The infimum runs over the grid of [0, probe]^arity, the table covers
+    [0, D]^arity.  Supports arity 1 and 2.
+
+    A planar ``add_f`` descriptor f_1(s_1) + f_2(s_2) takes the separable
+    route: on the box [s_1, probe] x [s_2, probe] the infimum of the sum is
+    the sum of the infima, so I(s_1, s_2) = I_1(s_1) + I_2(s_2).  Each part
+    gets its own 1-D report on the grid path with the same (D, h, probe), one
+    report when the parts are equal, and the table is their outer sum.
+    Rounding is monotone, so the sums of the parts' sups are the sups of the
+    summed defect bit for bit.  No probe-sized 2-D array is built and F is
+    never evaluated in 2-D.  Every other descriptor takes the grid path.
+    """
+    if probe is None:
+        probe = D
+    if not (0 < h <= D and probe >= D):
+        raise MMLabError("need 0 < h <= D <= probe")
+    if F.arity > 2:
+        raise MMLabError("defect tables support arity 1 and 2")
+    if F.kind != "add_f" or F.arity != 2:
+        return _grid_defect_table(F, D, h, probe)
+    f, g = F.children
+    u = _grid_defect_table(f, D, h, probe)
+    v = u if g == f else _grid_defect_table(g, D, h, probe)
+    return DefectReport(D=u.D, h=u.h, grid=u.grid,
+                        table=u.table[:, None] + v.table[None, :],
+                        sup_defect=u.sup_defect + v.sup_defect,
+                        probe_bound=u.probe_bound, sup_probe=u.sup_probe + v.sup_probe)
+
+
+def _grid_defect_table(F: MPF, D: float, h: float, probe: float) -> DefectReport:
+    """The grid path of ``defect_table``.
+
     F is evaluated once on the grid extended to the probe horizon, with
     broadcast arguments, and the infimum is taken over that grid after a
     lockstep golden-section polish of its grid local minima (all cells
@@ -753,14 +792,8 @@ def defect_table(F: MPF, D: float, h: float = 1.0 / 64.0,
     grid values are the only grid-sized array; each block also yields its
     sup for ``sup_probe``.  Down the rows a block takes the minimum of each
     row and the one above it, bottom up, one contiguous row at a time, then
-    accumulates along the columns.  Supports arity 1 and 2.
+    accumulates along the columns.
     """
-    if probe is None:
-        probe = D
-    if not (0 < h <= D and probe >= D):
-        raise MMLabError("need 0 < h <= D <= probe")
-    if F.arity > 2:
-        raise MMLabError("defect tables support arity 1 and 2")
     m = int(round(probe / h))
     m_D = int(round(D / h))
     grid = np.arange(m + 1) * h

@@ -297,10 +297,11 @@ def golden_argmin_loop(f, lo, hi, iters=40):
 def refine_local_minima_loop(F, grid, vals):
     """Golden-section polish of strict grid local minima, one cell at a time.
 
-    Every probe is one eval_mpf call on a 0-d array: 40 iterations per 1-D
-    cell, then min(f(x), f(lo), f(hi)); two rounds of 24-iteration
-    coordinate descent per 2-D cell.  At most 64 cells, the lowest by a
-    stable sort, are polished.
+    Every probe is one eval_mpf call on a 0-d array.  A cell at x searches
+    [x, x + h] only, never below itself: 40 iterations per 1-D cell, then
+    min(f(x*), f(x), f(x + h)); two rounds of 24-iteration coordinate descent
+    per 2-D cell at (x, y), each round over [x, x + h] then [y, y + h].  At
+    most 64 cells, the lowest by a stable sort, are polished.
     """
     from mm_lab.mpf import eval_mpf
 
@@ -321,9 +322,9 @@ def refine_local_minima_loop(F, grid, vals):
             return float(eval_mpf(F, [np.array(x)]))
 
         for i in cells:
-            lo, hi = grid[i] - h, grid[i] + h
+            lo, hi = grid[i], grid[i] + h
             x = golden_argmin_loop(f, lo, hi)
-            refined[i] = min(refined[i], min(f(x), f(max(lo, 0.0)), f(hi)))
+            refined[i] = min(refined[i], min(f(x), f(lo), f(hi)))
         return refined
     V = vals
     mask = np.zeros_like(V, dtype=bool)
@@ -338,18 +339,23 @@ def refine_local_minima_loop(F, grid, vals):
     if cells.shape[0] > cap:
         cells = cells[np.argsort(V[mask], kind="stable")[:cap]]
     for i, j in cells:
-        x, y = grid[i], grid[j]
+        x0, y0 = grid[i], grid[j]
+        y = y0
         for _ in range(2):
             x = golden_argmin_loop(lambda u: float(eval_mpf(F, [np.array(u), np.array(y)])),
-                                   x - h, x + h, iters=24)
+                                   x0, x0 + h, iters=24)
             y = golden_argmin_loop(lambda u: float(eval_mpf(F, [np.array(x), np.array(u)])),
-                                   y - h, y + h, iters=24)
+                                   y0, y0 + h, iters=24)
         refined[i, j] = min(refined[i, j], float(eval_mpf(F, [np.array(x), np.array(y)])))
     return refined
 
 
 def _refine_local_minima_full(F, grid, vals):
-    """Lockstep polish of strict grid local minima on a full copy of ``vals``."""
+    """Lockstep polish of strict grid local minima on a full copy of ``vals``.
+
+    Each cell's brackets start at the cell and run one step up, as in
+    ``refine_local_minima_loop``.
+    """
     from mm_lab.mpf import _golden_argmin, eval_mpf
 
     refined = vals.copy()
@@ -363,9 +369,9 @@ def _refine_local_minima_full(F, grid, vals):
         if cells.size > 64:
             cells = cells[np.argsort(vals[cells], kind="stable")[:64]]
         if cells.size:
-            lo, hi = grid[cells] - h, grid[cells] + h
+            lo, hi = grid[cells], grid[cells] + h
             x = _golden_argmin(lambda u: eval_mpf(F, [u]), lo, hi)
-            ends = eval_mpf(F, [np.concatenate([x, np.maximum(lo, 0.0), hi])])
+            ends = eval_mpf(F, [np.concatenate([x, lo, hi])])
             refined[cells] = np.minimum(refined[cells], ends.reshape(3, -1).min(axis=0))
         return refined
     V = vals
@@ -383,10 +389,11 @@ def _refine_local_minima_full(F, grid, vals):
         cells = cells[order]
     if cells.shape[0]:
         i, j = cells.T
-        x, y = grid[i], grid[j]
+        x0, y0 = grid[i], grid[j]
+        y = y0
         for _ in range(2):
-            x = _golden_argmin(lambda u: eval_mpf(F, [u, y]), x - h, x + h, iters=24)
-            y = _golden_argmin(lambda u: eval_mpf(F, [x, u]), y - h, y + h, iters=24)
+            x = _golden_argmin(lambda u: eval_mpf(F, [u, y]), x0, x0 + h, iters=24)
+            y = _golden_argmin(lambda u: eval_mpf(F, [x, u]), y0, y0 + h, iters=24)
         refined[i, j] = np.minimum(refined[i, j], eval_mpf(F, [x, y]))
     return refined
 
@@ -424,6 +431,24 @@ def defect_table_full(F, D, h=1.0 / 64.0, probe=None):
         inf_ = _suffix_min_2d_rows(_refine_local_minima_full(F, grid, vals))
         table = np.maximum(vals[: m_D + 1, : m_D + 1] - inf_[: m_D + 1, : m_D + 1], 0.0)
     return table, float(table.max())
+
+
+def defect_table_outer_sum(F, D, h=1.0 / 64.0, probe=None):
+    """The isotone defect of an add_f descriptor f_1(s) + f_2(t) from its parts.
+
+    The outer sum of the parts' 1-D ``defect_table_full`` tables.  Returns
+    ``(table, sup_defect, sup_probe)``, each sup the sum of the parts' sups
+    from the 1-D oracle: on [0, D] and on the whole probe grid.
+    """
+    if probe is None:
+        probe = D
+    tables, sups, probe_sups = [], [], []
+    for f in F.children:
+        table, sup = defect_table_full(f, D, h, probe)
+        tables.append(table)
+        sups.append(sup)
+        probe_sups.append(defect_table_full(f, probe, h, probe)[1])
+    return np.add.outer(*tables), sups[0] + sups[1], probe_sups[0] + probe_sups[1]
 
 
 def min_on_interval_loop(F, lo, hi, grid=512):

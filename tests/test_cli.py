@@ -128,6 +128,16 @@ def test_mpf_show_and_unary_defect_csv(tmp_path, capsys):
     assert rows[:2] == ["s,defect", "0,0"] and len(rows) == 1 + 9
 
 
+def test_mpf_defect_and_classify_gn2(capsys):
+    # gn2:16 is add_f of two unary parts, so its table is the outer sum of two
+    # 1-D tables: no 2-D polish reaches below the s = 2 cells to read 0.0156
+    assert main(["mpf", "defect", "--fn", "gn2:16", "--D", "8", "--probe", "24"]) == 0
+    assert capsys.readouterr().out == "gn2:16: sup defect 0 on [0,8.0]^2 (h=0.015625, probe=24.0)\n"
+    assert main(["mpf", "classify", "--family", "gn2"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["gn2: (1)n (2)n (3)Y (4)Y (5)Y"] + [
+        f"  n={n}: global sup defect 2" for n in (1, 2, 4, 8, 16)]
+
+
 def test_mpf_classify(capsys):
     assert main(["mpf", "classify", "--family", "gn3", "--n", "1,2,4",
                  "--D", "4"]) == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mm_lab import mpf
 from mm_lab.errors import ArityMismatch, MMLabError, NotIncreasing
-from oracles import defect_table_full, refine_local_minima_loop
+from oracles import defect_table_full, defect_table_outer_sum, refine_local_minima_loop
 
 
 def test_eval_spot_values():
@@ -258,14 +258,22 @@ def _count_eval_calls(monkeypatch):
     return sizes
 
 
-# sine_taper in two variables, dip(s, t) + 0.1 s + t, whose polished
-# values depend on sweeping x before y, and a sum through petrik's bisected
-# generator inverse, whose polish matches only if a point's inverse does not
-# depend on the other points of its batch
+def _vee(c, tilt):
+    """|s + t - c| + 2 - tilt * s: a valley along an anti-diagonal."""
+    fold = mpf.piecewise([c], [mpf.linear(-1.0, c), mpf.linear(1.0, -c)])
+    return mpf.combine("add_F", [
+        mpf.combine("compose", [fold, mpf.combine("add_f", [mpf.identity()] * 2), None, None]),
+        mpf.combine("add_f", [mpf.linear(-tilt, 2.0), mpf.const(0.0)])])
+
+
+# sine_taper in two variables, dip(s, t) plus a tilted valley along
+# s + t = 3.02, off the grid, whose polished values depend on sweeping x
+# before y, and a sum through petrik's bisected generator inverse, whose
+# polish matches only if a point's inverse does not depend on the other
+# points of its batch
 _CUSTOM_2D = {
     "h2+h2": mpf.combine("add_f", [mpf.builtin("h2"), mpf.builtin("h2")]),
-    "dip+tilt": mpf.combine("add_F", [mpf.builtin("dip"), mpf.combine(
-        "add_f", [mpf.linear(0.1), mpf.identity()])]),
+    "dip+tilt": mpf.combine("add_F", [mpf.builtin("dip"), _vee(3.02, 0.1)]),
     "dip+petrik-fp:inf/2": mpf.combine("add_F", [
         mpf.builtin("dip"), mpf.builtin("petrik"), mpf.scale(-0.5, mpf.builtin("fp:inf"))]),
 }
@@ -295,13 +303,22 @@ def test_refine_local_minima_matches_loop_oracle_on_custom_2d(name):
 
 
 def test_refine_cell_cap_keeps_the_lowest_cells_in_stable_order():
-    # fp:inf has a strict grid minimum on every interior diagonal cell (127 of
-    # them), so only the 64 lowest are polished
+    # a strict grid minimum on every interior cell of s + t = 6 (95 of them),
+    # each with the valley floor s + t = 6.02 in its upper box and lowest at
+    # the largest s, so only the 64 lowest are polished
+    F = _vee(6.02, 0.1)
+    grid, vals = _grid_values(F, 8.0, 1 / 16)
+    assert mpf._local_minima(vals)[0].size == 95
+    got = _polished(F, grid, vals)
+    moved = np.argwhere(got != vals)
+    assert len(moved) == mpf._REFINE_CELL_CAP and moved[:, 0].min() == 95 - 64 + 1
+    assert got.tobytes() == refine_local_minima_loop(F, grid, vals).tobytes()
+    # fp:inf also has 127 minima, on the diagonal, but is isotone: nothing in
+    # a cell's upper box lies below it, so the polish moves no value
     F = mpf.builtin("fp:inf")
     grid, vals = _grid_values(F, 8.0, 1 / 16)
-    got = _polished(F, grid, vals)
-    assert np.count_nonzero(got != vals) == mpf._REFINE_CELL_CAP
-    assert got.tobytes() == refine_local_minima_loop(F, grid, vals).tobytes()
+    assert mpf._local_minima(vals)[0].size == 127
+    assert _polished(F, grid, vals).tobytes() == vals.tobytes()
     # 100 tied minima above the function: the stable sort polishes the first
     # 64 by index
     grid = np.arange(201) / 16
@@ -312,12 +329,19 @@ def test_refine_cell_cap_keeps_the_lowest_cells_in_stable_order():
     assert got.tobytes() == refine_local_minima_loop(F, grid, vals).tobytes()
 
 
+def _sum_form(f):
+    """f(s) + f(t) as add_F of two add_f parts: the values of add_f([f, f]),
+    but a kind that keeps the 2-D grid path."""
+    zero = mpf.const(0.0)
+    return mpf.combine("add_F", [mpf.combine("add_f", [f, zero]), mpf.combine("add_f", [zero, f])])
+
+
 def test_defect_table_eval_calls_do_not_grow_with_cells(monkeypatch):
     sizes = _count_eval_calls(monkeypatch)
     # 2-D: the grid, two rounds of an x sweep and a y sweep (24 iterations
     # after two opening probes), and the final values; 1277 local minima
     # on this grid, 64 polished
-    mpf.defect_table(mpf.builtin("gn3:5"), D=13.0)
+    mpf.defect_table(_sum_form(mpf.builtin("fn3:5")), D=13.0)
     assert len(sizes) <= 1 + 2 * 2 * (24 + 2) + 1
     # 1-D: the grid, 40 iterations after two opening probes, f(x), f(lo), f(hi)
     sizes.clear()
@@ -339,7 +363,8 @@ def test_refine_without_cells_makes_no_eval_calls(monkeypatch, F, D, h):
     assert sizes == []
     assert values.size == 0 and len(cells) == F.arity and all(c.size == 0 for c in cells)
     rep = mpf.defect_table(F, D=D, h=h)
-    assert sizes == [vals.size]
+    # an add_f descriptor evaluates each of its two parts on the 1-D grid
+    assert sizes == ([len(grid)] * 2 if F.kind == "add_f" else [vals.size])
     assert rep.sup_defect == 0.0
 
 
@@ -384,19 +409,90 @@ def _defect_cases():
 def test_defect_table_matches_full_grid_oracle(name, D, h, probe):
     F = _CUSTOM_2D[name] if name in _CUSTOM_2D else mpf.builtin(name)
     rep = mpf.defect_table(F, D=D, h=h, probe=probe)
-    table, sup = defect_table_full(F, D, h, probe)
+    if F.kind == "add_f":
+        table, sup, sup_probe = defect_table_outer_sum(F, D, h, probe)
+    else:
+        table, sup = defect_table_full(F, D, h, probe)
+        full = table if D == probe else defect_table_full(F, probe, h, probe)[0]
+        sup_probe = float(full.max())
     assert rep.table.shape == table.shape and rep.table.tobytes() == table.tobytes()
     assert rep.sup_defect.hex() == sup.hex()
-    full = table if D == probe else defect_table_full(F, probe, h, probe)[0]
+    assert rep.sup_probe.hex() == sup_probe.hex()
+
+
+@pytest.mark.parametrize("token", [f"{g}:{n}" for g in ("gn1", "gn3") for n in (1, 2, 4, 8, 16)])
+def test_separable_defect_matches_the_2d_grid_oracle(token):
+    # the classifier's tables: on gn1 and gn3 the outer sum of the 1-D parts
+    # has the bits of the 2-D grid, polish and suffix minimum
+    n = int(token.partition(":")[2])
+    probe, m_D = n + 8.0, 8 * 64
+    rep = mpf.defect_table(mpf.builtin(token), D=8.0, h=1 / 64, probe=probe)
+    full, _ = defect_table_full(mpf.builtin(token), probe, 1 / 64, probe)
+    assert rep.table.tobytes() == full[: m_D + 1, : m_D + 1].tobytes()
+    assert rep.sup_defect.hex() == float(full[: m_D + 1, : m_D + 1].max()).hex()
     assert rep.sup_probe.hex() == float(full.max()).hex()
 
 
+def test_grid_polish_stays_in_the_upper_quadrant():
+    # fn2:16(s) + fn2:16(t) on the grid path: the polish used to search below
+    # its cell, and a plateau cell at s = 2.015625 brought a value from
+    # s = 1.984 into the infimum over the s = 2 cells (sup 0.015624698597635156)
+    F = _sum_form(mpf.builtin("fn2:16"))
+    rep = mpf.defect_table(F, D=8.0, probe=24.0)
+    assert rep.sup_defect == 0.0 and rep.sup_probe == 2.0
+    separable = mpf.defect_table(mpf.builtin("gn2:16"), D=8.0, probe=24.0)
+    assert rep.table.tobytes() == separable.table.tobytes()
+
+
+_UNARY_PARTS = ["id", "clamp", "h1", "h2"] + [
+    f"fn{k}:{n}" for k in (1, 2, 3) for n in (1, 3, 5, 16)]
+
+
+@st.composite
+def unary_parts(draw):
+    kind = draw(st.sampled_from(["token", "linear", "const", "clamp"]))
+    if kind == "token":
+        return mpf.builtin(draw(st.sampled_from(_UNARY_PARTS)))
+    c = draw(st.floats(0.0, 4.0))
+    if kind == "linear":
+        return mpf.linear(draw(st.floats(0.0, 2.0)), c)
+    return mpf.const(c) if kind == "const" else mpf.min_clamp(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(unary_parts(), unary_parts(), st.sampled_from([1 / 64, 1 / 16, 0.1, 0.25, 0.7]),
+       st.integers(1, 160), st.integers(0, 160))
+def test_separable_defect_matches_outer_sum_oracle(f, g, h, k_D, k_extra):
+    F = mpf.combine("add_f", [f, g])
+    D, probe = k_D * h, (k_D + k_extra) * h
+    with pytest.MonkeyPatch.context() as mp:
+        sizes = _count_eval_calls(mp)
+        rep = mpf.defect_table(F, D=D, h=h, probe=probe)
+    # no 2-D evaluation: every call is on at most the m + 1 probe grid points
+    assert max(sizes) <= int(round(probe / h)) + 1
+    table, sup, sup_probe = defect_table_outer_sum(F, D, h, probe)
+    assert rep.table.tobytes() == table.tobytes()
+    assert rep.sup_defect.hex() == sup.hex() and rep.sup_probe.hex() == sup_probe.hex()
+
+
+@pytest.mark.parametrize("token, D, probe", [
+    ("gn1:16", 8.0, 24.0), ("gn2:16", 24.0, 24.0), ("gn3:5", 13.0, 13.0), ("h2+h2", 8.0, 12.0)])
+def test_separable_defect_evaluates_on_the_1d_grid_only(monkeypatch, token, D, probe):
+    F = _CUSTOM_2D[token] if token in _CUSTOM_2D else mpf.builtin(token)
+    sizes = _count_eval_calls(monkeypatch)
+    mpf.defect_table(F, D=D, probe=probe)
+    assert sizes and max(sizes) <= int(round(probe * 64)) + 1
+
+
 def test_defect_table_peak_memory_is_about_one_grid_array():
-    # gn3:16 out to probe 24 at h = 1/64: 1537^2 cells, 18.9 MB per float64 array
+    # max(fn3:16(s), fn3:16(t)) stays on the grid path and evaluates into one
+    # array: out to probe 24 at h = 1/64, 1537^2 cells, 18.9 MB per float64 array
     grid_bytes = 1537 ** 2 * 8
+    f = mpf.builtin("fn3:16")
+    F = mpf.combine("compose", [None, mpf.maximum(), f, f])
     tracemalloc.start()
     try:
-        mpf.defect_table(mpf.builtin("gn3:16"), D=8.0, probe=24.0)
+        mpf.defect_table(F, D=8.0, probe=24.0)
         table_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         mpf.classify_sequence(mpf.family("gn3"), mpf.family_limit("gn3"),
@@ -405,7 +501,9 @@ def test_defect_table_peak_memory_is_about_one_grid_array():
     finally:
         tracemalloc.stop()
     assert table_peak <= 1.5 * grid_bytes
-    assert classify_peak <= 3 * grid_bytes
+    # the separable route: five 513^2 tables on [0, 8]^2, their stack and the
+    # limit test's temporaries, no probe-sized array
+    assert classify_peak <= 2 * grid_bytes
 
 
 def test_limit_is_zero_decides_each_column_alone():
