@@ -179,105 +179,21 @@ def _od_exact(space: FiniteMMSpace, kappa: float):
     return t, values, {"surrogate": t, "orderings": P}
 
 
-# numpy's SeedSequence hash constants and the PCG64 multiplier (high, low)
-_SEED_INIT_A, _SEED_MULT_A = 0x43B0D7E5, 0x931E8875
-_SEED_INIT_B, _SEED_MULT_B = 0x8B51F9DD, 0x58F38DED
-_SEED_MIX_L, _SEED_MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)
-_LOW32 = 0xFFFFFFFF
-
-
-def _seed_hasher(h: int, mult: int):
-    """SeedSequence's hashmix on uint32 arrays, its running constant starting at h."""
-    def hashmix(v):
-        nonlocal h
-        v = v ^ h
-        h = h * mult & _LOW32
-        v = v * h
-        return v ^ (v >> 16)
-    return hashmix
-
-
-def _pcg_step(hi, lo, inc):
-    """One PCG64 state step, state * multiplier + inc mod 2**128, on (high, low) uint64 halves."""
-    a0, a1 = lo & _LOW32, lo >> 32
-    b0, b1 = _PCG_MULT[1] & _LOW32, _PCG_MULT[1] >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)
-    hi = (a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-          + lo * _PCG_MULT[0] + hi * _PCG_MULT[1])
-    return _add128(hi, lo * _PCG_MULT[1], *inc)
-
-
-def _add128(ah, al, bh, bl):
-    lo = al + bl
-    return ah + bh + (lo < al), lo
-
-
-def _cone_draws(ks, key: int, n: int, arity: int, scale: float):
-    """Anchors and offsets of cones ks, as their own generators draw them.
-
-    Row r is bit for bit ``sub.integers(0, n, arity)`` and
-    ``sub.random(arity) * scale`` of ``sub = default_rng([key, 202, ks[r]])``,
-    from one vectorised pass over numpy's own steps: SeedSequence hashes the
-    three entropy words into a pool of four and the pool into
-    generate_state(4, uint64); PCG64 seeds its 128-bit state, held as two
-    uint64 halves, from the first two words and its increment
-    (initseq << 1) | 1 from the last two, and outputs the XSL-RR of each
-    step.  integers is Lemire's bounded draw on 32-bit halves, the low half
-    of an output first; random is (output >> 11) * 2**-53.  A cone whose
-    Lemire product has a low word below n may reject, and takes numpy's own
-    generator; n == 1 draws no integers.  key, ks and n are below 2**32.
-    """
-    ks = np.asarray(ks, dtype=np.uint32)
-    m = len(ks)
-    hashmix = _seed_hasher(_SEED_INIT_A, _SEED_MULT_A)
-    pool = [hashmix(w) for w in (np.full(m, key, np.uint32), np.full(m, 202, np.uint32),
-                                 ks, np.zeros(m, np.uint32))]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                x = _SEED_MIX_L * pool[dst] - _SEED_MIX_R * hashmix(pool[src])
-                pool[dst] = x ^ (x >> 16)
-    hashmix = _seed_hasher(_SEED_INIT_B, _SEED_MULT_B)
-    words = [hashmix(pool[w % 4]).astype(np.uint64) for w in range(8)]
-    seed = [words[w] | words[w + 1] << 32 for w in range(0, 8, 2)]
-    inc = (seed[2] << 1 | seed[3] >> 63, seed[3] << 1 | 1)
-    zero = np.zeros(m, np.uint64)
-    state = _add128(*_pcg_step(zero, zero, inc), seed[0], seed[1])
-    state = _pcg_step(*state, inc)
-    n_int = 0 if n == 1 else (arity + 1) // 2
-    out = []
-    for _ in range(n_int + arity):
-        state = _pcg_step(*state, inc)
-        x, rot = state[0] ^ state[1], state[0] >> 58
-        out.append(x >> rot | x << ((64 - rot) & 63))
-    if n == 1:
-        a, exact = np.zeros((m, arity), np.int64), np.ones(m, bool)
-    else:
-        halves = [h for x in out[:n_int] for h in (x & _LOW32, x >> 32)]
-        prod = np.stack(halves[:arity], axis=1) * n
-        a, exact = (prod >> 32).astype(np.int64), ((prod & _LOW32) >= n).all(axis=1)
-    c = np.stack([(x >> 11) * 2.0**-53 for x in out[n_int:]], axis=1) * scale
-    for r in np.flatnonzero(~exact):
-        sub = np.random.default_rng([key, 202, int(ks[r])])
-        a[r], c[r] = sub.integers(0, n, arity), sub.random(arity) * scale
-    return a, c
-
-
 def _candidate_observables(space: FiniteMMSpace, count: int, seed) -> np.ndarray:
     """Deterministic pool of 1-Lipschitz observables (distance cones, coordinates).
 
     Returns one (rows, n) array, rows <= count: the distance columns of up to
     32 anchors, then distance cones min_a (c_a + d(., a)) over 1, 2, 3 anchors
-    in turn, then coordinate projections.  Cone k draws its anchors and
-    offsets as its own generator default_rng([seed, 202, k]) would;
-    _cone_draws gives those draws for every cone of one arity at once, and
-    a test pins them to the installed numpy.  The cones are then built one
-    arity at a time, on contiguous rows of one transposed copy of the
-    distance matrix, straight into their rows of the pool.  The coordinate
-    projections go through one Lipschitz screen together; only the
-    directions it flags are rescaled by project_to_lip1, the others are
+    in turn, then coordinate projections.  Two seeded streams draw every
+    cone at once: row k of default_rng([seed, 202]).integers(0, n, (cones, 3))
+    holds the anchors of cone k, and row k of
+    default_rng([seed, 203]).random((cones, 3)) * diam its offsets; cone k
+    takes the first 1 + k % 3 of each.  Both tables fill row by row, so a
+    pool is a prefix of any larger pool with the same seed.  The cones are
+    then built one arity at a time, on contiguous rows of one transposed copy
+    of the distance matrix, straight into their rows of the pool.  The
+    coordinate projections go through one Lipschitz screen together; only
+    the directions it flags are rescaled by project_to_lip1, the others are
     1-Lipschitz already and are used as they are.
     """
     n, d = space.n, space.dist
@@ -298,15 +214,17 @@ def _candidate_observables(space: FiniteMMSpace, count: int, seed) -> np.ndarray
     head = anchors[: len(pool)]
     pool[: len(head)] = d[:, head].T
     if n_cones:
+        a = np.random.default_rng([key, 202]).integers(0, n, (n_cones, 3))
+        c = np.random.default_rng([key, 203]).random((n_cones, 3)) * space.diam
         dT = np.ascontiguousarray(d.T)
         for r in range(min(3, n_cones)):
-            # cones k = r, r + 3, ... take r + 1 anchors each
-            a, c = _cone_draws(np.arange(r, n_cones, 3), key, n, r + 1, space.diam)
+            # cones k = r, r + 3, ... take the first r + 1 anchors of their rows
+            ar, cr = a[r::3], c[r::3]
             rows = pool[len(anchors) + r: len(anchors) + n_cones: 3]
-            np.add(c[:, 0, None], dT[a[:, 0]], out=rows)
+            np.add(cr[:, 0, None], dT[ar[:, 0]], out=rows)
             for i in range(1, r + 1):
-                cone = dT[a[:, i]]
-                cone += c[:, i, None]
+                cone = dT[ar[:, i]]
+                cone += cr[:, i, None]
                 np.minimum(rows, cone, out=rows)
     if dirs:
         proj = pool[len(anchors) + n_cones:]
@@ -459,6 +377,8 @@ def concentration_function(space: FiniteMMSpace, r: float, mode: str = "auto",
         ok = _subset_table(space.weight, np.add, 0.0) >= 0.5 - MASS_TOL
         val = float((1.0 - near_mass[ok]).max(initial=0.0))
         return ConcentrationValue(lower=val, upper=val, mode="exact")
+    if mode != "heuristic":
+        raise MMLabError(f"unknown mode {mode!r}")
     lower = _conc_lower_greedy(space, r, closed)
     upper = _conc_upper_quotient(space, r, closed)
     return ConcentrationValue(lower=lower, upper=max(lower, upper), mode="heuristic")
@@ -558,11 +478,13 @@ def levy_radius(space: FiniteMMSpace, kappa: float, budget: int = 8000, seed=0,
         if space.n > _LEVY_GRID_BOUND:
             raise TooLarge(space.n, _LEVY_GRID_BOUND)
         pool = mcshane_grid_family(space, delta=space.diam / 16.0)
-    else:
+    elif mode == "heuristic_lb":
         pool = _candidate_observables(space, max(16, budget // 2), seed)
         if space.n <= EXACT_OD_BOUND:
             witness = observable_diameter(space, kappa, mode="exact_tiny").witness
             pool = np.vstack([pool, witness.values])
+    else:
+        raise MMLabError(f"unknown mode {mode!r}")
     blocks = (pool[start: start + _RANK_BLOCK] for start in range(0, len(pool), _RANK_BLOCK))
     return max(float(_levy_radius_of_rows(rows, space.weight, kappa).max()) for rows in blocks)
 
@@ -621,6 +543,8 @@ def kappa_distance(space: FiniteMMSpace, A1, A2, kappa: float) -> KappaDistance:
     (the partner chunk is then chosen farthest-first, which is optimal);
     a greedy seeded heuristic lower bound beyond, tagged in the result.
     """
+    if not (0.0 < kappa < 1.0):
+        raise BadKappa(f"kappa = {kappa} outside (0, 1)")
     A1 = np.asarray(sorted(set(map(int, A1))), dtype=int)
     A2 = np.asarray(sorted(set(map(int, A2))), dtype=int)
     w = space.weight

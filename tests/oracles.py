@@ -201,29 +201,28 @@ def od_span_lp(space, kappa, tol=1e-12):
 def candidate_pool_loop(space, count, seed):
     """Candidate observables with one scan per member.
 
-    Every distance cone reads a column of the matrix and its own maximum
-    distance, and every coordinate direction is certified by its own
-    project_to_lip1.
+    Cone k takes the first 1 + k % 3 anchors and offsets of row k of two
+    seeded tables and reads those columns of the matrix by its own scan,
+    and every coordinate direction is certified by its own project_to_lip1.
     """
     from mm_lab.core import project_to_lip1
 
     n, d = space.n, space.dist
+    key = int(seed) & 0x7FFFFFFF
     pool = []
-    rng = np.random.default_rng([int(seed) & 0x7FFFFFFF, 101])
+    rng = np.random.default_rng([key, 101])
     anchors = np.arange(n) if n <= 32 else rng.choice(n, 32, replace=False)
     pool.extend(d[:, a].copy() for a in anchors)
-    k = 0
-    while len(pool) < count // 2:
-        sub = np.random.default_rng([int(seed) & 0x7FFFFFFF, 202, k])
+    n_cones = max(0, count // 2 - len(pool))
+    A = np.random.default_rng([key, 202]).integers(0, n, (n_cones, 3))
+    C = np.random.default_rng([key, 203]).random((n_cones, 3)) * float(d.max())
+    for k in range(n_cones):
         m = 1 + k % 3
-        a = sub.integers(0, n, m)
-        c = sub.random(m) * float(d.max())
-        pool.append((c[None, :] + d[:, a]).min(axis=1))
-        k += 1
+        pool.append((C[k, None, :m] + d[:, A[k, :m]]).min(axis=1))
     if space.coords is not None:
         dims = space.coords.shape[1]
         dirs = [np.eye(dims)[i] for i in range(min(dims, 16))]
-        sub = np.random.default_rng([int(seed) & 0x7FFFFFFF, 303])
+        sub = np.random.default_rng([key, 303])
         extra = sub.normal(size=(min(32, max(4, count // 8)), dims))
         extra /= np.linalg.norm(extra, axis=1, keepdims=True)
         dirs.extend(extra)

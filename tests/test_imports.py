@@ -1,6 +1,7 @@
 """Every module-level import of the library is used in its module, every
-relative import sits at the top of its module, and the modules import each
-other without a cycle."""
+module-level private name is read somewhere in the library, every relative
+import sits at the top of its module, and the modules import each other
+without a cycle."""
 import ast
 import graphlib
 from pathlib import Path
@@ -24,6 +25,31 @@ def unused_imports(source: str) -> list:
                 bound[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, line, name) of the module-level private functions, classes and
+    assignments of ``sources`` (module name -> text) that no module reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(entry for entry in defined if entry[2] not in read)
 
 
 def local_relative_imports(source: str) -> list:
@@ -68,6 +94,11 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def test_every_private_module_name_is_read():
+    package = sorted(Path(mm_lab.__file__).parent.glob("*.py"))
+    assert unread_private_names({p.stem: p.read_text() for p in package}) == []
+
+
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_no_function_local_relative_imports(path):
     assert local_relative_imports(path.read_text()) == []
@@ -81,6 +112,16 @@ def test_checker_flags_an_unused_import():
     source = (Path(mm_lab.__file__).parent / "experiments.py").read_text()
     assert unused_imports("import os\n" + source) == [(1, "os")]
     assert unused_imports("from os import path, sep\nprint(sep)\n") == [(1, "path")]
+
+
+def test_checker_flags_an_unread_private_name():
+    sources = {
+        "a": "_A, _B = 1, 2\n_C: int = 3\n\n\ndef _f():\n    return _B\n",
+        "b": "from . import a\n\n\nclass _K:\n    pass\n\n\nprint(a._f(), a._C)\n",
+    }
+    assert unread_private_names(sources) == [("a", 1, "_A"), ("b", 4, "_K")]
+    # an attribute store is not a read
+    assert unread_private_names({"c": "_x = 0\nobj._x = 1\n"}) == [("c", 1, "_x")]
 
 
 def test_checkers_flag_a_local_import_and_a_cycle():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mm_lab import batteries, core, gallery, invariants as inv, mpf
-from mm_lab.errors import BadAlpha, BadKappa
+from mm_lab.errors import BadAlpha, BadKappa, MMLabError
 from mm_lab.product import ProductSpec, product
 
 from oracles import (
@@ -223,20 +223,18 @@ def test_candidate_pool_matches_loop_oracle():
             assert pool.tobytes() == want.tobytes(), (space.n, count)
 
 
-def test_cone_draws_match_numpy_generators():
-    # numpy does not promise Generator streams across versions (NEP 19), so
-    # the vectorised draws are pinned to the installed numpy; in the ranges
-    # 3 * 2**30 and 2**31 + 1 a quarter and a half of the Lemire draws reject
-    ks = np.concatenate([np.arange(120), [2**16, 2**31 - 1, 2**32 - 1]])
-    for key in (0, 1, 2**31 - 1):
-        for n in (1, 2, 3, 7, 1000, 2**31 + 1, 3 * 2**30):
-            for arity in (1, 2, 3):
-                a, c = inv._cone_draws(ks, key, n, arity, 1.75)
-                for r, k in enumerate(ks):
-                    sub = np.random.default_rng([key, 202, int(k)])
-                    assert a[r].tobytes() == sub.integers(0, n, arity).tobytes(), (key, n, k)
-                    assert c[r].tobytes() == (sub.random(arity) * 1.75).tobytes(), (key, n, k)
-
+def test_candidate_pool_is_a_prefix_of_larger_pools():
+    # both draw tables fill row by row: a larger count appends cones, and
+    # never changes an anchor or cone row of a smaller pool
+    for n in (1, 7, 40):
+        X = core.random_metric_space(n, seed=n)
+        bare = core.validate_space({"dist": X.dist, "weight": X.weight})
+        for seed in (0, 7):
+            big = inv._candidate_observables(bare, 400, seed)
+            for count in (2, 16, 41, 90, 201, 399):
+                small = inv._candidate_observables(bare, count, seed)
+                assert len(small) < len(big), (n, count)
+                assert small.tobytes() == big[: len(small)].tobytes(), (n, count, seed)
 
 
 def test_pd_of_rows_falls_back_on_merged_atoms():
@@ -324,6 +322,14 @@ def test_concentration_heuristic_sandwich():
     exact = inv.concentration_function(X, r, mode="exact").value
     sand = inv.concentration_function(X, r, mode="heuristic")
     assert sand.lower <= exact + 1e-9 <= sand.upper + 2e-9
+
+
+def test_unknown_modes_raise():
+    X = core.random_metric_space(5, seed=3)
+    with pytest.raises(MMLabError, match="unknown mode 'exact_tiny'"):
+        inv.concentration_function(X, 0.5, mode="exact_tiny")
+    with pytest.raises(MMLabError, match="unknown mode 'exact'"):
+        inv.levy_radius(X, 0.3, mode="exact")
 
 
 def test_levy_radius_examples():
@@ -426,6 +432,13 @@ def test_kappa_distance_examples_and_oracle():
     assert kd.mode == "exact"
     b1, b2 = kd.witness
     assert min(X.dist[i, j] for i in b1 for j in b2) == pytest.approx(kd.value)
+
+
+def test_kappa_distance_rejects_kappa_outside_unit_interval():
+    ts = two_point(3.0)
+    for kappa in (-0.5, 0.0, 1.0, 1.5, float("nan")):
+        with pytest.raises(BadKappa):
+            inv.kappa_distance(ts, [0], [1], kappa)
 
 
 @given(st.integers(0, 120))
