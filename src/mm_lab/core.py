@@ -108,15 +108,17 @@ class LipFunction:
 def tail_mass(dev: np.ndarray, weight: np.ndarray, thresholds) -> np.ndarray:
     """Mass ``weight[dev > t + TAIL_SLACK].sum()`` at every threshold t.
 
-    One stable sort of the deviations, one suffix sum of the sorted weights,
-    and one searchsorted per threshold: O((n + m) log n) for m thresholds.
+    ``dev`` is one row, or a stack of rows each with its own row of
+    thresholds.  Per row one stable sort, one suffix sum of the sorted
+    weights and one searchsorted: O((n + m) log n) for m thresholds.
     """
-    order = np.argsort(dev, kind="stable")
-    dev_sorted = dev[order]
-    suffix = np.concatenate([np.cumsum(weight[order][::-1])[::-1], [0.0]])
-    first_above = np.searchsorted(dev_sorted, np.asarray(thresholds, float) + TAIL_SLACK,
-                                  side="right")
-    return suffix[first_above]
+    rows = np.atleast_2d(dev)
+    order = np.argsort(rows, axis=1, kind="stable")
+    suffix = np.cumsum(weight[order][:, ::-1], axis=1)[:, ::-1]
+    suffix = np.concatenate([suffix, np.zeros((len(rows), 1))], axis=1)
+    limits = np.asarray(thresholds, float).reshape(len(rows), -1) + TAIL_SLACK
+    first_above = [r[o].searchsorted(t, side="right") for r, o, t in zip(rows, order, limits)]
+    return suffix[np.arange(len(rows))[:, None], first_above].reshape(np.shape(thresholds))
 
 
 def _merge_sorted(pos, mass):
@@ -136,10 +138,11 @@ def _subset_table(rows, ufunc, empty) -> np.ndarray:
     """Row m folds ``ufunc`` over ``rows[b]`` for every bit b set in m.
 
     Filled one bit at a time, ``table[2^b : 2^(b+1)] = ufunc(table[:2^b], rows[b])``,
-    so row 0 (the empty set) holds ``empty``.
+    so row 0 (the empty set) holds ``empty``; the table keeps the dtype of
+    ``rows``, so integer bitmasks fold under ``np.bitwise_or``.
     """
-    rows = np.asarray(rows, dtype=float)
-    table = np.empty((1 << len(rows),) + rows.shape[1:])
+    rows = np.asarray(rows)
+    table = np.empty((1 << len(rows),) + rows.shape[1:], dtype=rows.dtype)
     table[0] = empty
     for b, row in enumerate(rows):
         ufunc(table[: 1 << b], row, out=table[1 << b: 2 << b])

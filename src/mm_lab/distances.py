@@ -2,9 +2,9 @@
 
 Prokhorov distances and Lipschitz-up-to-additive-error domains from one
 min-cut helper, which solves a stack of threshold graphs in one max-flow
-call, and one bisection that batches its probes into such stacks (with a
-definition-direct Prokhorov brute force as oracle),
-the Ky Fan metric, the box distance on equal-mass chunks, near-isomorphism
+call, and one bisection that batches its probes into such stacks; on up to
+12 points, values without a plan from Hall's condition on one subset table.
+Also the Ky Fan metric, the box distance on equal-mass chunks, near-isomorphism
 search, and concentration certificates for maps onto tiny targets.
 """
 from __future__ import annotations
@@ -48,10 +48,6 @@ _CERT_TARGET_BOUND = 6  # target points of concentration_certificate
 # ---------------------------------------------------------------------------
 # Ky Fan metric
 
-def _values_of(f) -> np.ndarray:
-    return f.values if isinstance(f, LipFunction) else np.asarray(f, dtype=float)
-
-
 def ky_fan(space: FiniteMMSpace, f, g) -> float:
     """Infimum eps with mass{|f - g| > eps} <= eps, exact by threshold scan.
 
@@ -61,7 +57,7 @@ def ky_fan(space: FiniteMMSpace, f, g) -> float:
     searchsorted (:func:`tail_mass`), so the scan is O(n log n); the first
     candidate whose tail mass is at most itself is the value.
     """
-    fv, gv = _values_of(f), _values_of(g)
+    fv, gv = (h.values if isinstance(h, LipFunction) else np.asarray(h, dtype=float) for h in (f, g))
     if fv.shape != (space.n,) or gv.shape != (space.n,):
         raise HostMismatch("observables must live on the same space")
     dev = np.abs(fv - gv)
@@ -92,13 +88,18 @@ class SubtransportPlan:
         return bool(ok_rows and ok_cols and ok_supp and ok_def)
 
 
-def _check_measure(space, v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (space.n,):
-        raise HostMismatch(f"measure of length {len(v)} on a {space.n}-point space")
-    if v.min(initial=0.0) < -1e-12 or abs(v.sum() - 1.0) > 1e-9:
-        raise MMLabError("measure must be a probability vector")
-    return np.maximum(v, 0.0)
+def _check_prokhorov(space, mu, nu, lam: float) -> list:
+    """mu and nu as probability vectors on the space, once lam > 0; else MMLabError."""
+    if not lam > 0:
+        raise MMLabError("lambda must be positive")
+    out = []
+    for v in (_numbers(mu, "measure"), _numbers(nu, "measure")):
+        if v.shape != (space.n,):
+            raise HostMismatch(f"measure of shape {v.shape} on a {space.n}-point space")
+        if v.min(initial=0.0) < -1e-12 or abs(v.sum() - 1.0) > 1e-9:
+            raise MMLabError("measure must be a probability vector")
+        out.append(np.maximum(v, 0.0))
+    return out
 
 
 def maximum_flow(graph, source: int, sink: int):
@@ -194,22 +195,17 @@ def prokhorov(space: FiniteMMSpace, mu, nu, lam: float = 1.0):
     """Lambda-Prokhorov distance plus an optimal subtransport plan.
 
     Feasibility at radius eps is a bipartite max-flow question: mass moved
-    only along pairs with d <= eps must reach 1 - lam * eps.  The flow only
-    changes at the distinct distances d_k, so on [d_k, d_k+1) the least
-    feasible radius is max(d_k, shortfall_k / lam).  Feasibility is monotone
-    in k, so a bisection over the distances, on masses in units of 1e-9,
-    finds the first interval holding its own least radius; the probes of its
-    next levels share one stacked max-flow solve (:func:`_first_fit`), so on
-    up to 12 points one solve settles every probe.  There the min
-    cut leaves the critical nu-points A unreached, and the value is priced
-    in floats as the brute force prices A: max(d_k, (nu(A) - mu(N(A))) / lam)
-    with N(A) within d_k of A.  It is exact except on ties within about
-    n * 1e-9 / lam, where it reads low.  The plan comes from the same flow.
+    only along pairs with d <= eps must reach 1 - lam * eps, so on [d_k,
+    d_k+1) between distinct distances the least feasible radius is
+    max(d_k, shortfall_k / lam).  A bisection over the distances, on masses
+    in units of 1e-9, finds the first interval holding its own least radius;
+    the probes of its next levels share one stacked solve (:func:`_first_fit`),
+    one in all on up to 12 points.  The min cut leaves the critical nu-points
+    A unreached, and the value is priced in floats, max(d_k, (nu(A) -
+    mu(N(A))) / lam) with N(A) within d_k of A: exact except on ties within
+    about n * 1e-9 / lam, where it reads low.  The plan comes from the flow.
     """
-    if lam <= 0:
-        raise MMLabError("lambda must be positive")
-    mu = _check_measure(space, mu)
-    nu = _check_measure(space, nu)
+    mu, nu = _check_prokhorov(space, mu, nu, lam)
     d = space.dist
     mu_int = np.round(mu * _FLOW_SCALE).astype(np.int32)
     nu_int = np.round(nu * _FLOW_SCALE).astype(np.int32)
@@ -239,55 +235,68 @@ def prokhorov(space: FiniteMMSpace, mu, nu, lam: float = 1.0):
                                  deficiency=float(1.0 - plan.sum()))
 
 
-def prokhorov_bruteforce(space: FiniteMMSpace, mu, nu, lam: float = 1.0) -> float:
-    """Definition-direct lambda-Prokhorov value by subset enumeration.
+def _priced(masks: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``float(v[idx].sum())`` for the ascending set bits idx of every mask,
+    summed along the rows of one gather per bit count, as the 1-D sum adds."""
+    bits = masks[:, None] >> np.arange(len(v)) & 1 > 0
+    sizes = bits.sum(axis=1)
+    out = np.zeros(len(masks))
+    for c in np.unique(sizes[sizes > 0]):
+        out[sizes == c] = v[np.nonzero(bits[sizes == c])[1]].reshape(-1, c).sum(axis=1)
+    return out
 
-    For every subset A the smallest feasible radius solves a piecewise-linear
-    inequality in closed form; the distance is the largest of these roots.
-    Exact for up to 12 points; serves as the flow oracle.
+
+def prokhorov_bruteforce(space: FiniteMMSpace, mu, nu, lam: float = 1.0) -> float:
+    """Lambda-Prokhorov value from Hall's condition on subset tables, up to 12 points.
+
+    By Strassen's and Hall's theorems it is the least max(d_k, S_k / lam)
+    over the distinct distances d_k, S_k the largest nu(A) - mu(N_k(A)) over
+    A within the support of nu; N_k(A), the points within d_k of A, is an OR
+    of neighbour bitmasks, one subset table per level bisected as in
+    :func:`prokhorov`.  At the probed levels within 1e-12 of the least, the
+    subsets within 1e-12 of S_k are priced as a per-subset enumeration
+    prices them, nu[A].sum() - mu[N].sum() with ascending indices.
     """
     if space.n > _BRUTE_BOUND:
         raise TooLarge(space.n, _BRUTE_BOUND)
-    mu = _check_measure(space, mu)
-    nu = _check_measure(space, nu)
-    d = space.dist
-    support_nu = np.nonzero(nu > ZERO_MASS)[0]
-    worst = 0.0
-    for r in range(1, len(support_nu) + 1):
-        for A in itertools.combinations(support_nu, r):
-            A = list(A)
-            nuA = float(nu[A].sum())
-            dA = d[:, A].min(axis=1)
-            ts = np.unique(np.concatenate([[0.0], dA]))
-            levels = np.array([float(mu[dA <= t].sum()) for t in ts])
-            root = None
-            for k, t in enumerate(ts):
-                upper = ts[k + 1] if k + 1 < len(ts) else np.inf
-                need = (nuA - levels[k]) / lam
-                if need <= t:
-                    root = t
-                    break
-                if need <= upper:
-                    root = need
-                    break
-            worst = max(worst, 0.0 if root is None else float(root))
-    return worst
+    mu, nu = _check_prokhorov(space, mu, nu, lam)
+    support = np.nonzero(nu > ZERO_MASS)[0]
+    radii, nu = np.unique(space.dist), nu[support]
+    mu_sums, nu_sums = _subset_table(mu, np.add, 0.0), _subset_table(nu, np.add, 0.0)
+    # bit i of near[a, k]: point i lies within radii[k] of the a-th support point
+    near = ((space.dist[:, support, None] <= radii) << np.arange(space.n)[:, None, None]).sum(axis=0)
+    probed = {}
+
+    def level(k):
+        hood = _subset_table(near[:, k], np.bitwise_or, 0)
+        short = nu_sums - mu_sums[hood]
+        return max(float(radii[k]), float(short.max()) / lam), short, hood
+
+    _first_fit(radii, lambda ks: [probed.setdefault(k, level(k)) for k in ks])
+    least = min(eps for eps, _, _ in probed.values())
+    value = math.inf
+    for k, (eps, short, hood) in probed.items():
+        if eps <= least + 1e-12:
+            top = np.nonzero(short >= short.max() - 1e-12)[0]
+            gap = _priced(top, nu) - _priced(hood[top], mu)
+            value = min(value, max(float(radii[k]), float(gap.max()) / lam))
+    return value
+
+
+def _prokhorov_eps(space: FiniteMMSpace, mu, nu, lam: float) -> float:
+    """The lambda-Prokhorov value alone: the subset table up to 12 points, else the flow."""
+    if space.n <= _BRUTE_BOUND:
+        return prokhorov_bruteforce(space, mu, nu, lam)
+    return prokhorov(space, mu, nu, lam)[0]
 
 
 def prokhorov_real(a: RealDistribution, b: RealDistribution, lam: float = 1.0) -> float:
     """Prokhorov distance between two real-atom distributions on their union carrier."""
     pos = np.unique(np.concatenate([a.positions, b.positions]))
     dist = np.abs(pos[:, None] - pos[None, :])
-    carrier = validate_space({"labels": [str(i) for i in range(len(pos))],
-                              "dist": dist, "weight": np.full(len(pos), 1.0 / len(pos))})
-
-    def spread(rd: RealDistribution):
-        v = np.zeros(len(pos))
-        idx = np.searchsorted(pos, rd.positions)
-        np.add.at(v, idx, rd.masses)
-        return v
-
-    return prokhorov(carrier, spread(a), spread(b), lam)[0]
+    carrier = validate_space({"dist": dist, "weight": np.full(len(pos), 1.0 / len(pos))})
+    mu, nu = (np.bincount(np.searchsorted(pos, rd.positions), rd.masses, len(pos)) for rd in (a, b))
+    return _prokhorov_eps(carrier, mu, nu, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +538,9 @@ def epsilon_mm_iso_search(x: FiniteMMSpace, y: FiniteMMSpace, seed=0) -> IsoCert
     """
 
     def objective(p):
-        pushed = np.zeros(y.n)
-        np.add.at(pushed, p, x.weight)
+        pushed = np.bincount(p, x.weight, y.n)
         e_dist, dom = _least_domain_eps(np.abs(x.dist - y.dist[np.ix_(p, p)]), x.weight)
-        e_prok, _ = prokhorov(y, pushed, y.weight, lam=1.0)
+        e_prok = _prokhorov_eps(y, pushed, y.weight, 1.0)
         return IsoCertificate(eps=float(max(e_dist, e_prok)), mapping=p, domain=dom,
                               eps_distortion=e_dist, eps_prok=e_prok)
 
@@ -638,9 +646,8 @@ def concentration_certificate(source: FiniteMMSpace, target: FiniteMMSpace,
         raise TargetTooLarge(f"target has {target.n} > {_CERT_TARGET_BOUND} points")
     p = _point_map(p_map, source, target)
 
-    pushed = np.zeros(target.n)
-    np.add.at(pushed, p, source.weight)
-    eps_prok, _ = prokhorov(target, pushed, target.weight, lam=1.0)
+    pushed = np.bincount(p, source.weight, target.n)
+    eps_prok = _prokhorov_eps(target, pushed, target.weight, 1.0)
 
     eps_lip, domain = lip_up_to_eps(p, source, target)
 

@@ -15,7 +15,6 @@ import numpy as np
 from .core import (
     MASS_TOL,
     MERGE_GAP,
-    TAIL_SLACK,
     FiniteMMSpace,
     LipFunction,
     RealDistribution,
@@ -437,9 +436,8 @@ def _levy_radius_of_rows(values: np.ndarray, weights, kappa: float) -> np.ndarra
     A row whose sorted values hold a gap <= MERGE_GAP, which _merge_sorted
     would merge, goes through _levy_radius_of_values itself.  Every other row
     has distinct values, so its Levy mean adds the same masses in the same
-    order as the 1-D one; the deviations are sorted stably, as tail_mass sorts
-    them, and the candidate radii 0 and the deviations are tried in
-    ascending order, as np.unique orders them: the results are the same bits.
+    order as the 1-D one, and its candidate radii are tried in the same
+    ascending order against the same tail_mass scan: the same bits.
     """
     rows, n = values.shape
     order = np.argsort(values, axis=1)
@@ -450,17 +448,9 @@ def _levy_radius_of_rows(values: np.ndarray, weights, kappa: float) -> np.ndarra
     low = np.take_along_axis(pos, np.argmax(median, axis=1)[:, None], axis=1)
     high = np.take_along_axis(pos, n - 1 - np.argmax(median[:, ::-1], axis=1)[:, None], axis=1)
     dev = np.abs(values - 0.5 * (low + high))
-    dev_order = np.argsort(dev, axis=1, kind="stable")
-    dev_sorted = np.take_along_axis(dev, dev_order, axis=1)
-    suffix = np.zeros((rows, n + 1))
-    suffix[:, :n] = np.cumsum(weights[dev_order][:, ::-1], axis=1)[:, ::-1]
-    cand = np.concatenate([np.zeros((rows, 1)), dev_sorted], axis=1)
-    above = np.empty((rows, n + 1), dtype=np.intp)
-    for r in range(rows):
-        above[r] = np.searchsorted(dev_sorted[r], cand[r] + TAIL_SLACK, side="right")
-    ok = np.take_along_axis(suffix, above, axis=1) <= kappa + MASS_TOL
-    first = np.take_along_axis(cand, np.argmax(ok, axis=1)[:, None], axis=1)[:, 0]
-    radius = np.where(ok.any(axis=1), first, dev_sorted[:, -1])
+    cand = np.concatenate([np.zeros((rows, 1)), np.sort(dev, axis=1)], axis=1)
+    ok = tail_mass(dev, weights, cand) <= kappa + MASS_TOL
+    radius = np.where(ok.any(axis=1), cand[np.arange(rows), np.argmax(ok, axis=1)], cand[:, -1])
     for r in np.nonzero((np.diff(pos, axis=1) <= MERGE_GAP).any(axis=1))[0]:
         radius[r] = _levy_radius_of_values(values[r], weights, kappa)
     return radius

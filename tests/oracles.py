@@ -774,3 +774,57 @@ def lip1_target_fit_loop(source, target, p, f_vals):
                         improved = True
         step /= 3.0
     return best
+
+
+def prokhorov_bruteforce_loop(space, mu, nu, lam=1.0):
+    """The library's former definition-direct lambda-Prokhorov value by subset enumeration.
+
+    For every subset A of the support of nu the smallest feasible radius
+    solves a piecewise-linear inequality in closed form; the distance is the
+    largest of these roots.
+    """
+    mu = np.maximum(np.asarray(mu, dtype=float), 0.0)
+    nu = np.maximum(np.asarray(nu, dtype=float), 0.0)
+    d = space.dist
+    support_nu = np.nonzero(nu > 1e-15)[0]
+    worst = 0.0
+    for r in range(1, len(support_nu) + 1):
+        for A in itertools.combinations(support_nu, r):
+            A = list(A)
+            nuA = float(nu[A].sum())
+            dA = d[:, A].min(axis=1)
+            ts = np.unique(np.concatenate([[0.0], dA]))
+            levels = np.array([float(mu[dA <= t].sum()) for t in ts])
+            root = None
+            for k, t in enumerate(ts):
+                upper = ts[k + 1] if k + 1 < len(ts) else np.inf
+                need = (nuA - levels[k]) / lam
+                if need <= t:
+                    root = t
+                    break
+                if need <= upper:
+                    root = need
+                    break
+            worst = max(worst, 0.0 if root is None else float(root))
+    return worst
+
+
+def prokhorov_lp(dist, mu, nu, lam=1.0):
+    """Lambda-Prokhorov value from transport linear programs, one per distinct distance r.
+
+    The most mass T(r) movable along pairs at distance <= r is an LP
+    (scipy's HiGHS); the value is the least max(r, (1 - T(r)) / lam).
+    """
+    from scipy.optimize import linprog
+    dist = np.asarray(dist, dtype=float)
+    n, m = dist.shape
+    best = math.inf
+    for r in np.unique(dist):
+        ii, jj = np.nonzero(dist <= r)
+        rows = np.zeros((n + m, len(ii)))
+        rows[ii, np.arange(len(ii))] = 1.0
+        rows[n + jj, np.arange(len(ii))] = 1.0
+        res = linprog(-np.ones(len(ii)), A_ub=rows, b_ub=np.concatenate([mu, nu]),
+                      bounds=(0, None), method="highs")
+        best = min(best, max(float(r), (1.0 + res.fun) / lam))
+    return best

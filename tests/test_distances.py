@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import floyd_warshall, maximum_flow
 
 from mm_lab import batteries, core, distances as dst, gallery, invariants as inv, mpf
 from mm_lab.errors import MMLabError, NotRational, TooLarge
@@ -19,6 +19,8 @@ from oracles import (
     lip_domain_subset_loop,
     lip_eps_candidate_scan,
     min_cut_single,
+    prokhorov_bruteforce_loop,
+    prokhorov_lp,
 )
 from strategies import weighted_deviations
 
@@ -109,37 +111,51 @@ def test_prokhorov_gap_does_not_scale_with_inverse_lambda():
                 assert plan.check(X.dist, mu, nu)
 
 
-def test_prokhorov_real_solves_by_flow(monkeypatch):
-    flows, brute = [], []
-
-    def counted(*args, **kwargs):
-        flows.append(1)
-        return maximum_flow(*args, **kwargs)
-
-    monkeypatch.setattr(dst, "maximum_flow", counted)
-    monkeypatch.setattr(dst, "prokhorov_bruteforce", lambda *a, **k: brute.append(1))
-    rng = np.random.default_rng(5)
-    a = core.real_distribution(zip(rng.normal(size=6), np.full(6, 1 / 6)))
-    b = core.real_distribution(zip(rng.normal(size=6), np.full(6, 1 / 6)))
-    pos = np.union1d(a.positions, b.positions)
-    assert len(pos) == 12
-    radii = np.unique(np.abs(pos[:, None] - pos[None, :]))
-    assert dst.prokhorov_real(a, b) > 0.0
-    assert not brute
-    # every probe of the search fits one stacked solve
-    assert len(radii) * len(pos) ** 2 <= dst._STACK_EDGES
-    assert len(flows) == 1
-
-
-def _count_flows(monkeypatch):
-    calls = []
+def _count_calls(monkeypatch, name):
+    """Calls of ``mm_lab.distances.<name>`` from now on, counted and passed through."""
+    calls, original = [], getattr(dst, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return maximum_flow(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(dst, "maximum_flow", counted)
+    monkeypatch.setattr(dst, name, counted)
     return calls
+
+
+def _count_flows(monkeypatch):
+    return _count_calls(monkeypatch, "maximum_flow")
+
+
+def test_prokhorov_real_solves_by_table(monkeypatch):
+    flows = _count_flows(monkeypatch)
+    tables = _count_calls(monkeypatch, "prokhorov_bruteforce")
+    rng = np.random.default_rng(5)
+    a = core.real_distribution(zip(rng.normal(size=6), np.full(6, 1 / 6)))
+    b = core.real_distribution(zip(rng.normal(size=6), np.full(6, 1 / 6)))
+    assert len(np.union1d(a.positions, b.positions)) == dst._BRUTE_BOUND
+    assert dst.prokhorov_real(a, b) > 0.0
+    assert len(tables) == 1 and not flows
+
+
+def test_value_only_callers_solve_no_flow_up_to_12_points(monkeypatch):
+    flows = _count_flows(monkeypatch)
+    rng = np.random.default_rng(9)
+    X, Y = core.random_metric_space(3, seed=1), core.random_metric_space(4, seed=2)
+    ms = [m / m.sum() for Z in (X, X, Y, Y) for m in [rng.random(Z.n) + 0.05]]
+    res = batteries.lprok_product_check(X, ms[0], ms[1], Y, ms[2], ms[3], mpf.builtin("fp:2"))
+    assert res["pass"]
+    a = core.real_distribution(zip(rng.normal(size=6), np.full(6, 1 / 6)))
+    b = core.real_distribution(zip(rng.normal(size=6), np.full(6, 1 / 6)))
+    assert dst.prokhorov_real(a, b) > 0.0
+    source = core.random_metric_space(12, seed=3)
+    target = core.random_metric_space(3, seed=4)
+    cert = dst.concentration_certificate(source, target, np.arange(12) % 3, budget=800)
+    assert cert.epsilon_prok > 0.0
+    # 3^8 maps: the greedy start and its single-point reassignments
+    cert = dst.epsilon_mm_iso_search(core.random_metric_space(8, seed=5), target, seed=1)
+    assert cert.eps_prok >= 0.0
+    assert not flows
 
 
 def test_prokhorov_on_at_most_six_points_solves_once(monkeypatch):
@@ -276,6 +292,61 @@ def test_bruteforce_symmetric_and_bounded():
     with pytest.raises(TooLarge):
         dst.prokhorov_bruteforce(core.random_metric_space(13, seed=1),
                                  np.full(13, 1 / 13), np.full(13, 1 / 13))
+
+
+def _prokhorov_case(rng, n):
+    """A space of n points, two measures and lambda, with the ties the table must price.
+
+    Half the spaces are graph metrics of quarter-multiple edges, so distances
+    tie; masses are random or eighths, and nu puts 0 or at most ZERO_MASS on
+    some points, which its support leaves out.
+    """
+    if rng.random() < 0.5:
+        w = rng.integers(1, 9, size=(n, n)) / 4.0
+        dist = floyd_warshall(np.minimum(w, w.T), directed=False)
+        np.fill_diagonal(dist, 0.0)
+    else:
+        dist = core.random_metric_space(n, seed=int(rng.integers(1 << 16))).dist
+    X = core.validate_space({"dist": dist, "weight": np.full(n, 1.0 / n)})
+    mu, nu = ((m + 0.05) / (m + 0.05).sum() if rng.random() < 0.5 else rng.multinomial(8, m / m.sum()) / 8.0
+              for m in rng.random((2, n)))
+    tiny = (rng.random(n) < 0.3) & (np.arange(n) != np.argmax(nu))
+    nu = np.where(tiny, rng.choice([0.0, 5e-16, core.ZERO_MASS], size=n), nu)
+    nu[~tiny] /= nu[~tiny].sum()
+    return X, mu, nu, float(rng.choice([0.1, 1.0, 10.0]))
+
+
+def _assert_table_matches_loop_and_lp(X, mu, nu, lam):
+    got = dst.prokhorov_bruteforce(X, mu, nu, lam=lam)
+    assert got.hex() == prokhorov_bruteforce_loop(X, mu, nu, lam).hex()
+    assert abs(got - prokhorov_lp(X.dist, mu, nu, lam)) <= 1e-9
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 10), st.integers(0, 1 << 16))
+def test_prokhorov_table_matches_loop_and_lp(n, seed):
+    _assert_table_matches_loop_and_lp(*_prokhorov_case(np.random.default_rng(seed), n))
+
+
+@pytest.mark.parametrize("n, seed", [(11, 0), (11, 1), (11, 2), (12, 0), (12, 1), (12, 2)])
+def test_prokhorov_table_matches_loop_and_lp_on_11_and_12_points(n, seed):
+    _assert_table_matches_loop_and_lp(*_prokhorov_case(np.random.default_rng(seed), n))
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+def test_prokhorov_rejects_nonpositive_lambda(lam):
+    X = core.random_metric_space(3, seed=2)
+    for route in (dst.prokhorov, dst.prokhorov_bruteforce, dst._prokhorov_eps):
+        with pytest.raises(MMLabError, match="lambda must be positive"):
+            route(X, X.weight, X.weight, lam)
+
+
+@pytest.mark.parametrize("measure", [0.5, ["a", "b", "c"]])
+def test_prokhorov_rejects_measures_that_are_not_vectors(measure):
+    X = core.random_metric_space(3, seed=2)
+    for route in (dst.prokhorov, dst.prokhorov_bruteforce):
+        with pytest.raises(MMLabError, match="measure"):
+            route(X, measure, X.weight)
 
 
 @given(st.integers(0, 150))
