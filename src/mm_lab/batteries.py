@@ -252,7 +252,7 @@ def _trial_box_le_2prok(rng):
 def _trial_lr_le_od(rng):
     X = _tiny_space(rng, n=int(rng.integers(2, 6)))
     kappa = float(rng.uniform(0.05, 0.45))
-    lhs = levy_radius(X, kappa, budget=2000, seed=int(rng.integers(0, 1 << 30)))
+    lhs = levy_radius(X, kappa, mode="exact_tiny")
     rhs = _od_value(X, kappa)
     return lhs, rhs, {"kappa": kappa}
 
@@ -296,6 +296,8 @@ def run_inequality_battery(lemma: str, trials: int = 50, seed=0,
     """
     if lemma not in _BATTERIES:
         raise MMLabError(f"unknown battery {lemma!r}; options: {sorted(_BATTERIES)}")
+    if trials < 1:
+        raise MMLabError("trials must be >= 1")
     trial = _BATTERIES[lemma]
     rows = []
     for i in range(trials):

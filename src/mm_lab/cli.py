@@ -311,7 +311,7 @@ def _cmd_invariant(args) -> int:
     if args.what == "lr":
         mode = "exact_tiny" if args.mode in ("exact", "exact_tiny") else "heuristic_lb"
         val = levy_radius(space, args.kappa, budget=args.budget, seed=args.seed, mode=mode)
-        print(f"levy radius lower bound at kappa={args.kappa}: {val:.9g}")
+        print(f"levy radius at kappa={args.kappa} [{mode}]: {val:.9g}")
         return 0
     if args.what == "lm":
         ident = as_lip(space, space.dist[0], lip_const=1.0)

@@ -1,13 +1,13 @@
 """Concentration invariants of finite metric measure spaces.
 
-Partial diameter, observable diameter (exact on tiny instances, certified
-lower bounds elsewhere), concentration function, Levy mean and radius, and
-kappa-distance between subsets.
+Partial diameter, observable diameter and Levy radius (exact on tiny
+instances, over every value ordering; lower bounds elsewhere), concentration
+function, Levy mean, and kappa-distance between subsets.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +20,7 @@ from .core import (
     RealDistribution,
     _exceeds_lip1,
     _merge_sorted,
+    _readonly,
     _subset_table,
     as_lip,
     project_to_lip1,
@@ -28,9 +29,7 @@ from .core import (
 )
 from .errors import BadAlpha, BadKappa, MMLabError, TooLarge
 
-EXACT_OD_BOUND = 6
-_LEVY_GRID_BOUND = 6  # points of the McShane grid of levy_radius(mode="exact_tiny")
-_LEVY_GRID_ROWS = 2_000_000
+EXACT_OD_BOUND = 6  # points of the exact observable diameter and Levy radius
 _EXACT_SUBSET_BOUND = 16
 
 
@@ -73,13 +72,16 @@ def levy_mean(dist: RealDistribution) -> MedianInterval:
 def _levy_mean_of_values(values, weights) -> MedianInterval:
     """levy_mean of the atoms ``values`` with masses ``weights`` (summing to one)."""
     pos, mass = _merge_sorted(values, weights)
-    cum = np.cumsum(mass)
-    mass_le = cum
-    mass_ge = 1.0 - cum + mass
-    ok = (mass_le >= 0.5 - MASS_TOL) & (mass_ge >= 0.5 - MASS_TOL)
-    idx = np.nonzero(ok)[0]
-    low, high = float(pos[idx[0]]), float(pos[idx[-1]])
+    low, high = (float(pos[i]) for i in _median_ends(mass))
     return MedianInterval(mean=0.5 * (low + high), low=low, high=high)
+
+
+def _median_ends(mass: np.ndarray):
+    """First and last median position along the last axis of ``mass``: each
+    holds mass >= 1/2 - MASS_TOL up to it and from it on."""
+    cum = np.cumsum(mass, axis=-1)
+    median = (cum >= 0.5 - MASS_TOL) & (1.0 - cum + mass >= 0.5 - MASS_TOL)
+    return np.argmax(median, axis=-1), mass.shape[-1] - 1 - np.argmax(median[..., ::-1], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -101,19 +103,24 @@ class ODEstimate:
     meta: dict = field(default_factory=dict)
 
 
+@functools.lru_cache(maxsize=EXACT_OD_BOUND)
+def _orderings(n: int) -> np.ndarray:
+    """The orderings p of n points with p[0] < p[-1], one per row, read-only.
+
+    Reversed, an ordering negates the observable, which moves neither a
+    partial diameter nor a Levy radius, so the exact modes need only these.
+    """
+    perms = [p for p in itertools.permutations(range(n)) if p[0] < p[-1]]
+    return _readonly(np.array(perms, dtype=int).reshape(-1, n))
+
+
 def _qualifying_runs(wp: np.ndarray, target: float):
     """Minimal index b per start a with run mass >= target, per permutation row."""
-    P, n = wp.shape
-    prefix = np.concatenate([np.zeros((P, 1)), np.cumsum(wp, axis=1)], axis=1)
-    runs = np.full((P, n), -1, dtype=int)
-    for a in range(n):
-        needed = prefix[:, a] + target - MASS_TOL
-        # first b with prefix[:, b + 1] >= needed
-        hit = prefix[:, a + 1:] >= needed[:, None]
-        has = hit.any(axis=1)
-        b = np.argmax(hit, axis=1) + a
-        runs[:, a] = np.where(has, b, -1)
-    return runs
+    idx = np.arange(wp.shape[1])
+    prefix = np.concatenate([np.zeros((len(wp), 1)), np.cumsum(wp, axis=1)], axis=1)
+    # hit[p, a, b]: b >= a and the run a..b holds mass >= target
+    hit = (prefix[:, None, 1:] >= prefix[:, :-1, None] + target - MASS_TOL) & (idx >= idx[:, None])
+    return np.where(hit.any(axis=2), np.argmax(hit, axis=2), -1)
 
 
 def _od_exact(space: FiniteMMSpace, kappa: float):
@@ -135,8 +142,7 @@ def _od_exact(space: FiniteMMSpace, kappa: float):
     if n == 1 or float(w.max()) >= target - MASS_TOL:
         return 0.0, np.zeros(n), {"surrogate": 0.0, "orderings": 0}
 
-    perms = np.array([p for p in itertools.permutations(range(n)) if p[0] < p[-1]],
-                     dtype=int)
+    perms = _orderings(n)
     P = len(perms)
     runs = _qualifying_runs(w[perms], target)
     dsig = d[perms[:, :, None], perms[:, None, :]]
@@ -363,8 +369,8 @@ def concentration_function(space: FiniteMMSpace, r: float, mode: str = "auto",
     Exact subset enumeration up to 16 points; beyond that a sandwich of a
     greedy lower bound and a quotient-space upper bound, tagged as heuristic.
     """
-    if r <= 0:
-        raise MMLabError("radius must be positive")
+    if not r > 0:
+        raise MMLabError(f"radius must be positive, got {r}")
     if mode == "auto":
         mode = "exact" if space.n <= _EXACT_SUBSET_BOUND else "heuristic"
     if mode == "exact":
@@ -439,14 +445,11 @@ def _levy_radius_of_rows(values: np.ndarray, weights, kappa: float) -> np.ndarra
     order as the 1-D one, and its candidate radii are tried in the same
     ascending order against the same tail_mass scan: the same bits.
     """
-    rows, n = values.shape
+    rows = len(values)
     order = np.argsort(values, axis=1)
     pos = np.take_along_axis(values, order, axis=1)
-    mass = (weights / weights.sum())[order]
-    cum = np.cumsum(mass, axis=1)
-    median = (cum >= 0.5 - MASS_TOL) & (1.0 - cum + mass >= 0.5 - MASS_TOL)
-    low = np.take_along_axis(pos, np.argmax(median, axis=1)[:, None], axis=1)
-    high = np.take_along_axis(pos, n - 1 - np.argmax(median[:, ::-1], axis=1)[:, None], axis=1)
+    low, high = (np.take_along_axis(pos, i[:, None], axis=1)
+                 for i in _median_ends((weights / weights.sum())[order]))
     dev = np.abs(values - 0.5 * (low + high))
     cand = np.concatenate([np.zeros((rows, 1)), np.sort(dev, axis=1)], axis=1)
     ok = tail_mass(dev, weights, cand) <= kappa + MASS_TOL
@@ -456,63 +459,56 @@ def _levy_radius_of_rows(values: np.ndarray, weights, kappa: float) -> np.ndarra
     return radius
 
 
+def _levy_radius_exact(space: FiniteMMSpace, kappa: float) -> float:
+    """Exact Levy radius on up to EXACT_OD_BOUND points, over all orderings.
+
+    Along an ordering sigma the values rise and are 1-Lipschitz: difference
+    constraints, shortest paths SP (Floyd-Warshall) over edges i -> j of
+    d(sigma_i, sigma_j) for i < j and free steps back.  With l and h the
+    first and last median positions, the points at least t from the Levy
+    mean (v_l + v_h) / 2 are a prefix ending at a and a suffix starting at
+    e, and the largest such t, the projection onto a, l, h and e, is
+    min(SP(a, e), SP(a, l) + SP(a, h), SP(l, e) + SP(h, e)) / 2.  Its
+    maximum over every sigma and (a, e) of mass above kappa is the radius.
+    """
+    n, perms = space.n, _orderings(space.n)
+    mass = space.weight[perms]
+    low, high = _median_ends(mass)
+    idx, p = np.arange(n), np.arange(len(perms))
+    # every step back is free, so SP(i, j) = 0 for j <= i
+    sp = np.where(idx[:, None] < idx, space.dist[perms[:, :, None], perms[:, None, :]], 0.0)
+    for k in range(n):
+        sp = np.minimum(sp, sp[:, :, k, None] + sp[:, None, k, :])
+    # node n is an empty prefix or suffix: infinitely far, and of no mass
+    sp = np.pad(sp, ((0, 0), (0, 1), (0, 1)), constant_values=np.inf)
+    before = (sp[p, :, low] + sp[p, :, high])[:, :, None]
+    after = (sp[p, low, :] + sp[p, high, :])[:, None, :]
+    t = np.minimum(sp, np.minimum(before, after)) / 2
+    prefix = np.pad(np.cumsum(mass, axis=1), ((0, 0), (0, 1)))
+    suffix = np.pad(np.cumsum(mass[:, ::-1], axis=1)[:, ::-1], ((0, 0), (0, 1)))
+    heavy = prefix[:, :, None] + suffix[:, None, :] > kappa + MASS_TOL
+    return float(np.max(t, where=heavy, initial=0.0))
+
+
 def levy_radius(space: FiniteMMSpace, kappa: float, budget: int = 8000, seed=0,
                 mode: str = "heuristic_lb") -> float:
     """Smallest radius around the Levy mean holding all but kappa of the mass,
-    maximized over observables.  Heuristic mode is a lower bound; exact_tiny
-    enumerates a delta-grid McShane family on up to 6 points (certified 2*delta).
-    """
+    maximized over 1-Lipschitz observables: exactly over every value ordering
+    (exact_tiny, up to EXACT_OD_BOUND points) or over a pool (a lower bound)."""
     if not (0.0 < kappa < 1.0):
         raise BadKappa(f"kappa = {kappa} outside (0, 1)")
     if mode == "exact_tiny":
-        if space.n > _LEVY_GRID_BOUND:
-            raise TooLarge(space.n, _LEVY_GRID_BOUND)
-        pool = mcshane_grid_family(space, delta=space.diam / 16.0)
-    elif mode == "heuristic_lb":
-        pool = _candidate_observables(space, max(16, budget // 2), seed)
-        if space.n <= EXACT_OD_BOUND:
-            witness = observable_diameter(space, kappa, mode="exact_tiny").witness
-            pool = np.vstack([pool, witness.values])
-    else:
+        if space.n > EXACT_OD_BOUND:
+            raise TooLarge(space.n, EXACT_OD_BOUND)
+        return _levy_radius_exact(space, kappa)
+    if mode != "heuristic_lb":
         raise MMLabError(f"unknown mode {mode!r}")
+    pool = _candidate_observables(space, max(16, budget // 2), seed)
+    if space.n <= EXACT_OD_BOUND:
+        witness = observable_diameter(space, kappa, mode="exact_tiny").witness
+        pool = np.vstack([pool, witness.values])
     blocks = (pool[start: start + _RANK_BLOCK] for start in range(0, len(pool), _RANK_BLOCK))
     return max(float(_levy_radius_of_rows(rows, space.weight, kappa).max()) for rows in blocks)
-
-
-def mcshane_grid_family(space: FiniteMMSpace, delta: float) -> np.ndarray:
-    """All grid-discretized 1-Lipschitz value vectors with v_0 = 0, one per row.
-
-    Candidates per point are the delta-grid points inside the Lipschitz
-    interval induced by earlier assignments, plus the interval endpoints, so
-    the family covers the Lipschitz polytope within delta per coordinate.
-    More than _LEVY_GRID_ROWS rows raise TooLarge.
-    """
-    n, d = space.n, space.dist
-    diam = space.diam
-    if n == 1:
-        return np.zeros((1, 1))
-    K = int(math.ceil(diam / delta)) if delta > 0 else 0
-    grid = np.arange(-K, K + 1) * delta
-    frontier = np.zeros((1, 1))
-    for i in range(1, n):
-        lo = (frontier - d[i, :i][None, :]).max(axis=1)
-        hi = (frontier + d[i, :i][None, :]).min(axis=1)
-        inside = (grid[None, :] >= lo[:, None] - 1e-12) & (grid[None, :] <= hi[:, None] + 1e-12)
-        counts = inside.sum(axis=1) + 2
-        total = int(counts.sum())
-        if total > _LEVY_GRID_ROWS:
-            raise TooLarge(total, _LEVY_GRID_ROWS)
-        rows = np.repeat(np.arange(len(frontier)), counts)
-        vals = np.empty(total)
-        pos = 0
-        for row in range(len(frontier)):
-            c = int(counts[row])
-            vals[pos] = lo[row]
-            vals[pos + 1] = hi[row]
-            vals[pos + 2: pos + c] = grid[inside[row]]
-            pos += c
-        frontier = np.concatenate([frontier[rows], vals[:, None]], axis=1)
-    return frontier
 
 
 # ---------------------------------------------------------------------------

@@ -554,6 +554,8 @@ def check_triangle_triplets(F: MPF, samples: int = 100_000, horizon: float = 8.0
     """
     if samples < 1:
         raise MMLabError("samples must be >= 1")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise MMLabError(f"horizon must be finite and positive, got {horizon}")
     N = F.arity
     rng = np.random.default_rng(seed)
 

@@ -121,13 +121,56 @@ def levy_radius_loop(values, weights, kappa, center):
     return float(dev.max())
 
 
-def levy_radius_exact_loop(space, kappa):
-    """levy_radius(mode="exact_tiny") one McShane grid row at a time, by the 1-D kernel."""
-    from mm_lab.invariants import _levy_radius_of_values, mcshane_grid_family
+def levy_radius_lp(space, kappa, tol=1e-12):
+    """Largest Levy radius of a 1-Lipschitz observable, by LP.
 
+    For every ordering of the points by value, let l and h be the first and
+    last positions holding mass >= 1/2 - tol on both sides.  For every
+    prefix (possibly empty) and the shortest suffix that brings the mass
+    above kappa + tol, one linear program maximizes t subject to the
+    Lipschitz caps, the monotone order, and a distance of at least t from
+    the Levy mean (u_l + u_h) / 2 on the last prefix point and the first
+    suffix point.  A longer suffix only adds constraints.
+    """
+    from scipy.optimize import linprog
+
+    n = space.n
+    d = space.dist
     best = 0.0
-    for vals in mcshane_grid_family(space, delta=space.diam / 16.0):
-        best = max(best, _levy_radius_of_values(vals, space.weight, kappa))
+    for sigma in itertools.permutations(range(n)):
+        w = [float(space.weight[k]) for k in sigma]
+        median = [k for k in range(n)
+                  if sum(w[:k + 1]) >= 0.5 - tol and sum(w[k:]) >= 0.5 - tol]
+        low, high = median[0], median[-1]
+        for a in range(-1, n):
+            heavy = [e for e in range(a + 1, n + 1)
+                     if (a >= 0 or e < n) and sum(w[:a + 1]) + sum(w[e:]) > kappa + tol]
+            if not heavy:
+                continue
+            e = heavy[-1]
+            rows, rhs = [], []
+
+            def row(coefs, bound):
+                r = [0.0] * (n + 1)  # values u_0..u_{n-1} in sigma order, then t
+                for k, c in coefs:
+                    r[k] += c
+                rows.append(r)
+                rhs.append(bound)
+
+            for i in range(n):
+                for j in range(i + 1, n):
+                    row([(j, 1.0), (i, -1.0)], float(d[sigma[i], sigma[j]]))
+            for i in range(n - 1):
+                row([(i, 1.0), (i + 1, -1.0)], 0.0)
+            if a >= 0:
+                row([(a, 2.0), (low, -1.0), (high, -1.0), (n, 2.0)], 0.0)
+            if e < n:
+                row([(low, 1.0), (high, 1.0), (e, -2.0), (n, 2.0)], 0.0)
+            c = [0.0] * n + [-1.0]
+            bounds = [(0.0, 0.0)] + [(None, None)] * n
+            res = linprog(c, A_ub=rows, b_ub=rhs, bounds=bounds, method="highs")
+            assert res.success, res.message
+            best = max(best, -res.fun)
     return best
 
 

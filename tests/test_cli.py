@@ -239,17 +239,26 @@ def test_gallery_and_cert(tmp_path, capsys):
 
 
 def test_invariant_lr_routes_mode(tmp_path, capsys):
-    X = core.random_metric_space(4, seed=18)
+    X = core.random_metric_space(5, seed=0)
     path = tmp_path / "x.json"
     core.save_space(X, path)
-    args = ["invariant", "lr", "--space", str(path), "--kappa", "0.45"]
-    exact = inv.levy_radius(X, 0.45, mode="exact_tiny")
-    heuristic = inv.levy_radius(X, 0.45, budget=20_000, seed=7)
+    args = ["invariant", "lr", "--space", str(path), "--kappa", "0.3"]
+    exact = inv.levy_radius(X, 0.3, mode="exact_tiny")
+    heuristic = inv.levy_radius(X, 0.3, budget=20_000, seed=7)
     assert f"{exact:.9g}" != f"{heuristic:.9g}"
-    for mode, want in (("exact", exact), ("exact_tiny", exact), ("auto", heuristic),
-                       ("heuristic", heuristic)):
+    for mode, label, want in (("exact", "exact_tiny", exact), ("exact_tiny", "exact_tiny", exact),
+                              ("auto", "heuristic_lb", heuristic),
+                              ("heuristic", "heuristic_lb", heuristic)):
         assert main(args + ["--mode", mode]) == 0
-        assert capsys.readouterr().out.endswith(f": {want:.9g}\n"), mode
+        assert capsys.readouterr().out == f"levy radius at kappa=0.3 [{label}]: {want:.9g}\n", mode
+
+
+def test_nan_horizon_and_empty_battery_are_errors(capsys):
+    assert main(["mpf", "check", "--fn", "fp:2", "--horizon", "nan"]) == 2
+    assert capsys.readouterr().err.startswith("error: horizon must be finite and positive")
+    for trials in ("0", "-3"):
+        assert main(["battery", "key_F", "--trials", trials]) == 2
+        assert capsys.readouterr().err == "error: trials must be >= 1\n"
 
 
 def test_battery_cli_default_tol_is_the_library_default(monkeypatch):

@@ -1,7 +1,7 @@
 """Every module-level import of the library is used in its module, every
 module-level private name is read somewhere in the library, every relative
-import sits at the top of its module, and the modules import each other
-without a cycle."""
+import sits at the top of its module, the modules import each other
+without a cycle, and every public oracle of the tests is called."""
 import ast
 import graphlib
 from pathlib import Path
@@ -11,6 +11,7 @@ import pytest
 import mm_lab
 
 _MODULES = sorted(p for p in Path(mm_lab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+_TESTS = Path(__file__).parent
 
 
 def unused_imports(source: str) -> list:
@@ -89,6 +90,27 @@ def find_cycle(graph: dict) -> list:
     return []
 
 
+def _called_names(tree) -> set:
+    """Names of the functions that the calls inside ``tree`` name."""
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def uncalled_oracles(oracle_source: str, test_sources) -> list:
+    """Public module-level functions of ``oracle_source`` that no test source
+    calls, directly or through the other oracles it calls."""
+    funcs = {node.name: node for node in ast.parse(oracle_source).body
+             if isinstance(node, ast.FunctionDef)}
+    reached = set().union(*(_called_names(ast.parse(s)) for s in test_sources)) & set(funcs)
+    todo = list(reached)
+    while todo:
+        for name in _called_names(funcs[todo.pop()]) & set(funcs) - reached:
+            reached.add(name)
+            todo.append(name)
+    return sorted(name for name in funcs if not name.startswith("_") and name not in reached)
+
+
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -106,6 +128,18 @@ def test_no_function_local_relative_imports(path):
 
 def test_module_imports_are_acyclic():
     assert find_cycle(import_graph(_MODULES)) == []
+
+
+def test_every_public_oracle_is_called_from_a_test():
+    tests = [p.read_text() for p in sorted(_TESTS.glob("test_*.py"))]
+    assert uncalled_oracles((_TESTS / "oracles.py").read_text(), tests) == []
+
+
+def test_checker_flags_an_uncalled_oracle():
+    oracles = ("def a():\n    return b()\n\n\ndef b():\n    return _c()\n\n\n"
+               "def _c():\n    return 0\n\n\ndef d():\n    return 1\n\n\ndef e():\n    return a\n")
+    assert uncalled_oracles(oracles, ["from oracles import a\nassert a() == 0\n"]) == ["d", "e"]
+    assert uncalled_oracles(oracles, ["import oracles\noracles.d()\n"]) == ["a", "b", "e"]
 
 
 def test_checker_flags_an_unused_import():

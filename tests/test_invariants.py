@@ -15,8 +15,8 @@ from mm_lab.product import ProductSpec, product
 from oracles import (
     candidate_pool_loop,
     kappa_distance_oracle,
-    levy_radius_exact_loop,
     levy_radius_loop,
+    levy_radius_lp,
     od_exact_closure_loop,
     od_heuristic_loop,
     od_span_lp,
@@ -316,6 +316,13 @@ def test_concentration_function_examples():
     assert inv.concentration_function(one, 0.5).value == 0.0
 
 
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+@pytest.mark.parametrize("r", [float("nan"), 0.0, -1.0])
+def test_concentration_function_rejects_radius_that_is_not_positive(mode, r):
+    with pytest.raises(MMLabError, match="radius must be positive"):
+        inv.concentration_function(two_point(2.0), r, mode=mode)
+
+
 def test_concentration_heuristic_sandwich():
     X = core.random_metric_space(12, seed=13)
     r = 0.8 * X.diam
@@ -394,27 +401,87 @@ def test_levy_radius_below_od():
 
 
 def test_levy_radius_exact_tiny_grid():
-    X = two_point(2.0)
-    val = inv.levy_radius(X, 0.3, mode="exact_tiny")
-    assert val == pytest.approx(1.0, abs=2 * X.diam / 16)
+    assert inv.levy_radius(two_point(2.0), 0.3, mode="exact_tiny") == 1.0
 
 
-def test_levy_radius_exact_tiny_matches_row_loop():
-    rng = np.random.default_rng(5)
-    spaces = [core.random_metric_space(2 + t % 3, seed=300 + t) for t in range(5)]
-    # 5 and 6 points on a line, all but one close together: a grid family of
-    # thousands of rows, where random spaces make up to a million
-    for n in (5, 6):
-        x = np.append(0.01 * np.arange(n - 1), 1.0)
-        spaces.append(core.validate_space({"dist": np.abs(x[:, None] - x),
-                                           "weight": np.full(n, 1.0 / n)}))
-    for X in spaces:
-        # under uniform weights too; tied grid values send rows to the 1-D fallback
-        w = rng.random(X.n) + 0.1
-        for space in (X.reweighted(w / w.sum()), X.reweighted(np.full(X.n, 1.0 / X.n))):
-            kappa = float(rng.uniform(0.05, 0.5))
-            want = levy_radius_exact_loop(space, kappa)
-            assert inv.levy_radius(space, kappa, mode="exact_tiny").hex() == want.hex()
+def test_orderings_table_is_shared_and_read_only():
+    for n in range(1, 7):
+        perms = inv._orderings(n)
+        assert perms is inv._orderings(n) and not perms.flags.writeable
+        assert perms.shape == ((math.factorial(n) // 2, n) if n > 1 else (0, 1))
+        assert (perms[:, 0] < perms[:, -1]).all()
+        assert len({tuple(p) for p in perms}) == len(perms)
+
+
+def _shifted(weight, shift):
+    """weight with shift moved from its last point to its first."""
+    w = np.array(weight, dtype=float)
+    w[0] += shift
+    w[-1] -= shift
+    return w
+
+
+@st.composite
+def levy_cases(draw, max_n):
+    """A random space of 1..max_n points and a kappa.  The weights are
+    generic, uniform, in eighths, uniform with a shift of a fraction or a
+    multiple of MASS_TOL (on either side of a half-mass median when n is
+    even), or uniform but for one point of mass MASS_TOL."""
+    n = draw(st.integers(1, max_n))
+    X = core.random_metric_space(n, seed=draw(st.integers(0, 10_000)))
+    kind = draw(st.sampled_from(["generic", "uniform", "eighths", "shifted", "tiny"]))
+    uniform = np.full(n, 1.0 / n)
+    if kind == "uniform":
+        X = X.reweighted(uniform)
+    elif kind == "eighths":
+        w = np.array(draw(st.lists(st.integers(1, 8), min_size=n, max_size=n)), dtype=float)
+        X = X.reweighted(w / w.sum())
+    elif kind == "shifted" and n > 1:
+        shift = draw(st.sampled_from([0.5, -0.5, 2.0, -2.0])) * core.MASS_TOL
+        X = X.reweighted(_shifted(uniform, shift))
+    elif kind == "tiny" and n > 2:
+        X = X.reweighted(np.append(np.full(n - 1, (1.0 - core.MASS_TOL) / (n - 1)), core.MASS_TOL))
+    kappa = draw(st.one_of(st.floats(0.01, 0.99), st.sampled_from([0.125, 0.25, 0.5])))
+    return X, kappa
+
+
+@settings(max_examples=40, deadline=None)
+@given(levy_cases(max_n=4))
+def test_levy_radius_exact_matches_lp(case):
+    X, kappa = case
+    got = inv.levy_radius(X, kappa, mode="exact_tiny")
+    assert got == pytest.approx(levy_radius_lp(X, kappa), abs=1e-9)
+    assert got >= inv.levy_radius(X, kappa, budget=2000, seed=1) - 1e-12
+
+
+_HALVES = [0.25, 0.25, 0.25, 0.125, 0.125]
+
+
+@pytest.mark.parametrize("weight, kappa", [
+    (None, 0.3),
+    (_HALVES, 0.2),
+    (_shifted(_HALVES, 0.5 * core.MASS_TOL), 0.3),
+    (_shifted(_HALVES, 2.0 * core.MASS_TOL), 0.3),
+    ([0.25, 0.25, 0.25, 0.25 - core.MASS_TOL, core.MASS_TOL], 0.45),
+], ids=["generic", "half_mass", "half_mass_within_tol", "half_mass_past_tol", "tiny_median"])
+def test_levy_radius_exact_matches_lp_on_five_points(weight, kappa):
+    X = core.random_metric_space(5, seed=0)
+    if weight is not None:
+        X = X.reweighted(weight)
+    got = inv.levy_radius(X, kappa, mode="exact_tiny")
+    assert got == pytest.approx(levy_radius_lp(X, kappa), abs=1e-9)
+
+
+def test_levy_radius_exact_between_heuristic_and_od():
+    rng = np.random.default_rng(11)
+    for t in range(24):
+        X = core.random_metric_space(2 + t % 5, seed=700 + t)
+        if t % 3 == 1:
+            X = X.reweighted(np.full(X.n, 1.0 / X.n))
+        kappa = float(rng.uniform(0.01, 0.5))
+        exact = inv.levy_radius(X, kappa, mode="exact_tiny")
+        assert exact >= inv.levy_radius(X, kappa, budget=2000, seed=t) - 1e-12
+        assert exact <= inv.observable_diameter(X, kappa).value + 1e-9
 
 
 def test_kappa_distance_examples_and_oracle():
@@ -471,19 +538,16 @@ def test_kappa_distance_greedy_is_a_witnessed_lower_bound(seed):
     assert X.dist[np.ix_(b1, b2)].min() == kd.value
 
 
-def test_mcshane_grid_family_members_are_lipschitz():
-    X = core.random_metric_space(4, seed=77)
-    count = 0
-    for vals in inv.mcshane_grid_family(X, delta=X.diam / 4):
-        assert core.lip_constant(X, vals) <= 1.0 + 1e-9
-        count += 1
-    assert count > 4
-
-
 @pytest.mark.parametrize("name", batteries.BATTERY_NAMES)
 def test_each_battery_smoke(name):
     rep = batteries.run_inequality_battery(name, trials=3, seed=123)
     assert rep.all_pass, [(r.lhs, r.rhs, r.meta) for r in rep.failures]
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_battery_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(MMLabError, match="trials must be >= 1"):
+        batteries.run_inequality_battery("key_F", trials=trials)
 
 
 def test_battery_rows_same_across_hash_seeds():

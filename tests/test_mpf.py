@@ -608,3 +608,9 @@ def test_verdict_zero_locus_check():
     shifted = mpf.linear(0.0, 1.0)
     v2 = mpf.check_triangle_triplets(shifted, samples=100, seed=0)
     assert not v2.zero_ok
+
+
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0, -1.0])
+def test_check_triangle_triplets_rejects_bad_horizon(horizon):
+    with pytest.raises(MMLabError, match="horizon must be finite and positive"):
+        mpf.check_triangle_triplets(mpf.builtin("fp:2"), samples=10, horizon=horizon)
