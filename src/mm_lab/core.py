@@ -41,6 +41,11 @@ _TRIANGLE_CHUNK = 1 << 18
 # up to this size sweeping every pivot beats the Chebyshev screen
 # (BENCH_pr10.json, triangle_crossover_us)
 _TRIANGLE_SCREEN_N = 6
+# up to this many (row, pair) entries comparing every pair in float64 beats
+# the Lipschitz screen, and the screen casts blocks of this many matrix rows
+# (BENCH_pr25.json, lip_screen_crossover_us)
+_LIP_BROADCAST = 1 << 16
+_LIP_BLOCK = 128
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -363,39 +368,84 @@ def lip_constant(space: FiniteMMSpace, values) -> float:
     return float((dv[pos] / d[pos]).max())
 
 
+def _breaks_lip1(d: np.ndarray, v: np.ndarray, i: np.ndarray, j: np.ndarray) -> bool:
+    """Whether a pair (i[k], j[k]) with i[k] != j[k] has |v_i - v_j| > d(i, j) or > d(j, i).
+
+    The float64 comparison of lip_constant's pairs, on the given pairs only.
+    """
+    gap = np.abs(v[i] - v[j])
+    return bool((((gap > d[i, j]) | (gap > d[j, i])) & (i != j)).any())
+
+
 def _exceeds_lip1(space: FiniteMMSpace, rows) -> np.ndarray:
-    """Flag each row v of a 2-D array having a pair with |v_i - v_j| > d(i, j).
+    """Flag each row v of a 2-D array having a pair i != j with |v_i - v_j| > d(i, j).
 
     For positive floats fl(a / b) > 1 exactly when a > b, so every row whose
     lip_constant exceeds 1 is flagged, and so is every row that splits a zero
     distance (lip_constant inf).  An unflagged row is 1-Lipschitz, and
-    project_to_lip1 returns it unchanged.  One pass over blocks of about 256
-    (row, point) pairs.
+    project_to_lip1 returns it unchanged.
+
+    Up to _LIP_BROADCAST (row, pair) entries every pair is compared at once,
+    against min(d(i, j), d(j, i)).  Beyond, a float32 min-plus screen
+    decides most points, and a float64 recheck of the rest gives the flags
+    of the exact comparison.  The screen casts blocks of _LIP_BLOCK matrix
+    rows once and bounds, for every point i, the least slack
+    d(i, j) + v_j - v_i over j != i.  A violating pair leaves a slack of at
+    most the asymmetry METRIC_TOL at one of its ends, and float32 rounding
+    moves a slack by less than 4 eps32 (max|d| + 2 max|v|).  So at each
+    point whose least slack is not above their sum, the pairs whose slack
+    is not above it are rechecked against d(i, j) and d(j, i) (_breaks_lip1).
+    Every pair of a row too large for float32, or holding a nan, is
+    rechecked.  A flagged row skips later blocks.
     """
-    rows = np.asarray(rows, dtype=float)
-    m, n = rows.shape
+    n = space.n
+    rows = np.asarray(rows, dtype=float).reshape(len(rows), n)
     d = space.dist
-    flagged = np.zeros(m, dtype=bool)
-    step = max(1, 256 // m)
-    gap = np.empty((m, step, n))
-    for lo in range(0, n, step):
-        g = gap[:, : min(step, n - lo)]
-        np.subtract(rows[:, lo: lo + step, None], rows[:, None, :], out=g)
-        np.abs(g, out=g)
-        flagged |= (g > d[lo: lo + step]).any(axis=(1, 2))
+    if len(rows) * n * n <= _LIP_BROADCAST:
+        lim = np.minimum(d, d.T)
+        np.fill_diagonal(lim, np.inf)
+        return (np.abs(rows[:, :, None] - rows[:, None, :]) > lim).any(axis=(1, 2))
+    flagged = np.zeros(len(rows), dtype=bool)
+    f32 = np.finfo(np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # |d| <= diam + METRIC_TOL: validate_space allows entries down to -METRIC_TOL
+        scale = space.diam + METRIC_TOL + 2.0 * np.abs(rows).max(axis=1)
+        # float64, so the float32 slacks are compared with it exactly
+        margin = np.where(scale < f32.max / 4, 4 * float(f32.eps) * scale + METRIC_TOL, np.inf)
+        v32 = rows.astype(np.float32)
+        for lo in range(0, n, _LIP_BLOCK):
+            d32 = d[lo: lo + _LIP_BLOCK].astype(np.float32)
+            b = len(d32)
+            d32[np.arange(b), np.arange(lo, lo + b)] = np.inf
+            plus = np.empty_like(d32)
+            for r in np.flatnonzero(~flagged):
+                np.add(d32, v32[r], out=plus)
+                own = v32[r, lo: lo + b]
+                undecided = np.flatnonzero(~(plus.min(axis=1) - own > margin[r]))
+                if undecided.size:
+                    pairs = ~(plus[undecided] - own[undecided, None] > margin[r])
+                    k, j = np.divmod(np.flatnonzero(pairs), n)
+                    flagged[r] = _breaks_lip1(d, rows[r], undecided[k] + lo, j)
     return flagged
 
 
 def as_lip(space: FiniteMMSpace, values, lip_const: float | None = None) -> LipFunction:
-    """Wrap point values as a LipFunction, certifying the claimed constant."""
+    """Wrap point values as a LipFunction, certifying the claimed constant.
+
+    A claimed constant of at least 1 is certified by one _exceeds_lip1 row:
+    an unflagged row has lip_constant <= 1.  Only a flagged row, or a smaller
+    or missing claim, pays for lip_constant, which decides and names the
+    observed constant.
+    """
     v = np.asarray(values, dtype=float)
     if v.shape != (space.n,):
         raise HostMismatch(f"{v.shape} values on a {space.n}-point space")
-    actual = lip_constant(space, v)
     if lip_const is None:
-        lip_const = actual
-    elif actual > lip_const + METRIC_TOL:
-        raise NotLipschitz(f"claimed constant {lip_const}, observed {actual}")
+        lip_const = lip_constant(space, v)
+    elif lip_const < 1.0 or _exceeds_lip1(space, v[None])[0]:
+        actual = lip_constant(space, v)
+        if actual > lip_const + METRIC_TOL:
+            raise NotLipschitz(f"claimed constant {lip_const}, observed {actual}")
     return LipFunction(values=_readonly(v), lip_const=float(lip_const))
 
 

@@ -197,9 +197,11 @@ def _candidate_observables(space: FiniteMMSpace, count: int, seed) -> np.ndarray
     pool is a prefix of any larger pool with the same seed.  The cones are
     then built one arity at a time, on contiguous rows of one transposed copy
     of the distance matrix, straight into their rows of the pool.  The
-    coordinate projections go through one Lipschitz screen together; only
-    the directions it flags are rescaled by project_to_lip1, the others are
-    1-Lipschitz already and are used as they are.
+    coordinate projections go through one _exceeds_lip1 call together: a
+    float32 screen whose undecided pairs are rechecked in float64, so its
+    flags are the exact ones.  Only the directions it flags are rescaled by
+    project_to_lip1; the others are 1-Lipschitz already and are used as
+    they are.
     """
     n, d = space.n, space.dist
     key = int(seed) & 0x7FFFFFFF

@@ -871,3 +871,22 @@ def prokhorov_lp(dist, mu, nu, lam=1.0):
                       bounds=(0, None), method="highs")
         best = min(best, max(float(r), (1.0 + res.fun) / lam))
     return best
+
+
+def exceeds_lip1_broadcast(space, rows):
+    """Flag each row v having a pair i != j with |v_i - v_j| > d(i, j).
+
+    The float64 broadcast kernel that core._exceeds_lip1 replaced: every
+    (row, point, point) gap, in blocks of about 256 (row, point) pairs, with
+    the diagonal left out as lip_constant leaves it out.
+    """
+    rows = np.asarray(rows, dtype=float)
+    m, n = rows.shape
+    d = np.array(space.dist)
+    np.fill_diagonal(d, np.inf)
+    flagged = np.zeros(m, dtype=bool)
+    step = max(1, 256 // max(m, 1))
+    for lo in range(0, n, step):
+        gap = np.abs(rows[:, lo: lo + step, None] - rows[:, None, :])
+        flagged |= (gap > d[lo: lo + step]).any(axis=(1, 2))
+    return flagged

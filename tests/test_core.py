@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,12 +15,18 @@ from mm_lab.errors import (
     HostMismatch,
     MMLabError,
     NegativeWeight,
+    NotLipschitz,
     NotNormalized,
     TooLarge,
     TriangleViolation,
 )
 
-from oracles import candidate_pool_loop, triangle_check_loop, triangle_check_sampled_loop
+from oracles import (
+    candidate_pool_loop,
+    exceeds_lip1_broadcast,
+    triangle_check_loop,
+    triangle_check_sampled_loop,
+)
 from strategies import weighted_deviations
 
 
@@ -404,3 +415,198 @@ def test_lip1_screen_passes_chordal_sphere_directions():
     dirs = np.vstack([np.eye(7), rng.normal(size=(20, 7))])
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     assert not core._exceeds_lip1(sph, [sph.coords @ u for u in dirs]).any()
+
+
+def _screen_both_ways(space, rows):
+    """_exceeds_lip1 as it dispatches, and forced onto the float32 screen."""
+    whole = core._exceeds_lip1(space, rows)
+    with mock.patch.object(core, "_LIP_BROADCAST", 0):
+        screened = core._exceeds_lip1(space, rows)
+    return whole, screened
+
+
+def _assert_oracle_flags(space, rows):
+    want = exceeds_lip1_broadcast(space, np.asarray(rows, dtype=float))
+    for got in _screen_both_ways(space, rows):
+        assert got.tolist() == want.tolist()
+    return want
+
+
+def _sphere_rows(space, seed):
+    """The coordinate directions of a pool, and some distance columns."""
+    dims = space.coords.shape[1]
+    rng = np.random.default_rng(seed)
+    dirs = np.vstack([np.eye(dims)[:16], rng.normal(size=(32, dims))])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return np.vstack([dirs @ space.coords.T, space.dist[rng.integers(0, space.n, 4)]])
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_lip1_screen_matches_broadcast_oracle_on_chordal_spheres(seed):
+    for dim in (2, 4, 8, 16, 32):
+        sph = gallery.sample_sphere(dim, 1.0, 1000, metric="chordal", seed=seed).space
+        rows = _sphere_rows(sph, seed)
+        assert not _assert_oracle_flags(sph, rows).any()
+        if dim in (2, 32):
+            # a shrunk metric breaks every row; one shrunk by 1e-9 breaks some
+            for c in (0.5, 1 - 1e-9):
+                shrunk = core.validate_space({"dist": c * sph.dist, "weight": sph.weight,
+                                              "coords": sph.coords})
+                flags = _assert_oracle_flags(shrunk, rows)
+                assert flags.all() if c == 0.5 else flags.any()
+
+
+def _line(n, step=0.25, scale=1.0):
+    """n points on a line at multiples of step; a dyadic step makes every distance exact."""
+    x = np.arange(n) * step * scale
+    return core.validate_space({"dist": np.abs(x[:, None] - x[None, :]),
+                                "weight": np.full(n, 1.0 / n), "coords": x[:, None]}), x
+
+
+def test_lip1_screen_decides_exact_ties_on_a_line():
+    X, x = _line(300)
+    rows = [x, -x, x + 3.0, x * (1 + 2.0 ** -52), x * (1 + 1e-12), x * (1 - 1e-12)]
+    flags = _assert_oracle_flags(X, rows)
+    # |v_i - v_j| = d(i, j) bit for bit is no violation; any stretch is one
+    assert flags.tolist() == [False, False, False, True, True, False]
+    # off the float32 grid the casts move a slack by up to about 1e-6, so a
+    # pair broken by 4e-12 can read as slack: only the margin catches it
+    X, x = _line(300, step=0.1)
+    rows = []
+    for c in (0.3, 1.7, 2.9, 5.3, 7.1, 9.7, 13.3, 29.9):
+        v = 0.5 * x + c
+        v[1] = v[0] + X.dist[0, 1] + 4e-12
+        rows.append(v)
+    assert _assert_oracle_flags(X, rows).all()
+    assert not _assert_oracle_flags(X, [x, x * (1 - 1e-12)]).any()
+
+
+def test_lip1_screen_matches_oracle_on_zero_distance_splits():
+    X, x = _line(300)
+    # point 1 moved onto point 0: they sit at distance zero, with other labels
+    x[1] = 0.0
+    dup = core.validate_space({"dist": np.abs(x[:, None] - x[None, :]),
+                               "weight": X.weight, "coords": x[:, None]})
+    split = x.copy()
+    split[1] = 1e-300
+    flags = _assert_oracle_flags(dup, [x, split, -split, np.zeros(300)])
+    assert flags.tolist() == [False, True, True, False]
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 997, 2.0 ** -997])
+def test_lip1_screen_is_exact_beyond_float32_range(scale):
+    # about 1e300 the float32 casts overflow (inf - inf is nan), about 1e-300
+    # they underflow to zero; power-of-two scales keep the float64 flags
+    X, x = _line(300, scale=scale)
+    rows = [x, x * (1 + 1e-12), -x, x[::-1].copy(), 2 * x]
+    assert _assert_oracle_flags(X, rows).tolist() == [False, True, False, False, True]
+
+
+def test_lip1_screen_finds_a_violation_near_float32_max():
+    # d(0, 1) casts to inf in float32, so the screen alone would see no pair
+    # (0, 1); points 0 and 1 keep finite slacks through point 2
+    X = core.validate_space({"dist": [[0, 3.5e38, 1e38], [3.5e38, 0, 3e38], [1e38, 3e38, 0]],
+                             "weight": [1 / 3] * 3})
+    assert _assert_oracle_flags(X, [[0.6e38, -3e38, 0.0], [0.5e38, -3e38, 0.0]]).tolist() == [
+        True, False]
+
+
+def test_lip1_screen_allows_for_the_asymmetry_of_the_metric():
+    # v breaks d(0, 1) but not d(1, 0) = d(0, 1) + 5e-10; its slack at point 1
+    # is 2.5e-10, far above float32 rounding at this scale
+    X, x = _line(300, step=2.0 ** -22)
+    d = X.dist.copy()
+    d[0, 1] -= 5e-10
+    Y = core.validate_space({"dist": d, "weight": X.weight})
+    v = 0.5 * x
+    v[1] = x[1] - 2.5e-10
+    assert _assert_oracle_flags(Y, [v, 0.5 * x]).tolist() == [True, False]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 60), st.integers(0, 10_000),
+       st.sampled_from([0.5, 1 - 1e-9, 1.0, 1 + 1e-12]))
+def test_lip1_screen_matches_broadcast_oracle(n, seed, c):
+    X = core.random_metric_space(n, seed=seed)
+    scaled = core.validate_space({"dist": c * X.dist, "weight": X.weight, "coords": X.coords})
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(8, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    rows = np.vstack([dirs @ X.coords.T, X.dist[rng.integers(0, n, 2)], np.zeros(n)])
+    _assert_oracle_flags(scaled, rows)
+
+
+def test_lip1_screen_ignores_a_negative_diagonal():
+    X = core.random_metric_space(30, seed=1)
+    d = X.dist.copy()
+    np.fill_diagonal(d, -1e-10)
+    Y = core.validate_space({"dist": d, "weight": X.weight, "coords": X.coords})
+    # a nan sends every pair of its row to the recheck, the diagonal too
+    with_nan = np.zeros(30)
+    with_nan[3] = np.nan
+    rows = np.vstack([np.zeros(30), Y.coords.T, 0.5 * Y.coords.T, with_nan])
+    assert core.lip_constant(Y, rows[0]) == 0.0
+    flags = _assert_oracle_flags(Y, rows)
+    assert not flags[0]
+    for row, flag in zip(rows, flags):
+        assert flag == (core.lip_constant(Y, row) > 1.0)
+
+
+def test_lip1_screen_of_no_rows_is_empty():
+    X = core.random_metric_space(5, seed=0)
+    for got in _screen_both_ways(X, np.empty((0, 5))):
+        assert got.shape == (0,) and got.dtype == bool
+
+
+def test_lip1_screen_rechecks_no_sphere_direction(monkeypatch):
+    sph = gallery.sample_sphere(8, 1.0, 1000, metric="chordal", seed=7).space
+    rechecks = []
+    original = core._breaks_lip1
+
+    def counted(d, v, i, j):
+        rechecks.append(len(i))
+        return original(d, v, i, j)
+
+    monkeypatch.setattr(core, "_breaks_lip1", counted)
+    # the coordinate directions, without the distance columns and their ties
+    assert not core._exceeds_lip1(sph, _sphere_rows(sph, 7)[:-4]).any()
+    assert rechecks == []
+
+
+def test_as_lip_certifies_through_the_screen(monkeypatch):
+    calls = []
+    original = core.lip_constant
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(core, "lip_constant", counted)
+    X, x = _line(300)
+    assert core.as_lip(X, x, lip_const=1.0).lip_const == 1.0
+    assert core.as_lip(X, x, lip_const=2.0).lip_const == 2.0
+    assert calls == []
+    # a flagged row names its constant; a claim below 1 is decided as before
+    with pytest.raises(NotLipschitz, match="observed 2.0"):
+        core.as_lip(X, 2 * x, lip_const=1.0)
+    assert core.as_lip(X, x * (1 + 1e-12), lip_const=1.0).lip_const == 1.0
+    with pytest.raises(NotLipschitz):
+        core.as_lip(X, x, lip_const=0.5)
+    assert core.as_lip(X, 2 * x, lip_const=2.0).lip_const == 2.0
+    assert core.as_lip(X, x).lip_const == 1.0
+    assert len(calls) == 5
+
+
+def test_heuristic_od_loads_no_scipy_subpackage():
+    src = str(Path(core.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "from mm_lab import gallery, invariants\n"
+            "sph = gallery.sample_sphere(8, 1.0, 1000, metric='chordal', seed=7)\n"
+            "invariants.observable_diameter(sph.space, 0.1, mode='heuristic_lb', seed=7)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.')))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("MML_CACHE_DIR", None)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert run.stdout.strip() == "[]", run.stdout
+

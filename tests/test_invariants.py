@@ -268,16 +268,21 @@ def test_pd_of_rows_falls_back_on_merged_atoms():
 
 def test_heuristic_od_certifies_only_the_witness(monkeypatch):
     calls = []
-    original = core.lip_constant
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(core, "lip_constant", counted)
+    monkeypatch.setattr(core, "lip_constant", counting("lip_constant", core.lip_constant))
+    screen = counting("screen", core._exceeds_lip1)
+    monkeypatch.setattr(core, "_exceeds_lip1", screen)
+    monkeypatch.setattr(inv, "_exceeds_lip1", screen)
     sph = gallery.sample_sphere(8, 1.0, 500, metric="chordal", seed=5)
     inv.observable_diameter(sph.space, 0.1, mode="heuristic_lb", budget=4000, seed=5)
-    assert len(calls) == 1
+    # one screen of the pool's directions, one of the witness, no lip_constant
+    assert calls == ["screen", "screen"]
 
 
 def test_levy_mean_examples():
