@@ -182,8 +182,10 @@ def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "space":
         space = load_space(args.inp)
+        proof = (f" (slack ≤ {space.triangle_slack:.3g})"
+                 if space.triangle_check == "certified" else "")
         print(f"valid space: {space.n} points, diameter {space.diam:.6g}, "
-              f"{space.triangle_check} triangle check")
+              f"{space.triangle_check} triangle check{proof}")
         if args.out:
             save_space(space, args.out)
         return 0

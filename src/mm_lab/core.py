@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,8 +39,12 @@ _EXHAUSTIVE_TRIANGLE_N = 512
 _SAMPLED_TRIANGLE_COUNT = 2_000_000
 _TRIANGLE_CHUNK = 1 << 18
 # up to this size sweeping every pivot beats the Chebyshev screen
-# (BENCH_pr10.json, triangle_crossover_us)
+# (BENCH_pr10.json, triangle_crossover_us), and every triplet is scored at once
 _TRIANGLE_SCREEN_N = 6
+# above this size the Euclidean certificate of coords beats the pivot sweep
+# (BENCH_pr26.json, euclid_crossover_us)
+_EUCLID_CERT_N = 6
+_U = 2.0**-53  # unit roundoff of float64
 # up to this many (row, pair) entries comparing every pair in float64 beats
 # the Lipschitz screen, and the screen casts blocks of this many matrix rows
 # (BENCH_pr25.json, lip_screen_crossover_us)
@@ -61,10 +65,15 @@ class FiniteMMSpace:
     labels: tuple
     dist: np.ndarray
     weight: np.ndarray
-    # "exhaustive" when every triplet was checked, "sampled" when the triangle
-    # inequality was only falsified on a random sample of triplets
+    # "exhaustive" when every triplet was checked, "certified" when a bound
+    # proved from the construction (Euclidean coords, an lp product) holds,
+    # "sampled" when the triangle inequality was only falsified on a random
+    # sample of triplets
     triangle_check: str
     coords: np.ndarray | None = None
+    # proved upper bound on d[i, k] - d[i, j] - d[j, k] over every triplet,
+    # exact and as _triangle_check evaluates it in floats; None when sampled
+    triangle_slack: float | None = None
 
     @property
     def n(self) -> int:
@@ -77,13 +86,8 @@ class FiniteMMSpace:
         return float(self.dist.max()) if self.n else 0.0
 
     def reweighted(self, weight) -> "FiniteMMSpace":
-        """Same carrier with a different measure, re-validated."""
-        return validate_space({
-            "labels": list(self.labels),
-            "dist": self.dist,
-            "weight": np.asarray(weight, dtype=float),
-            "coords": self.coords,
-        })
+        """Same carrier with a different measure, re-validated; a proved triangle_slack carries over."""
+        return validate_space(replace(self, weight=np.asarray(weight, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -155,25 +159,27 @@ def _subset_table(rows, ufunc, empty) -> np.ndarray:
 
 
 def _triangle_pivots(d: np.ndarray, tol: float):
-    """Ascending pivots j at which d[i, k] - (d[i, j] + d[j, k]) > tol can hold.
+    """Ascending pivots j at which d[i, k] - (d[i, j] + d[j, k]) > tol can hold,
+    and a bound on the slacks at every other pivot.
 
     A violation at pivot j gives |d[i, k] - d[j, k]| > d[i, j] + tol, so the
     Chebyshev distance between rows i and j exceeds min(d[i, j], d[j, i]) + tol,
     up to a rounding margin; a pivot equal to i or k needs d[j, j] < -tol, which
-    the zero Chebyshev diagonal flags in the same comparison.  Up to
-    _TRIANGLE_SCREEN_N points every pivot is returned, since sweeping them
-    all is cheaper than the screen.
+    the zero Chebyshev diagonal flags in the same comparison.  Every slack at
+    an unreturned pivot j is at most the largest excess
+    cheb(i, j) - min(d[i, j], d[j, i]) over its row, which is returned, up to
+    its own float rounding of at most 5.01 u max|d|.
     """
-    n = d.shape[0]
-    if n <= _TRIANGLE_SCREEN_N:
-        return range(n)
     # imported here, not at module level: scipy.spatial would add tens of
     # milliseconds to every import of mm_lab (BENCH_pr10.json)
     from scipy.spatial.distance import pdist, squareform
 
     margin = 8 * np.finfo(float).eps * max(1.0, float(np.abs(d).max()))
     cheb = squareform(pdist(d, "chebyshev"))
-    return np.flatnonzero((cheb > np.minimum(d, d.T) + (tol - margin)).any(axis=1))
+    low = np.minimum(d, d.T)
+    flagged = (cheb > low + (tol - margin)).any(axis=1)
+    cheb -= low
+    return np.flatnonzero(flagged), float(cheb[~flagged].max(initial=-np.inf))
 
 
 def _triplet_draws(n: int):
@@ -227,40 +233,156 @@ def _max_slack(flat: np.ndarray, ik, ij, jk):
 
 
 def _triangle_check(d: np.ndarray, tol: float):
-    """Return the first (i, j, k, slack) with slack = d[i, k] - (d[i, j] + d[j, k]) > tol, or None.
+    """The first (i, j, k, slack) with slack = d[i, k] - (d[i, j] + d[j, k]) > tol,
+    or None; and beside it a proved triangle_slack of d, or None.
 
-    Up to _EXHAUSTIVE_TRIANGLE_N points every triplet is checked.  d is a
-    metric iff max_m |d[i, m] - d[j, m]| <= d[i, j] for every pair
+    Up to _EXHAUSTIVE_TRIANGLE_N points every triplet is checked, and the
+    witness is the first violation in (j, i, k) order.  Up to
+    _TRIANGLE_SCREEN_N points every slack is evaluated at once.  Beyond, d is
+    a metric iff max_m |d[i, m] - d[j, m]| <= d[i, j] for every pair
     (Frechet-Kuratowski), so one Chebyshev distance between rows per pair
     (_triangle_pivots) rules out every pivot that cannot carry a violation.
     The sweep then visits only the remaining pivots, in ascending order, with
-    one n x n buffer; the first violation in (j, i, k) order is the witness,
-    the same one, with the same slack bits, as a sweep over every pivot.
+    one n x n buffer; its witness is the same, with the same slack bits, as
+    a sweep over every pivot.  When there is none, every exact slack is at
+    most the larger of the largest float slack over the swept pivots and
+    the screen's bound over the rest, plus 6 u max|d|, and _slack_bound makes
+    that a triangle_slack.
 
     Beyond that size a fixed sample of _SAMPLED_TRIANGLE_COUNT triplets,
     drawn once per n, is scored in chunks; it falsifies but does not
-    certify.  The memoised sample is sorted by row, which gives the largest
-    slack but not the draw order; only when that slack exceeds tol is the
-    sample drawn again, unsorted and not memoised, and the witness is its
-    first triplet of largest slack in draw order.  Entries must be finite.
+    certify, so it proves no slack.  The memoised sample is sorted by row,
+    which gives the largest slack but not the draw order; only when that
+    slack exceeds tol is the sample drawn again, unsorted and not memoised,
+    and the witness is its first triplet of largest slack in draw order.
+    Entries must be finite.
     """
     n = d.shape[0]
-    if n <= _EXHAUSTIVE_TRIANGLE_N:
+    if n > _EXHAUSTIVE_TRIANGLE_N:
+        flat = d.ravel()
+        if _max_slack(flat, *_sampled_triplets(n))[0] <= tol:
+            return None, None
+        ik, ij, jk = _flat_triplets(n, *_triplet_draws(n))
+        best, at = _max_slack(flat, ik, ij, jk)
+        i, k = divmod(int(ik[at]), n)
+        return (i, int(ij[at]) % n, k, best), None
+    if n <= _TRIANGLE_SCREEN_N:
+        # slack[j, i, k], with the float operations of the sweep
+        slack = d[None] - (d.T[:, :, None] + d[:, None, :])
+        worst = float(slack.max(initial=-np.inf))
+        if worst > tol:
+            j, i, k = np.argwhere(slack > tol)[0]
+            return (int(i), int(j), int(k), float(slack[j, i, k])), None
+    else:
         slack = np.empty_like(d)
-        for j in _triangle_pivots(d, tol):
+        pivots, worst = _triangle_pivots(d, tol)
+        for j in pivots:
             np.add.outer(d[:, j], d[j], out=slack)
             np.subtract(d, slack, out=slack)
-            if slack.max() > tol:
+            top = float(slack.max())
+            if top > tol:
                 i, k = np.argwhere(slack > tol)[0]
-                return int(i), int(j), int(k), float(slack[i, k])
-        return None
-    flat = d.ravel()
-    if _max_slack(flat, *_sampled_triplets(n))[0] <= tol:
-        return None
-    ik, ij, jk = _flat_triplets(n, *_triplet_draws(n))
-    best, at = _max_slack(flat, ik, ij, jk)
-    i, k = divmod(int(ik[at]), n)
-    return i, int(ij[at]) % n, k, best
+                return (int(i), int(j), int(k), float(slack[i, k])), None
+            worst = max(worst, top)
+    scale = _abs_max(d)
+    return None, _slack_bound(worst + 6 * _U * scale, scale)
+
+
+def _abs_max(d: np.ndarray) -> float:
+    """max |d| without an n x n temporary."""
+    return max(float(d.max(initial=0.0)), -float(d.min(initial=0.0)))
+
+
+def _round_up(x: float) -> float:
+    """x raised by a relative 2^-40.
+
+    Every bound below is a sum and product of a few dozen nonnegative floats,
+    whose computed value lies within a relative 2^-46 of the exact one; so
+    the raised value is an upper bound on the exact one.
+    """
+    return x * (1.0 + 2.0**-40)
+
+
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u), the relative error of m roundings."""
+    return m * _U / (1.0 - m * _U)
+
+
+def _slack_bound(exact: float, scale: float) -> float:
+    """triangle_slack from a bound on the exact slacks of entries at most ``scale`` in absolute value.
+
+    The sweep evaluates a slack as fl(d[i, k] - fl(d[i, j] + d[j, k])), the
+    sampled check as fl(fl(d[i, k] - d[i, j]) - d[j, k]): either way two
+    roundings, of terms at most 2 scale and 3 scale, move it at most
+    5.01 u scale from the exact slack.  A negative bound is raised to 0.
+    """
+    return _round_up(max(exact, 0.0) + 6 * _U * scale)
+
+
+def _gram_distances(x: np.ndarray):
+    """The Gram-form distances c of the rows of x, and a bound eps on their error.
+
+    c = fl(sqrt(max(|x_i|^2 + |x_j|^2 - 2 <x_i, x_j>, 0))) with a zero diagonal
+    takes one matmul and in-place n^2 passes, with no (n, n, dims)
+    temporary.  eps bounds |c[i, j] - e[i, j]|, with e[i, j] = |x_i - x_j| the
+    exact distance of the float coordinates.  With R = max |x_i|^2 and u the
+    unit roundoff (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, sec. 3.1):
+
+    - each of the three terms carries at most dims roundings, of a sum of
+      terms at most R in all, and the two additions two more, so the
+      computed argument g is within eta = 4 gamma_{dims+2} R of e^2, plus
+      4 (dims + 2) 2^-1074 for products that underflow;
+    - clamping g at 0 only moves it toward e^2 >= 0, and
+      |sqrt(g) - e| = |g - e^2| / (sqrt(g) + e) <= eta (1 + u) / c_min, with
+      c_min the least off-diagonal c; the rounded sqrt adds u c_max, so
+      eps = (eta / c_min + u c_max)(1 + u) off the diagonal, where c and e
+      are both 0.
+
+    eps is inf, and c None, when 4 (dims + 2) R overflows; eps is inf when
+    two points coincide (c_min = 0).
+    """
+    dims = x.shape[1]
+    sq = np.einsum("ij,ij->i", x, x)
+    with np.errstate(over="ignore"):
+        r = float(sq.max(initial=0.0)) / (1.0 - _gamma(dims))
+        if not np.isfinite(4.0 * (dims + 2) * r):
+            return None, np.inf
+    c = x @ x.T
+    c *= -2.0
+    c += sq[:, None]
+    c += sq
+    np.maximum(c, 0.0, out=c)
+    np.sqrt(c, out=c)
+    np.fill_diagonal(c, np.inf)
+    least = float(c.min(initial=np.inf))
+    np.fill_diagonal(c, 0.0)
+    if not least > 0.0:
+        return c, np.inf
+    eta = 4.0 * _gamma(dims + 2) * r + 4.0 * (dims + 2) * 2.0**-1074
+    return c, _round_up((eta / least + _U * float(c.max())) * (1.0 + _U))
+
+
+def _euclidean_slack(d: np.ndarray, x: np.ndarray) -> float:
+    """A proved triangle_slack of d if it is, within rounding, the Euclidean matrix of the rows of x; else inf.
+
+    With c and eps from _gram_distances and delta = max |d - c| (its float
+    read raised by 2u), |d[i, j] - |x_i - x_j|| <= eps + delta, and the
+    triangle inequality of the exact distances leaves every exact slack of
+    d at most 3 (eps + delta).  Row 0 is probed first, at O(n dims): when
+    its distances to the points differ from d[0] by more than METRIC_TOL / 3,
+    as for geodesic spheres and transformed metrics, no n^2 work is done.
+    """
+    with np.errstate(over="ignore"):
+        if 3.0 * float(np.abs(d[0] - np.linalg.norm(x - x[0], axis=1)).max()) > METRIC_TOL:
+            return np.inf
+    c, eps = _gram_distances(x)
+    if not eps < np.inf:
+        return np.inf
+    np.subtract(d, c, out=c)
+    np.abs(c, out=c)
+    delta = float(c.max()) * (1.0 + 2.0 * _U)
+    return _slack_bound(3.0 * (eps + delta), _abs_max(d))
 
 
 def _numbers(value, what: str, dtype=float) -> np.ndarray:
@@ -275,13 +397,19 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
     """Validate a raw space record into a FiniteMMSpace.
 
     Zero-weight points are dropped and the weights renormalized; any broken
-    invariant raises the matching error.  Idempotent on validated spaces.
+    invariant raises the matching error.  Idempotent on validated spaces: a
+    FiniteMMSpace keeps its triangle_check and triangle_slack when the slack
+    is within METRIC_TOL, which is how product() hands over the bound its
+    construction proves.  Otherwise the triangle inequality is certified
+    from coords above _EUCLID_CERT_N points when _euclidean_slack proves it
+    within METRIC_TOL, and checked by _triangle_check when nothing does.
     """
     if isinstance(candidate, FiniteMMSpace):
         labels = list(candidate.labels)
         dist = np.asarray(candidate.dist, dtype=float)
         weight = np.asarray(candidate.weight, dtype=float)
         coords = candidate.coords
+        check, slack = candidate.triangle_check, candidate.triangle_slack
     elif isinstance(candidate, dict):
         for key in ("dist", "weight"):
             if key not in candidate:
@@ -294,6 +422,7 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
         coords = candidate.get("coords")
         if coords is not None:
             coords = _numbers(coords, "space coords")
+        slack = None
     else:
         raise MMLabError(f"a space record is an object, not a {type(candidate).__name__}")
 
@@ -310,6 +439,10 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
         raise MMLabError("distance matrix has a non-finite entry")
     if not np.isfinite(weight).all():
         raise MMLabError("weight vector has a non-finite entry")
+    if coords is not None and (coords.ndim != 2 or coords.shape[0] != n
+                               or not np.isfinite(coords).all()):
+        raise MMLabError(f"space coords of shape {coords.shape} are not a finite "
+                         f"array of one row per point")
 
     if np.abs(np.diagonal(dist)).max(initial=0.0) > METRIC_TOL:
         raise MMLabError("distance matrix has a nonzero diagonal entry")
@@ -318,9 +451,13 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
     if dist.min(initial=0.0) < -METRIC_TOL:
         raise MMLabError("distance matrix has a negative entry")
 
-    bad = _triangle_check(dist, METRIC_TOL)
-    if bad is not None:
-        raise TriangleViolation(*bad)
+    if slack is None and coords is not None and n > _EUCLID_CERT_N:
+        check, slack = "certified", _euclidean_slack(dist, coords)
+    if slack is None or slack > METRIC_TOL:
+        bad, slack = _triangle_check(dist, METRIC_TOL)
+        if bad is not None:
+            raise TriangleViolation(*bad)
+        check = "exhaustive" if n <= _EXHAUSTIVE_TRIANGLE_N else "sampled"
 
     neg = np.nonzero(weight < -ZERO_MASS)[0]
     if neg.size:
@@ -346,7 +483,8 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
         dist=_readonly(dist),
         weight=_readonly(weight),
         coords=None if coords is None else _readonly(coords),
-        triangle_check="exhaustive" if n <= _EXHAUSTIVE_TRIANGLE_N else "sampled",
+        triangle_check=check,
+        triangle_slack=slack,
     )
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +11,8 @@ from .core import (
     DEFAULT_POINT_CAP,
     FiniteMMSpace,
     LipFunction,
+    _gamma,
+    _slack_bound,
     as_lip,
     validate_space,
 )
@@ -22,7 +25,7 @@ from .errors import (
     TriangleViolation,
 )
 from .invariants import _levy_mean_of_values
-from .mpf import MPF, check_triangle_triplets, eval_mpf, lp
+from .mpf import _INF, MPF, check_triangle_triplets, eval_mpf, lp
 
 LABEL_SEP = "⊗"  # joins factor labels in product points
 
@@ -45,11 +48,13 @@ def product(spec: ProductSpec) -> FiniteMMSpace:
     """Materialize (X_1 x ... x X_N, F of factor distances, product weights).
 
     The descriptor is pre-screened by the triplet falsifier at the configured
-    sample budget; the assembled matrix is then re-validated, every triplet
-    up to 512 points and a fixed sample of triplets beyond.  A
-    triangle failure is surfaced as MetricViolation with a decoded witness
-    rather than repaired, since product construction is the strongest
-    available falsifier of metric preservation.
+    sample budget; the assembled matrix is then re-validated.  An lp product
+    with p in {1, 2, inf} of factors with proved slacks is certified by
+    _lp_slack; any other is checked, every triplet up to 512 points and a
+    fixed sample of triplets beyond.  A triangle failure is surfaced as
+    MetricViolation with a decoded witness rather than repaired, since
+    product construction is the strongest available falsifier of metric
+    preservation.
     """
     factors = list(spec.factors)
     F = spec.F
@@ -79,12 +84,45 @@ def product(spec: ProductSpec) -> FiniteMMSpace:
     labels = [LABEL_SEP.join(factors[k].labels[i] for k, i in enumerate(row))
               for row in grid]
 
+    candidate = {"labels": labels, "dist": dist, "weight": weight}
+    slack = _lp_slack(F, factors, dist)
+    if slack is not None:
+        # validate_space keeps the proved slack of a FiniteMMSpace
+        candidate = FiniteMMSpace(tuple(labels), dist, weight, "certified", triangle_slack=slack)
     try:
-        return validate_space({"labels": labels, "dist": dist, "weight": weight},
-                              cap=spec.cap)
+        return validate_space(candidate, cap=spec.cap)
     except TriangleViolation as tv:
         wit = {"points": (labels[tv.i], labels[tv.j], labels[tv.k]), "gap": tv.gap}
         raise MetricViolation(wit, f"product metric breaks the triangle inequality: {wit}") from tv
+
+
+def _lp_slack(F: MPF, factors, dist: np.ndarray) -> float | None:
+    """A proved triangle_slack of the lp product ``dist = F(factor distances)``, or None.
+
+    It needs p in {1, 2, inf}, for which numpy evaluates F with correctly
+    rounded square, +, sqrt and max (``x ** 2.0`` and ``x ** 0.5`` are
+    np.square and np.sqrt, ``x ** 1.0`` is exact), and factors with a proved
+    slack and no negative entry.  With s the largest factor slack, the
+    factor distances satisfy d(x, z) <= d(x, y) + d(y, z) + s 1 coordinatewise
+    on the nonnegative orthant, where the k-ary lp norm is isotone and
+    subadditive, so in exact arithmetic
+    F(d(x, z)) <= F(d(x, y)) + F(d(y, z)) + F(s 1) = ... + k^(1/p) s.
+    Each computed entry takes at most k + 1 roundings, a relative
+    gamma_{k+1} of F, plus sqrt(k) 2^-537 where squares underflow; three
+    entries of a slack add that thrice.
+    """
+    p = F.params.get("p") if F.kind == "lp" else None
+    if p not in (1.0, 2.0, _INF):
+        return None
+    if any(X.triangle_slack is None or X.dist.min(initial=0.0) < 0.0 for X in factors):
+        return None
+    k = len(factors)
+    s = max(X.triangle_slack for X in factors)
+    root = 1.0 if p == _INF else k ** (1.0 / p)
+    top = float(dist.max(initial=0.0))
+    g = _gamma(k + 1)
+    rounding = 3.0 * (g * top / (1.0 - g) + math.sqrt(k) * 2.0**-537)
+    return _slack_bound(root * s + rounding, top)
 
 
 def lp_product(x: FiniteMMSpace, y: FiniteMMSpace, p: float = 2.0, **kw) -> FiniteMMSpace:

@@ -6,6 +6,7 @@ scans, so agreement is a two-implementation check.
 """
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -199,6 +200,33 @@ def triangle_check_sampled_loop(d, tol):
     if slack[worst] > tol:
         return int(i[worst]), int(j[worst]), int(k[worst]), float(slack[worst])
     return None
+
+
+def max_triangle_slack(d):
+    """Largest d[i, k] - (d[i, j] + d[j, k]) over every triplet, evaluated as the pivot sweep does."""
+    return max(float((d - (d[:, j][:, None] + d[j][None, :])).max()) for j in range(len(d)))
+
+
+def max_triangle_slack_exact(d):
+    """Largest d[i, k] - d[i, j] - d[j, k] over every triplet of the float entries, in rationals."""
+    q = [[Fraction(float(v)) for v in row] for row in d]
+    n = len(q)
+    return max(q[i][k] - q[i][j] - q[j][k]
+               for i in range(n) for j in range(n) for k in range(n))
+
+
+def gram_bracket_misses(x, c, eps):
+    """Pairs (i, j) whose exact squared distance |x_i - x_j|^2 of the float
+    coordinates lies outside [max(c - eps, 0)^2, (c + eps)^2], in rationals."""
+    q = [[Fraction(float(v)) for v in row] for row in x]
+    e = Fraction(float(eps))
+    misses = []
+    for i, j in itertools.combinations(range(len(q)), 2):
+        sq = sum((a - b) ** 2 for a, b in zip(q[i], q[j]))
+        ch = Fraction(float(c[i, j]))
+        if not max(ch - e, Fraction(0)) ** 2 <= sq <= (ch + e) ** 2:
+            misses.append((i, j))
+    return misses
 
 
 def od_span_lp(space, kappa, tol=1e-12):

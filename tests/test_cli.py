@@ -30,6 +30,20 @@ def test_space_validate_round_trip(tmp_path, space_file):
     assert np.array_equal(a.weight, b.weight)
 
 
+def test_space_validate_names_the_triangle_check(tmp_path, space_file, capsys):
+    # 4 points are swept; 40 points with coords and no dist are certified
+    assert main(["space", "validate", "--in", str(space_file)]) == 0
+    assert capsys.readouterr().out.strip().endswith(", exhaustive triangle check")
+    path = tmp_path / "cloud.json"
+    x = np.random.default_rng(0).normal(size=(40, 3))
+    path.write_text(json.dumps({"coords": x.tolist(), "weight": [1 / 40] * 40}))
+    assert main(["space", "validate", "--in", str(path)]) == 0
+    slack = core.load_space(path).triangle_slack
+    assert 0.0 < slack <= core.METRIC_TOL
+    assert capsys.readouterr().out.strip().endswith(
+        f", certified triangle check (slack ≤ {slack:.3g})")
+
+
 @pytest.mark.parametrize("record, missing", [
     ({"coords": [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], "weight": [0.5, 0.5],
       "metric": "geodesic_sphere"}, "'radius'"),

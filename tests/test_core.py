@@ -93,7 +93,7 @@ def test_triangle_sweep_matches_loop(n, planted, seed):
         i, k = sorted(rng.choice(n, 2, replace=False))
         d[i, k] = 4.5 + rng.random()
     d = d + d.T
-    got = core._triangle_check(d, core.METRIC_TOL)
+    got = core._triangle_check(d, core.METRIC_TOL)[0]
     assert got == triangle_check_loop(d, core.METRIC_TOL)
     if planted <= 1:
         assert (got is None) == (planted == 0)
@@ -132,14 +132,14 @@ def triangle_matrices(draw, sizes):
 @settings(max_examples=300)
 @given(triangle_matrices(st.integers(1, 40)))
 def test_triangle_screen_matches_loop(d):
-    assert core._triangle_check(d, core.METRIC_TOL) == triangle_check_loop(d, core.METRIC_TOL)
+    assert core._triangle_check(d, core.METRIC_TOL)[0] == triangle_check_loop(d, core.METRIC_TOL)
 
 
 @settings(max_examples=6)
 @given(triangle_matrices(st.sampled_from([511, 512, 513])))
 def test_triangle_check_matches_loops_at_the_regime_boundary(d):
     oracle = triangle_check_loop if d.shape[0] <= 512 else triangle_check_sampled_loop
-    assert core._triangle_check(d, core.METRIC_TOL) == oracle(d, core.METRIC_TOL)
+    assert core._triangle_check(d, core.METRIC_TOL)[0] == oracle(d, core.METRIC_TOL)
 
 
 def test_triangle_screen_margin_covers_rounding_of_a_near_tie():
@@ -153,7 +153,7 @@ def test_triangle_screen_margin_covers_rounding_of_a_near_tie():
     d = three[np.ix_(idx, idx)]
     want = triangle_check_loop(d, core.METRIC_TOL)
     assert want == (0, 1, 2, c - (a + b))
-    assert core._triangle_check(d, core.METRIC_TOL) == want
+    assert core._triangle_check(d, core.METRIC_TOL)[0] == want
 
 
 def test_triangle_sweep_visits_only_flagged_pivots():
@@ -162,10 +162,10 @@ def test_triangle_sweep_visits_only_flagged_pivots():
     # and the point between
     n, a = 200, 57
     d = np.abs(np.arange(n, dtype=float)[:, None] - np.arange(n))
-    assert list(core._triangle_pivots(d, core.METRIC_TOL)) == []
+    assert list(core._triangle_pivots(d, core.METRIC_TOL)[0]) == []
     d[a, a + 2] = d[a + 2, a] = 2.5
-    assert list(core._triangle_pivots(d, core.METRIC_TOL)) == [a, a + 1, a + 2]
-    got = core._triangle_check(d, core.METRIC_TOL)
+    assert list(core._triangle_pivots(d, core.METRIC_TOL)[0]) == [a, a + 1, a + 2]
+    got = core._triangle_check(d, core.METRIC_TOL)[0]
     assert got == triangle_check_loop(d, core.METRIC_TOL) == (a, a + 1, a + 2, 0.5)
 
 
@@ -186,7 +186,7 @@ def test_sampled_triangle_check_matches_loop(n, case):
         # above tol, and the largest is tied in every chunk of the sample
         x = np.sort(rng.random(n))
         d = np.abs(x[:, None] - x) * (2.0**24 if case == "below_tol" else 2.0**25) / 3
-    got = core._triangle_check(d, core.METRIC_TOL)
+    got = core._triangle_check(d, core.METRIC_TOL)[0]
     assert got == triangle_check_sampled_loop(d, core.METRIC_TOL)
     assert (got is None) == (case in ("clean", "below_tol"))
 
@@ -211,7 +211,7 @@ def test_sampled_triangle_witness_is_first_in_draw_order():
     want = triangle_check_sampled_loop(d, core.METRIC_TOL)
     assert want == (int(i[tied[0]]), int(j[tied[0]]), int(k[tied[0]]), 1.0)
     assert want[:3] != (i[row_first], j[row_first], k[row_first])
-    assert core._triangle_check(d, core.METRIC_TOL) == want
+    assert core._triangle_check(d, core.METRIC_TOL)[0] == want
 
 
 def test_sampled_triplets_build_peak_and_row_order():
@@ -227,17 +227,41 @@ def test_sampled_triplets_build_peak_and_row_order():
     assert (ij % 1000 == jk // 1000).all() and (ik % 1000 == jk % 1000).all()
 
 
+def _without_coords(X):
+    """The distances and weights of X as a record without coords."""
+    return {"dist": X.dist, "weight": X.weight}
+
+
 def test_sampled_triplets_drawn_once_per_size():
+    # random clouds carry coords and are certified; their distances alone are sampled
     core._sampled_triplets.cache_clear()
     for seed in (1, 2):
-        assert core.random_metric_space(1000, seed=seed).triangle_check == "sampled"
+        X = core.random_metric_space(1000, seed=seed)
+        assert X.triangle_check == "certified"
+        assert core.validate_space(_without_coords(X)).triangle_check == "sampled"
     info = core._sampled_triplets.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
 def test_triangle_check_mode_recorded():
-    assert core.random_metric_space(512, seed=3).triangle_check == "exhaustive"
-    assert core.random_metric_space(513, seed=3).triangle_check == "sampled"
+    n0 = core._EUCLID_CERT_N
+    for n, plain in ((n0, "exhaustive"), (n0 + 1, "exhaustive"), (512, "exhaustive"),
+                     (513, "sampled")):
+        X = core.random_metric_space(n, seed=3)
+        Y = core.validate_space(_without_coords(X))
+        assert Y.triangle_check == plain
+        assert (Y.triangle_slack is None) == (plain == "sampled")
+        assert X.triangle_check == ("exhaustive" if n <= n0 else "certified")
+        assert 0.0 < X.triangle_slack <= core.METRIC_TOL
+
+
+@pytest.mark.parametrize("coords", [np.zeros((7, 2)), np.zeros(5), np.zeros((5, 2, 1)),
+                                    np.full((5, 2), np.nan), np.full((5, 2), np.inf)],
+                         ids=["rows", "1d", "3d", "nan", "inf"])
+def test_validate_rejects_malformed_coords(coords):
+    X = core.random_metric_space(5, seed=0)
+    with pytest.raises(MMLabError, match="coords"):
+        core.validate_space(dict(_without_coords(X), coords=coords))
 
 
 @given(st.integers(2, 7), st.integers(0, 10_000))
