@@ -10,6 +10,7 @@ five-condition sequence classifier.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -529,7 +530,7 @@ class TripletVerdict:
 
 
 def _boundary_triplets(arity: int, horizon: float) -> np.ndarray:
-    base = [
+    base = np.array([
         (horizon, horizon / 2, horizon / 2),
         (1.0, 0.5, 0.5),
         (2.0, 1.0, 1.0),
@@ -538,63 +539,114 @@ def _boundary_triplets(arity: int, horizon: float) -> np.ndarray:
         (0.0, 0.0, 0.0),
         (horizon / 2, horizon / 2, 0.0),
         (1.0, 1.0, 0.0),
-    ]
-    rows = [np.tile(t, (arity, 1)) for t in base]
-    return np.stack(rows)  # (cases, arity, 3)
+    ])
+    return np.tile(base.T, (arity, 1, 1))  # (arity, 3, cases)
+
+
+_BATCH_ROWS = 65536
+
+
+def _sample_count(samples, name: str = "samples", least: int = 1) -> int:
+    """``samples`` as an int of at least ``least``; bools and floats are refused.
+
+    operator.index takes Python and numpy integers and refuses floats and
+    numpy bools, but it takes a Python bool, which is refused here too.
+    """
+    try:
+        count = operator.index(samples)
+    except TypeError:
+        count = None
+    if count is None or isinstance(samples, bool):
+        raise MMLabError(f"{name} must be an integer, got {samples!r}")
+    if count < least:
+        raise MMLabError(f"{name} must be >= {least}")
+    return count
+
+
+def _triangle_draws(rng, arity: int, m: int, horizon: float) -> np.ndarray:
+    """(arity, 3, m) coordinates of m uniform triangle triplets in [0, horizon]^3.
+
+    Coordinate by coordinate, a contiguous (3, q) block of uniforms is drawn
+    with q a little over twice the rows still needed, the triplets with
+    a <= b + c, b <= a + c and c <= a + b are kept in draw order, the first
+    ones needed are taken, and the block is drawn again while short.  A
+    uniform triplet has a > b + c with probability 1/6 (that simplex fills
+    1/6 of the cube), likewise for b and c, and the three events are
+    disjoint, so half of the draws are kept whatever the arity is.
+    """
+    out = np.empty((arity, 3, m))
+    for k in range(arity):
+        filled = 0
+        while filled < m:
+            need = m - filled
+            x = rng.random((3, 2 * need + 4 * math.isqrt(need) + 8))
+            x *= horizon
+            a, b, c = x
+            kept = np.compress((a <= b + c) & (b <= a + c) & (c <= a + b), x, axis=1)[:, :need]
+            out[k, :, filled:filled + kept.shape[1]] = kept
+            filled += kept.shape[1]
+    return out
 
 
 def check_triangle_triplets(F: MPF, samples: int = 100_000, horizon: float = 8.0,
                             seed: int = 0) -> TripletVerdict:
     """Search for triangle triplets whose images break the triangle inequality.
 
-    One random triangle triplet is drawn per coordinate (rejection sampling in
-    [0, horizon]^3), deterministic boundary cases are always included, and the
-    vanishing locus is probed on spherical shells.  A clean verdict falsifies
-    nothing: it only reports that no violation was found.
+    A row holds one triangle triplet (a_k, b_k, c_k) per coordinate k, and
+    F is checked on F(a) <= F(b) + F(c) and its two rotations.  The eight
+    deterministic boundary rows are checked first; then ``samples`` random
+    rows follow in batches of at most 65 536, each evaluated by one
+    ``eval_mpf`` call on its (arity, 3, m) stack, until one breaks the
+    inequality by more than METRIC_TOL relative to max(1, |F|).  The witness
+    is the first such row of its batch.  The vanishing locus is probed on
+    spherical shells last.  ``samples_run`` counts the boundary rows and
+    every row evaluated.  A clean verdict falsifies nothing: it only reports
+    that no violation was found.
+
+    The random rows are i.i.d. with N independent coordinates, each uniform
+    on the triangle cone T = {a <= b + c, b <= a + c, c <= a + b} of
+    [0, horizon]^3.  That is the law of a whole row of N i.i.d. uniform
+    triplets conditioned on every coordinate lying in T: the event is the
+    product T^N of one event per independent coordinate, so conditioning
+    keeps the coordinates independent and conditions each on T alone.
+    Rejection sampling per coordinate (``_triangle_draws``) therefore gives
+    the same law, keeping half of the draws where a whole row of N survives
+    with probability 2^-N.
     """
-    if samples < 1:
-        raise MMLabError("samples must be >= 1")
+    samples = _sample_count(samples)
     if not (math.isfinite(horizon) and horizon > 0):
         raise MMLabError(f"horizon must be finite and positive, got {horizon}")
     N = F.arity
     rng = np.random.default_rng(seed)
 
-    def violation(a, b, c):
-        # a, b, c: (m, N) coordinate matrices
-        fa = eval_mpf(F, list(a.T))
-        fb = eval_mpf(F, list(b.T))
-        fc = eval_mpf(F, list(c.T))
-        slack = np.maximum.reduce([
-            fa - fb - fc,
-            fb - fa - fc,
-            fc - fa - fb,
-        ])
-        guard = METRIC_TOL * np.maximum(
-            1.0, np.maximum.reduce([np.abs(fa), np.abs(fb), np.abs(fc)]))
+    def violation(x):
+        # x: (N, 3, m) coordinates; fa, fb, fc: images of the a, b and c rows
+        fa, fb, fc = eval_mpf(F, list(x))
+        slack = fa - fb - fc
+        np.maximum(slack, fb - fa - fc, out=slack)
+        np.maximum(slack, fc - fa - fb, out=slack)
+        guard = np.abs(fa)
+        np.maximum(guard, np.abs(fb), out=guard)
+        np.maximum(guard, np.abs(fc), out=guard)
+        guard = METRIC_TOL * np.maximum(1.0, guard, out=guard)
         idx = np.nonzero(slack > guard)[0]
         if idx.size:
             i = int(idx[0])
             return {
-                "triplets": [(float(a[i, k]), float(b[i, k]), float(c[i, k])) for k in range(N)],
+                "triplets": [tuple(float(v) for v in x[k, :, i]) for k in range(N)],
                 "values": (float(fa[i]), float(fb[i]), float(fc[i])),
                 "slack": float(slack[i]),
             }
         return None
 
     boundary = _boundary_triplets(N, horizon)
-    cex = violation(boundary[:, :, 0], boundary[:, :, 1], boundary[:, :, 2])
-    run = boundary.shape[0]
-    while cex is None and run < samples + boundary.shape[0]:
-        m = min(65536, samples + boundary.shape[0] - run)
-        draw = rng.random((4 * m, N, 3)) * horizon
-        ok = ((draw[:, :, 0] <= draw[:, :, 1] + draw[:, :, 2])
-              & (draw[:, :, 1] <= draw[:, :, 0] + draw[:, :, 2])
-              & (draw[:, :, 2] <= draw[:, :, 0] + draw[:, :, 1])).all(axis=1)
-        draw = draw[ok][:m]
-        if not draw.shape[0]:
-            continue
-        run += draw.shape[0]
-        cex = violation(draw[:, :, 0], draw[:, :, 1], draw[:, :, 2])
+    cex = violation(boundary)
+    run = boundary.shape[2]
+    total = samples + run
+    while cex is None and run < total:
+        m = min(_BATCH_ROWS, total - run)
+        run += m
+        cex = violation(_triangle_draws(rng, N, m, horizon))
 
     zero_ok, zero_note = _zero_locus_check(F, rng)
     return TripletVerdict(passed=cex is None and zero_ok,

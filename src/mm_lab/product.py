@@ -25,7 +25,7 @@ from .errors import (
     TriangleViolation,
 )
 from .invariants import _levy_mean_of_values
-from .mpf import _INF, MPF, check_triangle_triplets, eval_mpf, lp
+from .mpf import _INF, MPF, _sample_count, check_triangle_triplets, eval_mpf, lp
 
 LABEL_SEP = "⊗"  # joins factor labels in product points
 
@@ -66,9 +66,10 @@ def product(spec: ProductSpec) -> FiniteMMSpace:
     if total > spec.cap:
         raise CapExceeded(total, spec.cap)
 
-    if spec.check_samples:
+    check_samples = _sample_count(spec.check_samples, "check_samples", least=0)
+    if check_samples:
         horizon = max(X.diam for X in factors) + 1.0
-        verdict = check_triangle_triplets(F, samples=spec.check_samples,
+        verdict = check_triangle_triplets(F, samples=check_samples,
                                           horizon=horizon, seed=spec.seed)
         if not verdict.passed:
             raise MetricViolation(verdict.counterexample,

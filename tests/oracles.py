@@ -918,3 +918,27 @@ def exceeds_lip1_broadcast(space, rows):
         gap = np.abs(rows[:, lo: lo + step, None] - rows[:, None, :])
         flagged |= (gap > d[lo: lo + step]).any(axis=(1, 2))
     return flagged
+
+
+def triangle_draws_whole_row(rng, arity, m, horizon):
+    """(m, arity, 3) rows of uniform triangle triplets, rejecting whole rows.
+
+    The sampler that mpf._triangle_draws replaced: it draws 4m rows of arity
+    uniform triplets in [0, horizon]^3 at a time and keeps a row only when
+    every coordinate is a triangle triplet, until m rows are kept.
+    """
+    rows = []
+    kept = 0
+    while kept < m:
+        draw = rng.random((4 * m, arity, 3)) * horizon
+        ok = ((draw[:, :, 0] <= draw[:, :, 1] + draw[:, :, 2])
+              & (draw[:, :, 1] <= draw[:, :, 0] + draw[:, :, 2])
+              & (draw[:, :, 2] <= draw[:, :, 0] + draw[:, :, 1])).all(axis=1)
+        rows.append(draw[ok][:m - kept])
+        kept += rows[-1].shape[0]
+    return np.concatenate(rows)
+
+
+def triangle_excess(a, b, c):
+    """Largest amount by which one side exceeds the sum of the other two."""
+    return max(a - b - c, b - a - c, c - a - b)

@@ -1,13 +1,20 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import ks_2samp
 
 from mm_lab import mpf
 from mm_lab.errors import ArityMismatch, MMLabError, NotIncreasing
-from oracles import defect_table_full, defect_table_outer_sum, refine_local_minima_loop
+from oracles import (defect_table_full, defect_table_outer_sum, refine_local_minima_loop,
+                     triangle_draws_whole_row, triangle_excess)
 
 
 def test_eval_spot_values():
@@ -614,3 +621,176 @@ def test_verdict_zero_locus_check():
 def test_check_triangle_triplets_rejects_bad_horizon(horizon):
     with pytest.raises(MMLabError, match="horizon must be finite and positive"):
         mpf.check_triangle_triplets(mpf.builtin("fp:2"), samples=10, horizon=horizon)
+
+
+@pytest.mark.parametrize("samples", [2.5, np.float64(3.0), True, False, np.True_, "10", None])
+def test_check_triangle_triplets_rejects_non_integer_samples(samples):
+    with pytest.raises(MMLabError, match="samples must be an integer"):
+        mpf.check_triangle_triplets(mpf.builtin("fp:2"), samples=samples)
+
+
+@pytest.mark.parametrize("samples", [0, -3, np.int64(0)])
+def test_check_triangle_triplets_rejects_fewer_than_one_sample(samples):
+    with pytest.raises(MMLabError, match="samples must be >= 1"):
+        mpf.check_triangle_triplets(mpf.builtin("fp:2"), samples=samples)
+
+
+@pytest.mark.parametrize("samples", [10, np.int64(10), np.uint8(10)])
+def test_check_triangle_triplets_accepts_python_and_numpy_integers(samples):
+    v = mpf.check_triangle_triplets(mpf.builtin("fp:2"), samples=samples)
+    assert v.passed and v.samples_run == 18
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("horizon", [8.0, 3.7])
+def test_triangle_draws_are_triangle_triplets_in_the_box(arity, horizon):
+    x = mpf._triangle_draws(np.random.default_rng(arity), arity, 5000, horizon)
+    assert x.shape == (arity, 3, 5000)
+    assert x.min() >= 0.0 and x.max() <= horizon
+    a, b, c = x[:, 0], x[:, 1], x[:, 2]
+    assert ((a <= b + c) & (b <= a + c) & (c <= a + b)).all()
+
+
+def _triplet_statistics(rows):
+    """a, b, c, max(a, b, c) and a + b + c of an (m, 3) block of triplets."""
+    return {"a": rows[:, 0], "b": rows[:, 1], "c": rows[:, 2],
+            "max": rows.max(axis=1), "sum": rows.sum(axis=1)}
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_triangle_draws_match_the_whole_row_sampler(arity):
+    # per coordinate, each marginal against the rejected-whole-row oracle;
+    # 5 statistics x 6 coordinates in all, each at a 1e-4 level
+    m = 20_000
+    new = mpf._triangle_draws(np.random.default_rng(40 + arity), arity, m, 8.0)
+    old = triangle_draws_whole_row(np.random.default_rng(50 + arity), arity, m, 8.0)
+    assert old.shape == (m, arity, 3)
+    for k in range(arity):
+        ours = _triplet_statistics(new[k].T)
+        theirs = _triplet_statistics(old[:, k, :])
+        for name in ours:
+            p = ks_2samp(ours[name], theirs[name]).pvalue
+            assert p > 1e-4, (arity, k, name, p)
+
+
+def test_triangle_draws_coordinates_are_uncorrelated():
+    m = 50_000
+    x = mpf._triangle_draws(np.random.default_rng(9), 3, m, 8.0)
+    cols = np.concatenate([x, x.sum(axis=1, keepdims=True)], axis=1)  # (3, 4, m)
+    r = np.corrcoef(cols.reshape(12, m))
+    for j in range(3):
+        for k in range(j + 1, 3):
+            block = r[4 * j: 4 * j + 4, 4 * k: 4 * k + 4]
+            assert np.abs(block).max() < 5.0 / math.sqrt(m), (j, k, block)
+
+
+@pytest.mark.parametrize("samples", [1, 3000])
+@pytest.mark.parametrize("token", mpf.GALLERY_TOKENS)
+def test_samples_run_counts_the_boundary_rows(token, samples):
+    v = mpf.check_triangle_triplets(mpf.builtin(token), samples=samples, seed=3)
+    assert v.passed and v.samples_run == samples + 8
+
+
+def _spike():
+    """The identity with a tent of height 3 over [5, 5.6]: not metric preserving,
+    yet the identity at every boundary value 0, 0.5, 1, 2, 4 and 8."""
+    return mpf.piecewise([5.0, 5.3, 5.6], [mpf.identity(), mpf.linear(11.0, -50.0),
+                                           mpf.linear(-9.0, 56.0), mpf.identity()])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_falsifier_catches_a_violation_the_boundary_rows_miss(seed):
+    F = _spike()
+    edges = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
+    assert np.array_equal(mpf.eval_mpf(F, [edges]), edges)
+    v = mpf.check_triangle_triplets(F, samples=10_000, seed=seed)
+    assert not v.passed and v.samples_run == 10_008
+    (a, b, c), = v.counterexample["triplets"]
+    assert triangle_excess(a, b, c) <= 1e-12
+    values = (F(a), F(b), F(c))
+    assert values == v.counterexample["values"]
+    assert triangle_excess(*values) == v.counterexample["slack"] > 1e-9
+    # the witness is the first violating row of the first batch
+    x = mpf._triangle_draws(np.random.default_rng(seed), 1, 10_000, 8.0)[0]
+    fx = mpf.eval_mpf(F, [x])
+    first = next(i for i in range(x.shape[1]) if triangle_excess(*fx[:, i]) > 1e-9)
+    assert (a, b, c) == tuple(x[:, first])
+
+
+def _counting_eval(monkeypatch):
+    """Patch mpf.eval_mpf to count top-level calls; nested calls are not counted."""
+    real = mpf.eval_mpf
+    calls = {"top": 0, "depth": 0}
+
+    def counted(F, args):
+        calls["top"] += calls["depth"] == 0
+        calls["depth"] += 1
+        try:
+            return real(F, args)
+        finally:
+            calls["depth"] -= 1
+
+    monkeypatch.setattr(mpf, "eval_mpf", counted)
+    return calls
+
+
+@pytest.mark.parametrize("token", ["fp:2", "h1", "fcyc", "mul:quad"])
+def test_falsifier_evaluates_each_batch_once(monkeypatch, token):
+    # boundary rows, the two batches of 1e5 samples, the five zero-locus probes
+    calls = _counting_eval(monkeypatch)
+    v = mpf.check_triangle_triplets(mpf.builtin(token), samples=100_000, seed=7)
+    assert v.passed
+    assert calls["top"] == 1 + 2 + 5
+
+
+class _CountingRng:
+    def __init__(self, rng):
+        self.rng = rng
+        self.uniforms = 0
+
+    def random(self, size=None):
+        out = self.rng.random(size)
+        self.uniforms += out.size
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("token", ["id", "fp:2", "fcyc"])
+def test_falsifier_draws_about_two_uniform_triplets_per_kept_one(monkeypatch, token):
+    made = []
+    real = np.random.default_rng
+
+    def counting_rng(seed):
+        made.append(_CountingRng(real(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(mpf.np.random, "default_rng", counting_rng)
+    F = mpf.builtin(token)
+    v = mpf.check_triangle_triplets(F, samples=100_000, seed=7)
+    assert v.passed and len(made) == 1
+    per_kept = made[0].uniforms / (3 * F.arity * 100_000)
+    assert 2.0 <= per_kept < 2.2, per_kept
+
+
+def test_falsifier_verdicts_same_across_hash_seeds():
+    src = str(Path(mpf.__file__).resolve().parents[1])
+    spike = json.dumps(mpf.mpf_to_json(_spike()))
+    code = ("import json\n"
+            "from mm_lab import mpf\n"
+            f"spike = mpf.mpf_from_json(json.loads({spike!r}))\n"
+            "Fs = [mpf.builtin(t) for t in mpf.GALLERY_TOKENS + ('sq',)] + [spike]\n"
+            "for F in Fs:\n"
+            "    v = mpf.check_triangle_triplets(F, samples=100_000, seed=7)\n"
+            "    print(v.passed, v.samples_run, v.counterexample, v.zero_note)\n")
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        outs.append(run.stdout)
+    lines = outs[0].splitlines()
+    assert len(lines) == len(mpf.GALLERY_TOKENS) + 2
+    assert lines[-2].startswith("False 8 ") and lines[-1].startswith("False 65544 ")
+    assert outs[0] == outs[1]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mm_lab import core, mpf
-from mm_lab.errors import MetricViolation, NotLipschitz
+from mm_lab.errors import MetricViolation, MMLabError, NotLipschitz
 from mm_lab.product import ProductSpec, levy_projection, lp_product, metric_transform, product
 
 
@@ -132,3 +132,23 @@ def test_levy_projection_output_is_lipschitz():
     f = core.as_lip(prod, raw)
     g = levy_projection(core.as_lip(prod, raw, lip_const=1.0), x, y, p=2.0)
     assert core.lip_constant(x, g.values) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("check_samples", [2.5, True, np.True_, "100"])
+def test_product_rejects_non_integer_check_samples(check_samples):
+    x = core.random_metric_space(2, seed=1)
+    with pytest.raises(MMLabError, match="check_samples must be an integer"):
+        product(ProductSpec((x, x), mpf.lp(2.0), check_samples=check_samples))
+
+
+def test_product_rejects_negative_check_samples():
+    x = core.random_metric_space(2, seed=1)
+    with pytest.raises(MMLabError, match="check_samples must be >= 0"):
+        product(ProductSpec((x, x), mpf.lp(2.0), check_samples=-1))
+
+
+@pytest.mark.parametrize("check_samples", [0, 50, np.int32(50)])
+def test_product_accepts_integer_check_samples(check_samples):
+    x = core.random_metric_space(2, seed=1)
+    prod = product(ProductSpec((x, x), mpf.lp(2.0), check_samples=check_samples))
+    assert prod.n == 4
