@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,12 +51,44 @@ _U = 2.0**-53  # unit roundoff of float64
 # (BENCH_pr25.json, lip_screen_crossover_us)
 _LIP_BROADCAST = 1 << 16
 _LIP_BLOCK = 128
+# rows of each temporary of the n x n passes that need one: the Gram form
+# and the symmetry checks
+_ROW_BLOCK = 128
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+def _sample_count(samples, name: str = "samples", least: int = 1) -> int:
+    """``samples`` as an int of at least ``least``; bools and floats are refused.
+
+    The one check of the library's integer arguments (sample counts,
+    budgets, dimensions).  operator.index takes Python and numpy integers
+    and refuses floats and numpy bools, but it takes a Python bool, which
+    is refused here too.
+    """
+    try:
+        count = operator.index(samples)
+    except TypeError:
+        count = None
+    if count is None or isinstance(samples, bool):
+        raise MMLabError(f"{name} must be an integer, got {samples!r}")
+    if count < least:
+        raise MMLabError(f"{name} must be >= {least}")
+    return count
+
+
+def _transposed_blocks(d: np.ndarray):
+    """Each block of _ROW_BLOCK rows of d beside the same rows of d.T, as views.
+
+    Comparing them block by block compares d with d.T with temporaries of
+    _ROW_BLOCK rows, not of n.
+    """
+    for lo in range(0, len(d), _ROW_BLOCK):
+        yield d[lo: lo + _ROW_BLOCK], d[:, lo: lo + _ROW_BLOCK].T
 
 
 @dataclass(frozen=True)
@@ -322,38 +355,47 @@ def _slack_bound(exact: float, scale: float) -> float:
 def _gram_distances(x: np.ndarray):
     """The Gram-form distances c of the rows of x, and a bound eps on their error.
 
-    c = fl(sqrt(max(|x_i|^2 + |x_j|^2 - 2 <x_i, x_j>, 0))) with a zero diagonal
-    takes one matmul and in-place n^2 passes, with no (n, n, dims)
-    temporary.  eps bounds |c[i, j] - e[i, j]|, with e[i, j] = |x_i - x_j| the
-    exact distance of the float coordinates.  With R = max |x_i|^2 and u the
-    unit roundoff (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, sec. 3.1):
+    c = fl(sqrt(max(fl(|x_i|^2 + |x_j|^2) - 2 <x_i, x_j>, 0))) with a zero
+    diagonal, with |x_i|^2 = (x * x).sum(axis=1): one matmul, which is the
+    returned matrix, then in-place passes over blocks of _ROW_BLOCK rows,
+    whose one temporary holds the sums of squared norms of a block.  numpy
+    computes x @ x.T of a contiguous float64 x from one triangle (BLAS
+    syrk), so then c is symmetric bit for bit.  eps
+    bounds |c[i, j] - e[i, j]|, with e[i, j] = |x_i - x_j| the exact distance
+    of the float coordinates.  With R = max |x_i|^2 and u the unit roundoff
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1):
 
     - each of the three terms carries at most dims roundings, of a sum of
       terms at most R in all, and the two additions two more, so the
       computed argument g is within eta = 4 gamma_{dims+2} R of e^2, plus
-      4 (dims + 2) 2^-1074 for products that underflow;
+      4 (dims + 2) 2^-1074 for products that underflow; the bound counts
+      roundings only, so it holds in any order of the sums;
     - clamping g at 0 only moves it toward e^2 >= 0, and
       |sqrt(g) - e| = |g - e^2| / (sqrt(g) + e) <= eta (1 + u) / c_min, with
       c_min the least off-diagonal c; the rounded sqrt adds u c_max, so
       eps = (eta / c_min + u c_max)(1 + u) off the diagonal, where c and e
       are both 0.
 
-    eps is inf, and c None, when 4 (dims + 2) R overflows; eps is inf when
-    two points coincide (c_min = 0).
+    Every term of the form is at most 4R in magnitude before rounding, so c
+    is None, and eps inf, only when 8R overflows; eps is inf when two points
+    coincide (c_min = 0).
     """
-    dims = x.shape[1]
-    sq = np.einsum("ij,ij->i", x, x)
+    n, dims = x.shape
+    sq = (x * x).sum(axis=1)
     with np.errstate(over="ignore"):
         r = float(sq.max(initial=0.0)) / (1.0 - _gamma(dims))
-        if not np.isfinite(4.0 * (dims + 2) * r):
+        if not np.isfinite(8.0 * r):
             return None, np.inf
     c = x @ x.T
-    c *= -2.0
-    c += sq[:, None]
-    c += sq
-    np.maximum(c, 0.0, out=c)
-    np.sqrt(c, out=c)
+    part = np.empty((min(n, _ROW_BLOCK), n))
+    for lo in range(0, n, _ROW_BLOCK):
+        rows = c[lo: lo + _ROW_BLOCK]
+        sums = part[: len(rows)]
+        np.add(sq[lo: lo + _ROW_BLOCK, None], sq, out=sums)
+        rows *= 2.0
+        np.subtract(sums, rows, out=rows)
+        np.maximum(rows, 0.0, out=rows)
+        np.sqrt(rows, out=rows)
     np.fill_diagonal(c, np.inf)
     least = float(c.min(initial=np.inf))
     np.fill_diagonal(c, 0.0)
@@ -399,10 +441,13 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
     Zero-weight points are dropped and the weights renormalized; any broken
     invariant raises the matching error.  Idempotent on validated spaces: a
     FiniteMMSpace keeps its triangle_check and triangle_slack when the slack
-    is within METRIC_TOL, which is how product() hands over the bound its
-    construction proves.  Otherwise the triangle inequality is certified
-    from coords above _EUCLID_CERT_N points when _euclidean_slack proves it
-    within METRIC_TOL, and checked by _triangle_check when nothing does.
+    is within METRIC_TOL, which is how product() and sample_sphere() hand
+    over the bound their construction proves.  Otherwise the triangle
+    inequality is certified from coords above _EUCLID_CERT_N points when
+    _euclidean_slack proves it within METRIC_TOL, and checked by
+    _triangle_check when nothing does.  Symmetry is checked on blocks of
+    _ROW_BLOCK rows against the same rows of the transpose, so no check
+    makes an n x n float temporary.
     """
     if isinstance(candidate, FiniteMMSpace):
         labels = list(candidate.labels)
@@ -446,7 +491,8 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
 
     if np.abs(np.diagonal(dist)).max(initial=0.0) > METRIC_TOL:
         raise MMLabError("distance matrix has a nonzero diagonal entry")
-    if np.abs(dist - dist.T).max(initial=0.0) > METRIC_TOL:
+    if any(np.abs(rows - cols).max(initial=0.0) > METRIC_TOL
+           for rows, cols in _transposed_blocks(dist)):
         raise MMLabError("distance matrix is not symmetric")
     if dist.min(initial=0.0) < -METRIC_TOL:
         raise MMLabError("distance matrix has a negative entry")

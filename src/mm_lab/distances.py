@@ -22,6 +22,7 @@ from .core import (
     LipFunction,
     RealDistribution,
     _numbers,
+    _sample_count,
     _subset_table,
     mcshane_extend,
     tail_mass,
@@ -640,8 +641,9 @@ def concentration_certificate(source: FiniteMMSpace, target: FiniteMMSpace,
     beyond 16 source points onto more than 2); and the largest Ky Fan
     distance from a sampled source observable to its heuristic 1-Lipschitz
     fit on the target (:func:`_lip1_target_fit`), which bounds from neither
-    side.
+    side.  ``budget`` must be an integer of at least 1.
     """
+    _sample_count(budget, "budget")
     if target.n > _CERT_TARGET_BOUND:
         raise TargetTooLarge(f"target has {target.n} > {_CERT_TARGET_BOUND} points")
     p = _point_map(p_map, source, target)
@@ -652,12 +654,12 @@ def concentration_certificate(source: FiniteMMSpace, target: FiniteMMSpace,
     eps_lip, domain = lip_up_to_eps(p, source, target)
 
     n_obs = max(8, min(40, budget // 100))
-    pool = _candidate_observables(source, n_obs, seed)
-    evidence = tuple(float(_lip1_target_fit(source, target, p, f)) for f in pool)
+    evidence = tuple(float(_lip1_target_fit(source, target, p, f))
+                     for block in _candidate_observables(source, n_obs, seed) for f in block)
     eps_haus = max(evidence, default=0.0)
     overall = max(eps_lip, eps_prok, eps_haus)
     return ConcentrationCertificate(
         mapping=p, epsilon_lip=float(eps_lip), lip_domain=domain,
         epsilon_prok=float(eps_prok), epsilon_haus=float(eps_haus),
         overall=float(overall), observables=evidence,
-        meta={"seed": seed, "budget": budget, "samples": len(pool)})
+        meta={"seed": seed, "budget": budget, "samples": len(evidence)})

@@ -11,7 +11,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FiniteMMSpace, validate_space
+from .core import (
+    METRIC_TOL,
+    FiniteMMSpace,
+    _abs_max,
+    _gram_distances,
+    _sample_count,
+    _slack_bound,
+    validate_space,
+)
 from .errors import MMLabError, NotTriangleTriplet, WitnessInvalid
 from .mpf import MPF, _golden_argmin, eval_mpf
 from .product import ProductSpec, lp_product, metric_transform, product
@@ -33,37 +41,49 @@ def sample_sphere(n: int, r: float, N: int, metric: str = "chordal",
                   seed: int = 0) -> SphereSample:
     """Uniform i.i.d. sample of the n-sphere of radius r with 1/N weights.
 
-    Gaussian normalization gives uniformity.
+    Gaussian normalization gives uniformity.  n >= 1 and N >= 2 must be
+    integers, and r must lie in [2^-511, 2^510], the radii whose Gram form
+    keeps full precision and stays finite:
+
+    - its terms are squared norms near r^2, and below 2^-511 the square
+      r^2 < 2^-1022 is subnormal and holds fewer than 53 bits (50 points of
+      S^3 at r = 1e-160 had distances off by up to 3 % relatively);
+    - every term is at most 4 r^2 up to rounding, and _gram_distances
+      returns a matrix while 8 r^2, up to rounding, is finite: at r = 2^510
+      it is 2^1023, while near 2^511 even 4 r^2 overflows.
+
+    The matrix is built once, by _gram_distances.  A chordal sample is
+    handed to validate_space as a FiniteMMSpace tagged "certified", with
+    triangle_slack 3 eps from the error bound eps of the Gram form (its
+    matrix is the Gram form itself, so it differs from it by 0), when that
+    is within METRIC_TOL; otherwise, and for geodesic samples, whose
+    distances are 2 r arcsin(chord / 2r) of the same chords, validate_space
+    checks the record.
     """
-    if n < 1 or N < 2:
-        raise MMLabError("need dimension >= 1 and at least 2 samples")
+    n = _sample_count(n, "dimension")
+    N = _sample_count(N, "N", least=2)
+    if not 2.0**-511 <= r <= 2.0**510:
+        raise MMLabError(f"sphere radius must lie in [2^-511, 2^510], got {r!r}")
     if metric not in ("chordal", "geodesic"):
         raise MMLabError(f"unknown sphere metric {metric!r}")
     g = np.random.default_rng(seed).normal(size=(N, n + 1))
     pts = r * (g / np.linalg.norm(g, axis=1, keepdims=True))
-    dist = sphere_distances(pts, r, metric)
-    space = validate_space({
-        "labels": [f"s{i}" for i in range(N)],
-        "dist": dist,
-        "weight": np.full(N, 1.0 / N),
-        "coords": pts,
-    })
+    dist, eps = _gram_distances(pts)
+    labels = [f"s{i}" for i in range(N)]
+    weight = np.full(N, 1.0 / N)
+    record = {"labels": labels, "dist": dist, "weight": weight, "coords": pts}
+    if metric == "geodesic":
+        # in place, the float operations of 2 r arcsin(clip(chord / 2r, 0, 1))
+        two_r = 2.0 * r
+        dist /= two_r
+        np.clip(dist, 0.0, 1.0, out=dist)
+        np.arcsin(dist, out=dist)
+        dist *= two_r
+    elif (slack := _slack_bound(3.0 * eps, _abs_max(dist))) <= METRIC_TOL:
+        record = FiniteMMSpace(labels=tuple(labels), dist=dist, weight=weight,
+                               triangle_check="certified", coords=pts, triangle_slack=slack)
     return SphereSample(dimension=n, radius=r, count=N, metric=metric,
-                        seed=seed, space=space)
-
-
-def sphere_distances(pts: np.ndarray, r: float, metric: str) -> np.ndarray:
-    # gram-matrix form keeps memory at O(n^2) regardless of the dimension
-    sq = (pts * pts).sum(axis=1)
-    g = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
-    chord = np.sqrt(np.maximum(g, 0.0))
-    if metric == "chordal":
-        dist = chord
-    else:
-        dist = 2.0 * r * np.arcsin(np.clip(chord / (2.0 * r), 0.0, 1.0))
-    dist = 0.5 * (dist + dist.T)
-    np.fill_diagonal(dist, 0.0)
-    return dist
+                        seed=seed, space=validate_space(record))
 
 
 def two_point(s: float, w0: float = 0.5) -> FiniteMMSpace:

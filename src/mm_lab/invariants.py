@@ -21,7 +21,9 @@ from .core import (
     _exceeds_lip1,
     _merge_sorted,
     _readonly,
+    _sample_count,
     _subset_table,
+    _transposed_blocks,
     as_lip,
     project_to_lip1,
     tail_mass,
@@ -184,22 +186,28 @@ def _od_exact(space: FiniteMMSpace, kappa: float):
     return t, values, {"surrogate": t, "orderings": P}
 
 
-def _candidate_observables(space: FiniteMMSpace, count: int, seed) -> np.ndarray:
+_RANK_BLOCK = 256
+
+
+def _candidate_observables(space: FiniteMMSpace, count: int, seed):
     """Deterministic pool of 1-Lipschitz observables (distance cones, coordinates).
 
-    Returns one (rows, n) array, rows <= count: the distance columns of up to
-    32 anchors, then distance cones min_a (c_a + d(., a)) over 1, 2, 3 anchors
-    in turn, then coordinate projections.  Two seeded streams draw every
-    cone at once: row k of default_rng([seed, 202]).integers(0, n, (cones, 3))
-    holds the anchors of cone k, and row k of
-    default_rng([seed, 203]).random((cones, 3)) * diam its offsets; cone k
-    takes the first 1 + k % 3 of each.  Both tables fill row by row, so a
-    pool is a prefix of any larger pool with the same seed.  The cones are
-    then built one arity at a time, on contiguous rows of one transposed copy
-    of the distance matrix, straight into their rows of the pool.  The
-    coordinate projections go through one _exceeds_lip1 call together: a
-    float32 screen whose undecided pairs are rechecked in float64, so its
-    flags are the exact ones.  Only the directions it flags are rescaled by
+    Yields the pool's rows, at most count of them, as fresh arrays of at most
+    _RANK_BLOCK rows, so that a caller can rank each block while the next
+    is built: the distance columns of up to 32 anchors, then distance cones
+    min_a (c_a + d(., a)) over 1, 2, 3 anchors in turn, then coordinate
+    projections.  Two seeded streams draw every cone at once: row k of
+    default_rng([seed, 202]).integers(0, n, (cones, 3)) holds the anchors
+    of cone k, and row k of default_rng([seed, 203]).random((cones, 3)) * diam
+    its offsets; cone k takes the first 1 + k % 3 of each.  Both tables
+    fill row by row, so a pool is a prefix of any larger pool with the same
+    seed.  Each block of cones is built one arity at a time, straight into
+    its rows, from rows of d when d equals its transpose bit for bit (one
+    blockwise comparison) and from rows of one transposed copy otherwise,
+    so every cone is the same float as d's column gives.  The coordinate
+    projections go through one _exceeds_lip1 call together: a float32
+    screen whose undecided pairs are rechecked in float64, so its flags are
+    the exact ones.  Only the directions it flags are rescaled by
     project_to_lip1; the others are 1-Lipschitz already and are used as
     they are.
     """
@@ -217,29 +225,33 @@ def _candidate_observables(space: FiniteMMSpace, count: int, seed) -> np.ndarray
         extra /= np.linalg.norm(extra, axis=1, keepdims=True)
         dirs.extend(extra)
         dirs = dirs[: max(0, count - len(anchors) - n_cones)]
-    pool = np.empty((min(count, len(anchors) + n_cones + len(dirs)), n))
-    head = anchors[: len(pool)]
-    pool[: len(head)] = d[:, head].T
+    yield d.T[anchors[:count]]
     if n_cones:
         a = np.random.default_rng([key, 202]).integers(0, n, (n_cones, 3))
         c = np.random.default_rng([key, 203]).random((n_cones, 3)) * space.diam
-        dT = np.ascontiguousarray(d.T)
-        for r in range(min(3, n_cones)):
-            # cones k = r, r + 3, ... take the first r + 1 anchors of their rows
-            ar, cr = a[r::3], c[r::3]
-            rows = pool[len(anchors) + r: len(anchors) + n_cones: 3]
-            np.add(cr[:, 0, None], dT[ar[:, 0]], out=rows)
-            for i in range(1, r + 1):
-                cone = dT[ar[:, i]]
-                cone += cr[:, i, None]
-                np.minimum(rows, cone, out=rows)
+        bits = d.view(np.int64)
+        symmetric = all(np.array_equal(rows, cols) for rows, cols in _transposed_blocks(bits))
+        columns = d if symmetric else np.ascontiguousarray(d.T)
+        for lo in range(0, n_cones, _RANK_BLOCK):
+            block = np.empty((min(_RANK_BLOCK, n_cones - lo), n))
+            for r in range(3):
+                # cones k = r, r + 3, ... take the first r + 1 anchors of their rows
+                first = lo + (r - lo) % 3
+                ar, cr = a[first: lo + len(block): 3], c[first: lo + len(block): 3]
+                rows = block[first - lo:: 3]
+                np.add(cr[:, 0, None], columns[ar[:, 0]], out=rows)
+                for i in range(1, r + 1):
+                    cone = columns[ar[:, i]]
+                    cone += cr[:, i, None]
+                    np.minimum(rows, cone, out=rows)
+            yield block
     if dirs:
-        proj = pool[len(anchors) + n_cones:]
+        proj = np.empty((len(dirs), n))
         for row, u in zip(proj, dirs):
             np.matmul(space.coords, u, out=row)
         for i in np.nonzero(_exceeds_lip1(space, proj))[0]:
             proj[i] = project_to_lip1(space, proj[i])
-    return pool
+        yield proj
 
 
 def _pd_of_rows(values: np.ndarray, weights, alpha: float) -> np.ndarray:
@@ -281,29 +293,27 @@ def _pd_of_rows(values: np.ndarray, weights, alpha: float) -> np.ndarray:
     return pd
 
 
-_RANK_BLOCK = 256
 _LOCAL_SEARCH_MAX_N = 400
 
 
 def _od_heuristic(space: FiniteMMSpace, kappa: float, budget: int, seed):
     """Best partial diameter over the candidate pool, then local search.
 
-    The pool is ranked in views of 256 rows by _pd_of_rows; the first
-    observable with the largest value wins, as in a one-by-one scan, and is
-    copied out so that the result does not keep the pool alive.  On at
+    Each block of the pool is ranked by _pd_of_rows as it is built; the
+    first observable with the largest value wins, as in a one-by-one scan,
+    and is copied out so that the result keeps no block alive.  On at
     most 400 points, single values then move to the ends and the midpoint
     of their Lipschitz interval while that improves and the budget lasts.
     """
     target = 1.0 - kappa
     w = space.weight
-    pool = _candidate_observables(space, max(16, budget // 4), seed)
-    best_v, best_pd = None, -1.0
-    for start in range(0, len(pool), _RANK_BLOCK):
-        pds = _pd_of_rows(pool[start: start + _RANK_BLOCK], w, target)
+    best_v, best_pd, evals = None, -1.0, 0
+    for block in _candidate_observables(space, max(16, budget // 4), seed):
+        pds = _pd_of_rows(block, w, target)
         i = int(np.argmax(pds))
         if pds[i] > best_pd:
-            best_v, best_pd = pool[start + i].copy(), float(pds[i])
-    evals = len(pool)
+            best_v, best_pd = block[i].copy(), float(pds[i])
+        evals += len(block)
     if space.n <= _LOCAL_SEARCH_MAX_N and best_v is not None:
         rng = np.random.default_rng([int(seed) & 0x7FFFFFFF, 404])
         v = best_v.copy()
@@ -330,9 +340,14 @@ def _od_heuristic(space: FiniteMMSpace, kappa: float, budget: int, seed):
 
 def observable_diameter(space: FiniteMMSpace, kappa: float, mode: str = "auto",
                         budget: int = 20_000, seed=0) -> ODEstimate:
-    """Largest partial diameter of a 1-Lipschitz image at mass 1 - kappa."""
+    """Largest partial diameter of a 1-Lipschitz image at mass 1 - kappa.
+
+    ``budget``, the evaluations of heuristic_lb, must be an integer of at
+    least 1 in every mode.
+    """
     if not (0.0 < kappa < 1.0):
         raise BadKappa(f"kappa = {kappa} outside (0, 1)")
+    _sample_count(budget, "budget")
     if mode == "auto":
         mode = "exact_tiny" if space.n <= EXACT_OD_BOUND else "heuristic_lb"
     if mode == "exact_tiny":
@@ -496,20 +511,21 @@ def levy_radius(space: FiniteMMSpace, kappa: float, budget: int = 8000, seed=0,
                 mode: str = "heuristic_lb") -> float:
     """Smallest radius around the Levy mean holding all but kappa of the mass,
     maximized over 1-Lipschitz observables: exactly over every value ordering
-    (exact_tiny, up to EXACT_OD_BOUND points) or over a pool (a lower bound)."""
+    (exact_tiny, up to EXACT_OD_BOUND points) or over a pool (a lower bound).
+    ``budget`` must be an integer of at least 1 in either mode."""
     if not (0.0 < kappa < 1.0):
         raise BadKappa(f"kappa = {kappa} outside (0, 1)")
+    _sample_count(budget, "budget")
     if mode == "exact_tiny":
         if space.n > EXACT_OD_BOUND:
             raise TooLarge(space.n, EXACT_OD_BOUND)
         return _levy_radius_exact(space, kappa)
     if mode != "heuristic_lb":
         raise MMLabError(f"unknown mode {mode!r}")
-    pool = _candidate_observables(space, max(16, budget // 2), seed)
+    blocks = _candidate_observables(space, max(16, budget // 2), seed)
     if space.n <= EXACT_OD_BOUND:
         witness = observable_diameter(space, kappa, mode="exact_tiny").witness
-        pool = np.vstack([pool, witness.values])
-    blocks = (pool[start: start + _RANK_BLOCK] for start in range(0, len(pool), _RANK_BLOCK))
+        blocks = itertools.chain(blocks, [witness.values[None]])
     return max(float(_levy_radius_of_rows(rows, space.weight, kappa).max()) for rows in blocks)
 
 

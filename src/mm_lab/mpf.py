@@ -10,12 +10,11 @@ five-condition sequence classifier.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import METRIC_TOL
+from .core import METRIC_TOL, _sample_count
 from .errors import ArityMismatch, InconsistentArity, MMLabError, NotIncreasing
 
 _INF = float("inf")
@@ -544,23 +543,6 @@ def _boundary_triplets(arity: int, horizon: float) -> np.ndarray:
 
 
 _BATCH_ROWS = 65536
-
-
-def _sample_count(samples, name: str = "samples", least: int = 1) -> int:
-    """``samples`` as an int of at least ``least``; bools and floats are refused.
-
-    operator.index takes Python and numpy integers and refuses floats and
-    numpy bools, but it takes a Python bool, which is refused here too.
-    """
-    try:
-        count = operator.index(samples)
-    except TypeError:
-        count = None
-    if count is None or isinstance(samples, bool):
-        raise MMLabError(f"{name} must be an integer, got {samples!r}")
-    if count < least:
-        raise MMLabError(f"{name} must be >= {least}")
-    return count
 
 
 def _triangle_draws(rng, arity: int, m: int, horizon: float) -> np.ndarray:

@@ -12,6 +12,7 @@ from .core import (
     FiniteMMSpace,
     LipFunction,
     _gamma,
+    _sample_count,
     _slack_bound,
     as_lip,
     validate_space,
@@ -25,7 +26,7 @@ from .errors import (
     TriangleViolation,
 )
 from .invariants import _levy_mean_of_values
-from .mpf import _INF, MPF, _sample_count, check_triangle_triplets, eval_mpf, lp
+from .mpf import _INF, MPF, check_triangle_triplets, eval_mpf, lp
 
 LABEL_SEP = "⊗"  # joins factor labels in product points
 

@@ -269,6 +269,21 @@ def od_span_lp(space, kappa, tol=1e-12):
     return best
 
 
+def sphere_distances(pts, r, metric):
+    """Chordal or geodesic distances of sphere points of radius r from
+    whole-matrix Gram-form temporaries, symmetrized, with a zero diagonal."""
+    sq = (pts * pts).sum(axis=1)
+    g = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
+    chord = np.sqrt(np.maximum(g, 0.0))
+    if metric == "chordal":
+        dist = chord
+    else:
+        dist = 2.0 * r * np.arcsin(np.clip(chord / (2.0 * r), 0.0, 1.0))
+    dist = 0.5 * (dist + dist.T)
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
 def candidate_pool_loop(space, count, seed):
     """Candidate observables with one scan per member.
 

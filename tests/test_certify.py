@@ -239,6 +239,15 @@ def test_heuristic_od_on_a_sphere_draws_no_triplet_sample():
     assert core._sampled_triplets.cache_info().misses == 0
 
 
+def test_chordal_sample_carries_the_slack_of_its_own_gram_matrix():
+    # the matrix is the Gram form itself, so the certificate's delta is 0
+    for n, r in ((2, 1.0), (8, 0.5), (50, 1.7)):
+        X = gallery.sample_sphere(n, r, 512, seed=7).space
+        assert X.triangle_check == "certified"
+        assert X.triangle_slack == core._euclidean_slack(X.dist, X.coords)
+        assert max_triangle_slack(X.dist) <= X.triangle_slack
+
+
 def test_validated_space_keeps_its_proof():
     X = lp_product(_rms(4, 1), gallery.two_point(1.0), 2.0)
     again = core.validate_space(X)

@@ -190,6 +190,13 @@ def test_product_transform_invariant_dist(tmp_path, space_file, capsys):
     assert "box = 0" in capsys.readouterr().out
 
 
+def test_invariant_od_rejects_a_zero_budget(tmp_path, capsys):
+    path = tmp_path / "cloud.json"
+    core.save_space(core.random_metric_space(12, seed=3), path)
+    assert main(["invariant", "od", "--space", str(path), "--budget", "0"]) == 2
+    assert capsys.readouterr().err == "error: budget must be >= 1\n"
+
+
 def test_invariant_pd_conc_lm_and_dist_kyfan(tmp_path, capsys):
     four = tmp_path / "four.json"
     assert main(["gallery", "four-point", "-o", str(four)]) == 0

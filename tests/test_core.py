@@ -404,7 +404,7 @@ def test_mcshane_extend_agrees_on_domain():
 def _coordinate_rows(space, count=200, seed=3):
     """The coordinate projections closing the candidate pool, one row each."""
     dims = space.coords.shape[1]
-    pool = inv._candidate_observables(space, count, seed)
+    pool = np.vstack(list(inv._candidate_observables(space, count, seed)))
     k = min(dims, 16) + min(32, max(4, count // 8))
     return pool[-k:], candidate_pool_loop(space, count, seed)[-k:]
 

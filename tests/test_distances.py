@@ -597,7 +597,7 @@ def _fit_cases(draw):
         Y = core.random_metric_space(m, seed=seed + 1)
     hit = draw(st.integers(1, m))  # fibers hit + 1 .. m stay empty
     p = np.array(draw(st.lists(st.integers(0, hit - 1), min_size=n, max_size=n)), dtype=int)
-    pool = list(inv._candidate_observables(X, 4, seed))
+    pool = [row for block in inv._candidate_observables(X, 4, seed) for row in block]
     pool.append(np.random.default_rng(seed).normal(size=n) * X.diam)
     return X, Y, p, pool
 
@@ -627,7 +627,7 @@ def test_certificate_fit_scores_two_starts_per_observable(monkeypatch):
     k = cert.meta["samples"]
     # onto a two-point target no coordinate search runs
     assert b.limit_space.n == 2 and len(calls) == 2 * k
-    pool = inv._candidate_observables(b.transformed, k, 3)
+    pool = np.vstack(list(inv._candidate_observables(b.transformed, k, 3)))
     assert cert.observables == tuple(
         float(lip1_target_fit_loop(b.transformed, b.limit_space, b.p_map, f)) for f in pool)
 
@@ -830,6 +830,13 @@ def test_certificate_identity_and_collapse():
     # the anchor observable keeps a two-point space visibly non-trivial:
     # any constant stays at Ky Fan distance at least the far atom mass
     assert collapse.epsilon_haus >= 0.5 - 1e-9
+
+
+@pytest.mark.parametrize("budget", [2500.0, True, -5, 0, float("nan")])
+def test_certificate_budget_must_be_a_positive_integer(budget):
+    X = core.random_metric_space(12, seed=1)
+    with pytest.raises(MMLabError, match="budget"):
+        dst.concentration_certificate(X, X, np.arange(12), budget=budget)
 
 
 def test_certificate_reproducible():

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from mm_lab import core, distances as dst, gallery, invariants as inv, mpf
-from mm_lab.errors import NotTriangleTriplet, WitnessInvalid
+from mm_lab.errors import MMLabError, NotTriangleTriplet, WitnessInvalid
 
-from oracles import min_on_interval_loop, min_on_rect_loop, pd_window_oracle
+from oracles import min_on_interval_loop, min_on_rect_loop, pd_window_oracle, sphere_distances
 
 
 def test_sphere_metric_consistency():
@@ -22,6 +24,87 @@ def test_sphere_metric_consistency():
     again = gallery.sample_sphere(5, 2.0, 60, metric="geodesic", seed=4)
     assert np.array_equal(again.space.coords, sph_g.space.coords)
     assert np.array_equal(again.space.dist, sph_g.space.dist)
+
+
+@pytest.mark.parametrize("metric", ["chordal", "geodesic"])
+def test_sphere_matrix_is_the_whole_matrix_kernel_bit_for_bit(metric):
+    for n in (1, 2, 8, 50):
+        for N in (2, 7, 513, 1000):
+            sph = gallery.sample_sphere(n, 1.3, N, metric=metric, seed=n + N)
+            want = sphere_distances(sph.space.coords, 1.3, metric)
+            assert sph.space.dist.tobytes() == want.tobytes(), (n, N)
+
+
+@pytest.mark.parametrize("metric, check", [("chordal", "certified"), ("geodesic", "exhaustive")])
+def test_sphere_sample_builds_one_gram_matrix(metric, check):
+    calls = []
+    real = core._gram_distances
+
+    def counted(x):
+        calls.append(len(x))
+        return real(x)
+
+    with mock.patch.object(core, "_gram_distances", counted), \
+            mock.patch.object(gallery, "_gram_distances", counted):
+        sph = gallery.sample_sphere(8, 1.0, 500, metric=metric, seed=7)
+    # the Euclidean certificate rejects geodesic rows by its probe alone
+    assert calls == [500]
+    assert sph.space.triangle_check == check
+
+
+def test_sphere_sample_and_its_heuristic_od_peak_memory():
+    n2 = 1000 * 1000 * 8  # bytes of the distance matrix
+    tracemalloc.start()
+    try:
+        sph = gallery.sample_sphere(8, 1.0, 1000, seed=7)
+        _, sample_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        live, _ = tracemalloc.get_traced_memory()
+        inv.observable_diameter(sph.space, 0.1, mode="heuristic_lb", budget=20_000, seed=7)
+        _, od_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one matrix and row-block temporaries; the pool is ranked block by block
+    # and its cones read rows of the symmetric matrix, not a transposed copy
+    assert sample_peak <= 1.7 * n2
+    assert od_peak - live <= 1.2 * n2
+
+
+@pytest.mark.parametrize("r", [
+    -1.0, 0.0, 1e-160, 1e154, math.inf, math.nan,
+    np.nextafter(2.0**-511, 0.0), np.nextafter(2.0**510, math.inf),
+])
+@pytest.mark.parametrize("metric", ["chordal", "geodesic"])
+def test_sample_sphere_rejects_radii_outside_the_gram_range(r, metric):
+    with pytest.raises(MMLabError, match="radius"):
+        gallery.sample_sphere(3, r, 8, metric=metric)
+
+
+@pytest.mark.parametrize("r", [2.0**-511, 2.0**510])
+@pytest.mark.parametrize("metric", ["chordal", "geodesic"])
+def test_sample_sphere_keeps_full_precision_at_the_radius_limits(r, metric):
+    sph = gallery.sample_sphere(3, r, 8, metric=metric, seed=1)
+    unit = gallery.sample_sphere(3, 1.0, 8, metric=metric, seed=1)
+    # the sample is the unit sample scaled, to rounding
+    off = ~np.eye(8, dtype=bool)
+    rel = np.abs(sph.space.dist[off] / r - unit.space.dist[off]) / unit.space.dist[off]
+    assert rel.max() <= 1e-14
+
+
+@pytest.mark.parametrize("n, N", [
+    (2.5, 8), (True, 8), (0, 8), (np.float64(3.0), 8),
+    (3, 10.5), (3, True), (3, 1), (3, np.bool_(True)),
+])
+def test_sample_sphere_rejects_counts_that_are_not_integers_in_range(n, N):
+    with pytest.raises(MMLabError, match="^(dimension|N) must be"):
+        gallery.sample_sphere(n, 1.0, N)
+
+
+def test_sample_sphere_takes_numpy_integers():
+    sph = gallery.sample_sphere(np.int64(2), 1.0, np.int32(7), seed=3)
+    again = gallery.sample_sphere(2, 1.0, 7, seed=3)
+    assert (sph.dimension, sph.count) == (2, 7)
+    assert np.array_equal(sph.space.dist, again.space.dist)
 
 
 def test_sphere_mean_squared_chordal_distance():

@@ -217,10 +217,47 @@ def test_candidate_pool_matches_loop_oracle():
     cases += [(core.random_metric_space(n, seed=n), 120) for n in range(1, 41)]
     for space, count in cases:
         for seed in (0, 7):
-            pool = inv._candidate_observables(space, count, seed)
+            pool = np.vstack(list(inv._candidate_observables(space, count, seed)))
             want = np.array(candidate_pool_loop(space, count, seed))
             assert pool.shape == want.shape, (space.n, count)
             assert pool.tobytes() == want.tobytes(), (space.n, count)
+
+
+def test_candidate_pool_blocks_match_loop_oracle_across_block_edges():
+    X = core.random_metric_space(40, seed=4)
+    small = core.random_metric_space(12, seed=5)
+    d = X.dist.copy()
+    d[5, 9] += 1e-12  # asymmetric within METRIC_TOL: cones read a transposed copy
+    skew = core.validate_space({"dist": d, "weight": X.weight, "coords": X.coords})
+    assert not np.array_equal(skew.dist, skew.dist.T)
+    spaces = [X, core.validate_space({"dist": X.dist, "weight": X.weight}), skew, small]
+    for space in spaces:
+        anchors = min(space.n, 32)
+        # 255, 256 and 257 cones: the last arity cycle straddles a block edge;
+        # fewer rows than anchors give the anchor block alone
+        for count in [2 * (anchors + k) for k in (255, 256, 257)] + [anchors - 3, 41]:
+            for seed in (0, 7):
+                blocks = list(inv._candidate_observables(space, count, seed))
+                assert all(0 < len(b) <= inv._RANK_BLOCK for b in blocks)
+                want = np.array(candidate_pool_loop(space, count, seed))
+                assert np.vstack(blocks).tobytes() == want.tobytes(), (space.n, count, seed)
+
+
+@pytest.mark.parametrize("budget", [2500.0, True, -5, 0, float("nan")])
+def test_heuristic_budget_must_be_a_positive_integer(budget):
+    X = core.random_metric_space(12, seed=1)
+    with pytest.raises(MMLabError, match="budget"):
+        inv.observable_diameter(X, 0.1, mode="heuristic_lb", budget=budget)
+    with pytest.raises(MMLabError, match="budget"):
+        inv.levy_radius(X, 0.1, budget=budget)
+
+
+def test_heuristic_budget_takes_numpy_integers():
+    X = core.random_metric_space(12, seed=1)
+    est = inv.observable_diameter(X, 0.1, mode="heuristic_lb", budget=np.int64(400), seed=2)
+    want = inv.observable_diameter(X, 0.1, mode="heuristic_lb", budget=400, seed=2)
+    assert (est.value, est.meta["evaluations"]) == (want.value, want.meta["evaluations"])
+    assert inv.levy_radius(X, 0.1, budget=np.int32(400)) == inv.levy_radius(X, 0.1, budget=400)
 
 
 def test_candidate_pool_is_a_prefix_of_larger_pools():
@@ -230,9 +267,9 @@ def test_candidate_pool_is_a_prefix_of_larger_pools():
         X = core.random_metric_space(n, seed=n)
         bare = core.validate_space({"dist": X.dist, "weight": X.weight})
         for seed in (0, 7):
-            big = inv._candidate_observables(bare, 400, seed)
+            big = np.vstack(list(inv._candidate_observables(bare, 400, seed)))
             for count in (2, 16, 41, 90, 201, 399):
-                small = inv._candidate_observables(bare, count, seed)
+                small = np.vstack(list(inv._candidate_observables(bare, count, seed)))
                 assert len(small) < len(big), (n, count)
                 assert small.tobytes() == big[: len(small)].tobytes(), (n, count, seed)
 
@@ -241,7 +278,7 @@ def test_pd_of_rows_falls_back_on_merged_atoms():
     # every cone on the cube has tied values, so the oracle case above takes the fallback
     cube = product(ProductSpec(tuple([two_point(1.0)] * 7), mpf.lp(2.0, 7),
                                check_samples=0))
-    pool = inv._candidate_observables(cube, 200, seed=7)
+    pool = np.vstack(list(inv._candidate_observables(cube, 200, seed=7)))
     assert (np.diff(np.sort(pool, axis=1), axis=1) <= 1e-12).any(axis=1).all()
     # 0 and 5e-13 merge into one atom of mass 0.75 and partial diameter 0;
     # kept apart, the lightest window of mass 0.75 would span 5e-13
@@ -369,7 +406,7 @@ def _tail_boundary_kappas(row, weights):
 
 def test_levy_radius_of_rows_matches_values():
     X = gallery.sample_sphere(8, 1.0, 1000, metric="chordal", seed=3).space
-    pool = inv._candidate_observables(X, 300, seed=0)
+    pool = np.vstack(list(inv._candidate_observables(X, 300, seed=0)))
     # most rows take the row-wise path, not the per-row fallback
     assert (np.diff(np.sort(pool, axis=1), axis=1) > 1e-12).all(axis=1).sum() > 150
     for kappa in (0.05, 0.2, 0.5, 0.9):
