@@ -184,6 +184,8 @@ def _dispatch(args) -> int:
         space = load_space(args.inp)
         proof = (f" (slack ≤ {space.triangle_slack:.3g})"
                  if space.triangle_check == "certified" else "")
+        if space.coords_error is not None:
+            proof += f", coords within τ = {space.coords_error:.3g}"
         print(f"valid space: {space.n} points, diameter {space.diam:.6g}, "
               f"{space.triangle_check} triangle check{proof}")
         if args.out:

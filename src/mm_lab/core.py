@@ -48,7 +48,9 @@ _EUCLID_CERT_N = 6
 _U = 2.0**-53  # unit roundoff of float64
 # up to this many (row, pair) entries comparing every pair in float64 beats
 # the Lipschitz screen, and the screen casts blocks of this many matrix rows
-# (BENCH_pr25.json, lip_screen_crossover_us)
+# (BENCH_pr25.json, lip_screen_crossover_us); _projection_flags rechecks at
+# most _LIP_BLOCK pairs per point of a row, the screen's block, before
+# handing the row to the screen
 _LIP_BROADCAST = 1 << 16
 _LIP_BLOCK = 128
 # rows of each temporary of the n x n passes that need one: the Gram form
@@ -93,7 +95,13 @@ def _transposed_blocks(d: np.ndarray):
 
 @dataclass(frozen=True)
 class FiniteMMSpace:
-    """Validated finite metric measure space."""
+    """Validated finite metric measure space.
+
+    A space whose coords certify its distances carries coords_error, so that
+    proofs about d can be made from the coordinates instead of the n x n
+    matrix: _projection_flags proves coordinate projections 1-Lipschitz
+    with it.
+    """
 
     labels: tuple
     dist: np.ndarray
@@ -107,6 +115,10 @@ class FiniteMMSpace:
     # proved upper bound on d[i, k] - d[i, j] - d[j, k] over every triplet,
     # exact and as _triangle_check evaluates it in floats; None when sampled
     triangle_slack: float | None = None
+    # proved tau with |d[i, j] - |x_i - x_j|| <= tau for every pair, x_i the
+    # stored float coords, when the Euclidean certificate of coords holds;
+    # None otherwise (no coords, a non-Euclidean metric, products, n <= 6)
+    coords_error: float | None = None
 
     @property
     def n(self) -> int:
@@ -119,7 +131,8 @@ class FiniteMMSpace:
         return float(self.dist.max()) if self.n else 0.0
 
     def reweighted(self, weight) -> "FiniteMMSpace":
-        """Same carrier with a different measure, re-validated; a proved triangle_slack carries over."""
+        """Same carrier with a different measure, re-validated; a proved
+        triangle_slack and coords_error carry over."""
         return validate_space(replace(self, weight=np.asarray(weight, dtype=float)))
 
 
@@ -405,26 +418,28 @@ def _gram_distances(x: np.ndarray):
     return c, _round_up((eta / least + _U * float(c.max())) * (1.0 + _U))
 
 
-def _euclidean_slack(d: np.ndarray, x: np.ndarray) -> float:
-    """A proved triangle_slack of d if it is, within rounding, the Euclidean matrix of the rows of x; else inf.
+def _euclidean_slack(d: np.ndarray, x: np.ndarray):
+    """A proved triangle_slack of d, and a proved coords_error tau, if d is,
+    within rounding, the Euclidean matrix of the rows of x; else (inf, inf).
 
     With c and eps from _gram_distances and delta = max |d - c| (its float
-    read raised by 2u), |d[i, j] - |x_i - x_j|| <= eps + delta, and the
-    triangle inequality of the exact distances leaves every exact slack of
-    d at most 3 (eps + delta).  Row 0 is probed first, at O(n dims): when
-    its distances to the points differ from d[0] by more than METRIC_TOL / 3,
-    as for geodesic spheres and transformed metrics, no n^2 work is done.
+    read raised by 2u), tau = eps + delta (raised) bounds
+    |d[i, j] - |x_i - x_j|| for every pair, and the triangle inequality of
+    the exact distances leaves every exact slack of d at most 3 tau.  Row 0
+    is probed first, at O(n dims): when its distances to the points differ
+    from d[0] by more than METRIC_TOL / 3, as for geodesic spheres and
+    transformed metrics, no n^2 work is done.
     """
     with np.errstate(over="ignore"):
         if 3.0 * float(np.abs(d[0] - np.linalg.norm(x - x[0], axis=1)).max()) > METRIC_TOL:
-            return np.inf
+            return np.inf, np.inf
     c, eps = _gram_distances(x)
     if not eps < np.inf:
-        return np.inf
+        return np.inf, np.inf
     np.subtract(d, c, out=c)
     np.abs(c, out=c)
     delta = float(c.max()) * (1.0 + 2.0 * _U)
-    return _slack_bound(3.0 * (eps + delta), _abs_max(d))
+    return _slack_bound(3.0 * (eps + delta), _abs_max(d)), _round_up(eps + delta)
 
 
 def _numbers(value, what: str, dtype=float) -> np.ndarray:
@@ -442,12 +457,14 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
     invariant raises the matching error.  Idempotent on validated spaces: a
     FiniteMMSpace keeps its triangle_check and triangle_slack when the slack
     is within METRIC_TOL, which is how product() and sample_sphere() hand
-    over the bound their construction proves.  Otherwise the triangle
-    inequality is certified from coords above _EUCLID_CERT_N points when
-    _euclidean_slack proves it within METRIC_TOL, and checked by
-    _triangle_check when nothing does.  Symmetry is checked on blocks of
-    _ROW_BLOCK rows against the same rows of the transpose, so no check
-    makes an n x n float temporary.
+    over the bound their construction proves, and it keeps its coords_error.
+    Otherwise the triangle inequality is certified from coords above
+    _EUCLID_CERT_N points when _euclidean_slack proves it within METRIC_TOL,
+    which also stores that certificate's coords_error, and checked by
+    _triangle_check when nothing does.  Dropping points keeps coords_error,
+    a bound over pairs, which holds on any subset.  Symmetry is checked on
+    blocks of _ROW_BLOCK rows against the same rows of the transpose, so no
+    check makes an n x n float temporary.
     """
     if isinstance(candidate, FiniteMMSpace):
         labels = list(candidate.labels)
@@ -455,6 +472,7 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
         weight = np.asarray(candidate.weight, dtype=float)
         coords = candidate.coords
         check, slack = candidate.triangle_check, candidate.triangle_slack
+        coords_error = candidate.coords_error
     elif isinstance(candidate, dict):
         for key in ("dist", "weight"):
             if key not in candidate:
@@ -467,7 +485,7 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
         coords = candidate.get("coords")
         if coords is not None:
             coords = _numbers(coords, "space coords")
-        slack = None
+        slack = coords_error = None
     else:
         raise MMLabError(f"a space record is an object, not a {type(candidate).__name__}")
 
@@ -498,7 +516,10 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
         raise MMLabError("distance matrix has a negative entry")
 
     if slack is None and coords is not None and n > _EUCLID_CERT_N:
-        check, slack = "certified", _euclidean_slack(dist, coords)
+        slack, error = _euclidean_slack(dist, coords)
+        check = "certified"
+        if slack <= METRIC_TOL:
+            coords_error = error
     if slack is None or slack > METRIC_TOL:
         bad, slack = _triangle_check(dist, METRIC_TOL)
         if bad is not None:
@@ -531,6 +552,7 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
         coords=None if coords is None else _readonly(coords),
         triangle_check=check,
         triangle_slack=slack,
+        coords_error=coords_error,
     )
 
 
@@ -610,6 +632,93 @@ def _exceeds_lip1(space: FiniteMMSpace, rows) -> np.ndarray:
                     pairs = ~(plus[undecided] - own[undecided, None] > margin[r])
                     k, j = np.divmod(np.flatnonzero(pairs), n)
                     flagged[r] = _breaks_lip1(d, rows[r], undecided[k] + lo, j)
+    return flagged
+
+
+def _projection_windows(space: FiniteMMSpace, dirs):
+    """Keys t and widths h such that every pair (i, j) that a projection
+    fl(coords @ dirs[k]) stretches past d(i, j) or d(j, i) has
+    |t[k, i] - t[k, j]| <= h[k] as floats; h[k] is nan or inf where no
+    finite width is proved.  Needs coords_error and coords of dims >= 2.
+
+    Let x_i be the coords, tau the coords_error, R >= max |x_i|^2, g the
+    gamma of dims roundings and u the unit roundoff; each bound below also
+    takes dims 2^-1074 for products that underflow.  For a direction d_k,
+    each v_i = fl(<x_i, d_k>) is within alpha = g sqrt(R) |d_k| of the
+    exact value, in any order of the sum, and the comparison reads
+    fl|v_i - v_j| <= (1 + u) |v_i - v_j|.  With e = x_i - x_j, a pair
+    breaks only if (1 + u)(|<e, d_k>| + 2 alpha) > d(i, j) >= |e| - tau
+    (d(j, i) alike), that is |e| < L |e_par| + beta, with e_par = <e, d^>
+    along d^ = d_k / |d_k|, L = (1 + u)|d_k| and beta = 2 (1 + u) alpha + tau.
+    Squared, and with |e_par| <= |e| <= 2 sqrt(R), the part e_perp of e
+    perpendicular to d_k has |e_perp|^2 < rho^2 =
+    (L^2 - 1)^+ 4R + 4 L beta sqrt(R) + beta^2.  Take w, the axis a of the
+    least |d_k[a]| minus its computed part along d_k, and t = fl(X w).
+    Then <e, w> = e_par <d^, w> + <e_perp, w>, so every breaking pair has
+    |t_i - t_j| < 2 sqrt(R) |<d^, w>| + rho |w| + 2 g sqrt(R) |w|, and h
+    adds 2u (max|t| + h), which covers the rounding of t_i + h.  The norms
+    and <d_k, w> are bounded from their computed values with the same g.
+    With q = fl|d_k|^2, L^2 - 1 <= (|q - 1| + g + 3u q) / (1 - g); every
+    other bound is a sum and product of nonnegative floats, which
+    _round_up raises past its rounding.
+    """
+    x, tau = space.coords, space.coords_error
+    dims = x.shape[1]
+    g, tiny = _gamma(dims), dims * 2.0**-1074
+    dirs = np.asarray(dirs, dtype=float).reshape(-1, dims)
+    k = np.arange(len(dirs))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        root = _round_up(np.sqrt((float((x * x).sum(axis=1).max()) + tiny) / (1.0 - g)))
+        q = (dirs * dirs).sum(axis=1)
+        len_hi = np.sqrt((q + tiny) / (1.0 - g))
+        len_lo = np.sqrt((q - tiny) / (1.0 + g))
+        lift = (np.abs(q - 1.0) + g + tiny + 3.0 * _U * (q + tiny)) / (1.0 - g)
+        axis = np.argmin(np.abs(dirs), axis=1)
+        w = dirs * -(dirs[k, axis] / q)[:, None]
+        w[k, axis] += 1.0
+        w_hi = np.sqrt(((w * w).sum(axis=1) + tiny) / (1.0 - g))
+        along = (np.abs((dirs * w).sum(axis=1)) + g * len_hi * w_hi + tiny) / len_lo
+        L = (1.0 + _U) * len_hi
+        beta = 2.0 * (1.0 + _U) * (g * root * len_hi + tiny) + tau
+        rho = np.sqrt(lift * 4.0 * root * root + 4.0 * L * beta * root + beta * beta)
+        t = w @ x.T
+        h = 2.0 * root * along + rho * w_hi + 2.0 * (g * root * w_hi + tiny)
+        h = _round_up(h + 2.0 * _U * (np.abs(t).max(axis=1) + h))
+    return t, h
+
+
+def _projection_flags(space: FiniteMMSpace, dirs, rows) -> np.ndarray:
+    """_exceeds_lip1(space, rows) for the projections rows[k] = fl(coords @ dirs[k]).
+
+    When coords_error certifies the distances, each row's keys t from
+    _projection_windows are sorted, one searchsorted finds every pair within
+    its width h, and only those pairs are compared in float64 against d(i, j)
+    and d(j, i) (_breaks_lip1): every other pair is proved not to break.  A
+    row goes to _exceeds_lip1 when coords_error is None, when dims = 1 (no
+    perpendicular space), when h is not finite, or when its windows hold
+    more than n * _LIP_BLOCK pairs.  Either way the flags are _exceeds_lip1's.
+    """
+    n = space.n
+    rows = np.asarray(rows, dtype=float).reshape(len(rows), n)
+    flagged = np.zeros(len(rows), dtype=bool)
+    screen = np.ones(len(rows), dtype=bool)
+    if space.coords_error is not None and space.coords.shape[1] > 1 and len(rows):
+        t, h = _projection_windows(space, dirs)
+        starts = np.arange(1, n + 1)
+        for r in np.flatnonzero(np.isfinite(h)):
+            order = np.argsort(t[r])
+            keys = t[r, order]
+            span = keys.searchsorted(keys + h[r], side="right") - starts
+            total = int(span.sum())
+            if total > n * _LIP_BLOCK:
+                continue
+            screen[r] = False
+            if total:
+                first = np.repeat(starts - 1, span)
+                second = first + 1 + np.arange(total) - np.repeat(np.cumsum(span) - span, span)
+                flagged[r] = _breaks_lip1(space.dist, rows[r], order[first], order[second])
+    if screen.any():
+        flagged[screen] = _exceeds_lip1(space, rows[screen])
     return flagged
 
 

@@ -55,10 +55,11 @@ def sample_sphere(n: int, r: float, N: int, metric: str = "chordal",
     The matrix is built once, by _gram_distances.  A chordal sample is
     handed to validate_space as a FiniteMMSpace tagged "certified", with
     triangle_slack 3 eps from the error bound eps of the Gram form (its
-    matrix is the Gram form itself, so it differs from it by 0), when that
-    is within METRIC_TOL; otherwise, and for geodesic samples, whose
-    distances are 2 r arcsin(chord / 2r) of the same chords, validate_space
-    checks the record.
+    matrix is the Gram form itself, so it differs from it by 0) and
+    coords_error eps, when that slack is within METRIC_TOL; otherwise, and
+    for geodesic samples, whose distances are 2 r arcsin(chord / 2r) of the
+    same chords, validate_space checks the record (a geodesic sample gets
+    no coords_error).
     """
     n = _sample_count(n, "dimension")
     N = _sample_count(N, "N", least=2)
@@ -81,7 +82,8 @@ def sample_sphere(n: int, r: float, N: int, metric: str = "chordal",
         dist *= two_r
     elif (slack := _slack_bound(3.0 * eps, _abs_max(dist))) <= METRIC_TOL:
         record = FiniteMMSpace(labels=tuple(labels), dist=dist, weight=weight,
-                               triangle_check="certified", coords=pts, triangle_slack=slack)
+                               triangle_check="certified", coords=pts, triangle_slack=slack,
+                               coords_error=eps)
     return SphereSample(dimension=n, radius=r, count=N, metric=metric,
                         seed=seed, space=validate_space(record))
 

@@ -18,8 +18,8 @@ from .core import (
     FiniteMMSpace,
     LipFunction,
     RealDistribution,
-    _exceeds_lip1,
     _merge_sorted,
+    _projection_flags,
     _readonly,
     _sample_count,
     _subset_table,
@@ -205,11 +205,12 @@ def _candidate_observables(space: FiniteMMSpace, count: int, seed):
     its rows, from rows of d when d equals its transpose bit for bit (one
     blockwise comparison) and from rows of one transposed copy otherwise,
     so every cone is the same float as d's column gives.  The coordinate
-    projections go through one _exceeds_lip1 call together: a float32
-    screen whose undecided pairs are rechecked in float64, so its flags are
-    the exact ones.  Only the directions it flags are rescaled by
-    project_to_lip1; the others are 1-Lipschitz already and are used as
-    they are.
+    projections are flagged together by _projection_flags, with the flags
+    of _exceeds_lip1: when coords_error certifies the distances, only pairs
+    nearly parallel to a direction are compared, and every other pair is
+    proved 1-Lipschitz; otherwise the float32 screen of _exceeds_lip1
+    decides.  Only the directions flagged are rescaled by project_to_lip1;
+    the others are 1-Lipschitz already and are used as they are.
     """
     n, d = space.n, space.dist
     key = int(seed) & 0x7FFFFFFF
@@ -249,7 +250,7 @@ def _candidate_observables(space: FiniteMMSpace, count: int, seed):
         proj = np.empty((len(dirs), n))
         for row, u in zip(proj, dirs):
             np.matmul(space.coords, u, out=row)
-        for i in np.nonzero(_exceeds_lip1(space, proj))[0]:
+        for i in np.nonzero(_projection_flags(space, dirs, proj))[0]:
             proj[i] = project_to_lip1(space, proj[i])
         yield proj
 
@@ -453,6 +454,12 @@ def _levy_radius_of_values(values, weights, kappa: float) -> float:
     return float(candidates[int(np.argmax(ok))]) if ok.any() else float(dev.max())
 
 
+# rows ranked at once by _levy_radius_of_rows: its temporaries are about ten
+# times the rows they rank, so a pool block of _RANK_BLOCK rows is ranked in
+# parts of this many
+_LEVY_ROWS = 32
+
+
 def _levy_radius_of_rows(values: np.ndarray, weights, kappa: float) -> np.ndarray:
     """_levy_radius_of_values of every row of a 2-D array, from row-wise sorts.
 
@@ -460,8 +467,13 @@ def _levy_radius_of_rows(values: np.ndarray, weights, kappa: float) -> np.ndarra
     would merge, goes through _levy_radius_of_values itself.  Every other row
     has distinct values, so its Levy mean adds the same masses in the same
     order as the 1-D one, and its candidate radii are tried in the same
-    ascending order against the same tail_mass scan: the same bits.
+    ascending order against the same tail_mass scan: the same bits.  Rows
+    are independent, so they are ranked _LEVY_ROWS at a time, which bounds
+    the temporaries without moving a bit.
     """
+    if len(values) > _LEVY_ROWS:
+        return np.concatenate([_levy_radius_of_rows(values[lo: lo + _LEVY_ROWS], weights, kappa)
+                               for lo in range(0, len(values), _LEVY_ROWS)])
     rows = len(values)
     order = np.argsort(values, axis=1)
     pos = np.take_along_axis(values, order, axis=1)

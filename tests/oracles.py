@@ -935,6 +935,42 @@ def exceeds_lip1_broadcast(space, rows):
     return flagged
 
 
+def _sqrt_down(f: Fraction, bits: int = 200) -> Fraction:
+    """A rational at most sqrt(f), within 2^-bits of it."""
+    return Fraction(math.isqrt(f.numerator * 4**bits // f.denominator), 2**bits)
+
+
+def projection_window_floor(coords, tau, u):
+    """The window width that core._projection_windows derives for the
+    direction u, evaluated in rationals and rounded down: any sound float
+    evaluation of it is at least this.
+
+    Its w is the axis a of the least |u_a| minus fl((u_a / fl|u|^2) u), built
+    with the same float operations.  Square roots are taken from below and
+    the one divisor, |u|, from above.
+    """
+    x = np.asarray(coords, dtype=float)
+    u = np.asarray(u, dtype=float)
+    dims = x.shape[1]
+    a = int(np.argmin(np.abs(u)))
+    w = u * -(u[a] / (u * u).sum())
+    w[a] += 1.0
+    U = Fraction(1, 2**53)
+    g = dims * U / (1 - dims * U)
+    R = max(sum(Fraction(float(c)) ** 2 for c in row) for row in x)
+    root = _sqrt_down(R)
+    qu = [Fraction(float(c)) for c in u]
+    qw = [Fraction(float(c)) for c in w]
+    u_norm = _sqrt_down(sum(c * c for c in qu))
+    u_up = u_norm + Fraction(1, 2**200)
+    w_norm = _sqrt_down(sum(c * c for c in qw))
+    along = abs(sum(p * q for p, q in zip(qu, qw))) / u_up
+    L = (1 + U) * u_norm
+    beta = 2 * (1 + U) * g * root * u_norm + Fraction(float(tau))
+    rho2 = max(L * L - 1, Fraction(0)) * 4 * R + 4 * L * beta * root + beta * beta
+    return 2 * root * along + _sqrt_down(rho2) * w_norm + 2 * g * root * w_norm
+
+
 def triangle_draws_whole_row(rng, arity, m, horizon):
     """(m, arity, 3) rows of uniform triangle triplets, rejecting whole rows.
 

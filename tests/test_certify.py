@@ -244,8 +244,48 @@ def test_chordal_sample_carries_the_slack_of_its_own_gram_matrix():
     for n, r in ((2, 1.0), (8, 0.5), (50, 1.7)):
         X = gallery.sample_sphere(n, r, 512, seed=7).space
         assert X.triangle_check == "certified"
-        assert X.triangle_slack == core._euclidean_slack(X.dist, X.coords)
+        slack, tau = core._euclidean_slack(X.dist, X.coords)
+        assert X.triangle_slack == slack
+        # the sample stores eps itself, the certificate eps + 0 raised
+        assert X.coords_error == core._gram_distances(X.coords)[1] and tau == core._round_up(X.coords_error)
         assert max_triangle_slack(X.dist) <= X.triangle_slack
+
+
+def test_coords_error_bounds_the_exact_euclidean_distances():
+    x = np.random.default_rng(2).normal(size=(30, 4))
+    nudged = _euclid(x)
+    nudged[3, 7] = nudged[7, 3] = nudged[3, 7] + 1e-12
+    certified = [
+        _rms(40, 1),
+        gallery.sample_sphere(2, 1.0, 40, seed=3).space,
+        gallery.sample_sphere(7, 2.5, 30, seed=4).space,
+        core.validate_space(_record(x, nudged)),
+    ]
+    for X in certified:
+        tau = X.coords_error
+        assert X.triangle_check == "certified" and 0.0 < tau <= TOL
+        # |d[i, j] - |x_i - x_j|| <= tau for every pair, in rationals
+        assert gram_bracket_misses(X.coords, X.dist, tau) == []
+    assert certified[-1].coords_error >= 1e-12
+    # a new measure keeps the bound, and so does dropping points of weight 0
+    X = certified[0]
+    w = np.arange(1.0, 41.0) / 820.0
+    assert X.reweighted(w).coords_error == X.coords_error
+    w = w.copy()
+    w[::3] = 0.0
+    sub = X.reweighted(w / w.sum())
+    assert sub.n == 26 and sub.coords_error == X.coords_error
+    assert gram_bracket_misses(sub.coords, sub.dist, sub.coords_error) == []
+    assert core.validate_space(sub).coords_error == X.coords_error
+
+
+def test_spaces_without_a_euclidean_certificate_have_no_coords_error():
+    X = _rms(40, 1)
+    assert metric_transform(X, mpf.power_sum(0.5, 1)).coords_error is None
+    assert gallery.sample_sphere(3, 1.0, 40, metric="geodesic", seed=1).space.coords_error is None
+    assert lp_product(X, gallery.two_point(1.0), 2.0).coords_error is None
+    assert _rms(6, 1).coords_error is None
+    assert core.validate_space({"dist": X.dist, "weight": X.weight}).coords_error is None
 
 
 def test_validated_space_keeps_its_proof():

@@ -38,10 +38,30 @@ def test_space_validate_names_the_triangle_check(tmp_path, space_file, capsys):
     x = np.random.default_rng(0).normal(size=(40, 3))
     path.write_text(json.dumps({"coords": x.tolist(), "weight": [1 / 40] * 40}))
     assert main(["space", "validate", "--in", str(path)]) == 0
-    slack = core.load_space(path).triangle_slack
+    cloud = core.load_space(path)
+    slack = cloud.triangle_slack
     assert 0.0 < slack <= core.METRIC_TOL
     assert capsys.readouterr().out.strip().endswith(
-        f", certified triangle check (slack ≤ {slack:.3g})")
+        f", certified triangle check (slack ≤ {slack:.3g}), "
+        f"coords within τ = {cloud.coords_error:.3g}")
+
+
+def test_space_validate_prints_the_coords_error_only_when_proved(tmp_path, capsys):
+    x = np.random.default_rng(1).normal(size=(40, 3))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    chordal, geodesic = tmp_path / "chordal.json", tmp_path / "geodesic.json"
+    chordal.write_text(json.dumps({"coords": x.tolist(), "weight": [1 / 40] * 40}))
+    geodesic.write_text(json.dumps({"coords": x.tolist(), "weight": [1 / 40] * 40,
+                                    "metric": "geodesic_sphere", "radius": 1.0}))
+    tau = core.load_space(chordal).coords_error
+    assert 0.0 < tau <= core.METRIC_TOL
+    assert main(["space", "validate", "--in", str(chordal)]) == 0
+    assert capsys.readouterr().out.strip().endswith(f"), coords within τ = {tau:.3g}")
+    # geodesic distances are not those of the coords: no tau, and no certificate
+    assert core.load_space(geodesic).coords_error is None
+    assert main(["space", "validate", "--in", str(geodesic)]) == 0
+    out = capsys.readouterr().out.strip()
+    assert out.endswith(", exhaustive triangle check") and "τ" not in out
 
 
 @pytest.mark.parametrize("record, missing", [

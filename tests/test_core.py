@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mm_lab import core, gallery, invariants as inv
+from mm_lab import core, gallery, invariants as inv, mpf
+from mm_lab.product import metric_transform
 from mm_lab.errors import (
     HostMismatch,
     MMLabError,
@@ -24,6 +25,7 @@ from mm_lab.errors import (
 from oracles import (
     candidate_pool_loop,
     exceeds_lip1_broadcast,
+    projection_window_floor,
     triangle_check_loop,
     triangle_check_sampled_loop,
 )
@@ -595,6 +597,154 @@ def test_lip1_screen_rechecks_no_sphere_direction(monkeypatch):
     # the coordinate directions, without the distance columns and their ties
     assert not core._exceeds_lip1(sph, _sphere_rows(sph, 7)[:-4]).any()
     assert rechecks == []
+
+
+# ---------------------------------------------------------------------------
+# coordinate projections proved 1-Lipschitz from coords_error
+
+def _pool_projections(space, count, seed):
+    """The directions and rows that _candidate_observables hands to _projection_flags."""
+    calls = []
+    real = core._projection_flags
+
+    def spy(sp, dirs, rows):
+        calls.append((np.array(dirs), np.array(rows)))
+        return real(sp, dirs, rows)
+
+    with mock.patch.object(inv, "_projection_flags", spy):
+        for _ in inv._candidate_observables(space, count, seed):
+            pass
+    (dirs, rows), = calls
+    return dirs, rows
+
+
+def _assert_projection_flags(space, dirs, rows):
+    got = core._projection_flags(space, dirs, rows)
+    for want in _screen_both_ways(space, rows):
+        assert got.tolist() == want.tolist()
+    return got
+
+
+@pytest.mark.parametrize("N", [7, 300, 1000])
+def test_projection_flags_match_the_screen_on_chordal_pools(N):
+    # coordinate dimensions 2..51; every seventh or so at 1000 points
+    for dims in range(2, 52) if N < 1000 else (2, 3, 4, 5, 9, 16, 17, 32, 33, 51):
+        sph = gallery.sample_sphere(dims - 1, 1.0, N, seed=dims).space
+        assert sph.coords_error is not None
+        _assert_projection_flags(sph, *_pool_projections(sph, 5000, dims))
+
+
+@pytest.mark.parametrize("n", [7, 8, 10, 20, 40, 100, 400])
+def test_projection_flags_match_the_screen_on_random_clouds(n):
+    for seed in range(3):
+        X = core.random_metric_space(n, seed=100 * n + seed)
+        assert X.coords_error is not None
+        _assert_projection_flags(X, *_pool_projections(X, 400, seed))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-5])
+def test_projection_flags_recheck_near_parallel_pairs(offset):
+    # point 20 is point 0 moved by 0.5 along axis 0, point 21 is point 1
+    # moved by 0.5 along axis 1, each also by offset along the other axis;
+    # d(0, 20) is the gap of the axis-0 projection, d(1, 21) one ulp below
+    # that of the axis-1 projection
+    x = np.random.default_rng(5).normal(size=(20, 3))
+    moved = x[:2].copy()
+    moved[0, :2] += (0.5, offset)
+    moved[1, :2] += (offset, 0.5)
+    x = np.vstack([x, moved])
+    diff = x[:, None, :] - x[None, :, :]
+    d = np.sqrt((diff * diff).sum(axis=2))
+    d[0, 20] = d[20, 0] = abs(x[20, 0] - x[0, 0])
+    d[1, 21] = d[21, 1] = np.nextafter(abs(x[21, 1] - x[1, 1]), 0.0)
+    X = core.validate_space({"dist": d, "weight": np.full(22, 1 / 22), "coords": x})
+    assert X.triangle_check == "certified" and X.coords_error is not None
+    dirs = np.eye(3)[:2]
+    rows = [X.coords @ u for u in dirs]
+    rechecked = []
+    real = core._breaks_lip1
+
+    def spy(dist, v, i, j):
+        rechecked.append({tuple(sorted(p)) for p in zip(i.tolist(), j.tolist())})
+        return real(dist, v, i, j)
+
+    with mock.patch.object(core, "_breaks_lip1", spy), \
+            mock.patch.object(core, "_exceeds_lip1", None):
+        assert core._projection_flags(X, dirs, rows).tolist() == [False, True]
+    # each constructed pair reached the float64 comparison of its row
+    assert (0, 20) in rechecked[0] and (1, 21) in rechecked[1]
+    assert _assert_projection_flags(X, dirs, rows).tolist() == [False, True]
+
+
+def test_projection_flags_leave_uncertified_spaces_to_the_screen(monkeypatch):
+    X = core.random_metric_space(40, seed=4)
+    cases = {
+        "transformed": metric_transform(X, mpf.power_sum(0.5, 1)),
+        "geodesic": gallery.sample_sphere(3, 1.0, 200, metric="geodesic", seed=1).space,
+        "shrunk": core.validate_space({"dist": 0.5 * X.dist, "weight": X.weight,
+                                       "coords": X.coords}),
+        "line": _line(300)[0],
+        "six points": core.random_metric_space(6, seed=2),
+    }
+    calls = []
+    real = core._exceeds_lip1
+
+    def counted(space, rows):
+        calls.append(len(rows))
+        return real(space, rows)
+
+    monkeypatch.setattr(core, "_exceeds_lip1", counted)
+    rng = np.random.default_rng(3)
+    for name, space in cases.items():
+        dims = space.coords.shape[1]
+        assert (space.coords_error is None) != (name == "line"), name
+        dirs = np.vstack([np.eye(dims), rng.normal(size=(5, dims))])
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        rows = [space.coords @ u for u in dirs]
+        want = _screen_both_ways(space, rows)
+        calls.clear()
+        got = core._projection_flags(space, dirs, rows)
+        assert calls == [len(dirs)], name
+        for flags in want:
+            assert got.tolist() == flags.tolist(), name
+    # the shrunk metric breaks every direction, as the pool test above sees
+    assert core._projection_flags(cases["shrunk"], np.eye(3), cases["shrunk"].coords.T).all()
+
+
+def test_projection_windows_cover_the_exact_bound():
+    rng = np.random.default_rng(8)
+    spaces = [gallery.sample_sphere(dims - 1, r, 300, seed=dims).space
+              for dims, r in ((2, 1.0), (3, 1.0), (9, 1e3), (51, 1.0))]
+    spaces.append(core.random_metric_space(50, seed=9))
+    for X in spaces:
+        dims = X.coords.shape[1]
+        unit = np.vstack([np.eye(dims)[:4], rng.normal(size=(6, dims))])
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        dirs = np.vstack([unit, 3.0 * unit[-1], 0.25 * unit[-1]])
+        t, h = core._projection_windows(X, dirs)
+        for k, u in enumerate(dirs):
+            floor = projection_window_floor(X.coords, X.coords_error, u)
+            assert h[k] >= floor, (dims, k)
+            if k < len(unit):
+                # unit directions: looser only by the rounding bound on |u|^2
+                assert h[k] <= float(floor) * 1.1, (dims, k)
+
+
+def test_sphere_od_pools_make_no_screen_call(monkeypatch):
+    calls = []
+    real = core._exceeds_lip1
+
+    def counted(space, rows):
+        calls.append(len(rows))
+        return real(space, rows)
+
+    monkeypatch.setattr(core, "_exceeds_lip1", counted)
+    for dims in (2, 4, 8, 16, 32):
+        sph = gallery.sample_sphere(dims, 1.0, 1000, seed=7).space
+        calls.clear()
+        inv.observable_diameter(sph, 0.1, mode="heuristic_lb", budget=20_000, seed=7)
+        # only as_lip's one row, the witness; the 48 directions are proved
+        assert calls == [1], dims
 
 
 def test_as_lip_certifies_through_the_screen(monkeypatch):

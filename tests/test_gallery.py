@@ -70,6 +70,22 @@ def test_sphere_sample_and_its_heuristic_od_peak_memory():
     assert od_peak - live <= 1.2 * n2
 
 
+def test_heuristic_levy_radius_peak_memory_on_a_sphere():
+    n2 = 1000 * 1000 * 8  # bytes of the distance matrix
+    tracemalloc.start()
+    try:
+        sph = gallery.sample_sphere(8, 1.0, 1000, seed=7)
+        tracemalloc.reset_peak()
+        live, _ = tracemalloc.get_traced_memory()
+        inv.levy_radius(sph.space, 0.1, budget=8000, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # each pool block is ranked _LEVY_ROWS rows at a time, as heuristic OD
+    # keeps its ranking temporaries near one block
+    assert peak - live <= 1.2 * n2
+
+
 @pytest.mark.parametrize("r", [
     -1.0, 0.0, 1e-160, 1e154, math.inf, math.nan,
     np.nextafter(2.0**-511, 0.0), np.nextafter(2.0**510, math.inf),

@@ -313,13 +313,13 @@ def test_heuristic_od_certifies_only_the_witness(monkeypatch):
         return counted
 
     monkeypatch.setattr(core, "lip_constant", counting("lip_constant", core.lip_constant))
-    screen = counting("screen", core._exceeds_lip1)
-    monkeypatch.setattr(core, "_exceeds_lip1", screen)
-    monkeypatch.setattr(inv, "_exceeds_lip1", screen)
+    monkeypatch.setattr(core, "_exceeds_lip1", counting("screen", core._exceeds_lip1))
+    monkeypatch.setattr(inv, "_projection_flags", counting("proof", core._projection_flags))
     sph = gallery.sample_sphere(8, 1.0, 500, metric="chordal", seed=5)
     inv.observable_diameter(sph.space, 0.1, mode="heuristic_lb", budget=4000, seed=5)
-    # one screen of the pool's directions, one of the witness, no lip_constant
-    assert calls == ["screen", "screen"]
+    # the pool's directions are proved from coords_error without a screen;
+    # one screen of the witness, no lip_constant
+    assert calls == ["proof", "screen"]
 
 
 def test_levy_mean_examples():
