@@ -131,8 +131,8 @@ class FiniteMMSpace:
         return float(self.dist.max()) if self.n else 0.0
 
     def reweighted(self, weight) -> "FiniteMMSpace":
-        """Same carrier with a different measure, re-validated; a proved
-        triangle_slack and coords_error carry over."""
+        """Same carrier with a different measure, re-validated into a copy of
+        weight; a proved triangle_slack and coords_error carry over."""
         return validate_space(replace(self, weight=np.asarray(weight, dtype=float)))
 
 
@@ -464,7 +464,8 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
     _triangle_check when nothing does.  Dropping points keeps coords_error,
     a bound over pairs, which holds on any subset.  Symmetry is checked on
     blocks of _ROW_BLOCK rows against the same rows of the transpose, so no
-    check makes an n x n float temporary.
+    check makes an n x n float temporary.  The weights are copied; dist and
+    coords are frozen in place, since a copy of dist is 8 MB at 1000 points.
     """
     if isinstance(candidate, FiniteMMSpace):
         labels = list(candidate.labels)
@@ -548,7 +549,7 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
     return FiniteMMSpace(
         labels=tuple(labels),
         dist=_readonly(dist),
-        weight=_readonly(weight),
+        weight=_readonly(weight.copy()),
         coords=None if coords is None else _readonly(coords),
         triangle_check=check,
         triangle_slack=slack,
@@ -728,9 +729,9 @@ def as_lip(space: FiniteMMSpace, values, lip_const: float | None = None) -> LipF
     A claimed constant of at least 1 is certified by one _exceeds_lip1 row:
     an unflagged row has lip_constant <= 1.  Only a flagged row, or a smaller
     or missing claim, pays for lip_constant, which decides and names the
-    observed constant.
+    observed constant.  The function holds a read-only copy of values.
     """
-    v = np.asarray(values, dtype=float)
+    v = np.array(values, dtype=float)
     if v.shape != (space.n,):
         raise HostMismatch(f"{v.shape} values on a {space.n}-point space")
     if lip_const is None:

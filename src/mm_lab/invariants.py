@@ -125,6 +125,20 @@ def _qualifying_runs(wp: np.ndarray, target: float):
     return np.where(hit.any(axis=2), np.argmax(hit, axis=2), -1)
 
 
+def _ordering_paths(d: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Lightest path table of each ordering, one (n, n) table per row of perms:
+    paths[p, i, j] from position i to j of sigma = perms[p], where a step up
+    k -> m costs d(sigma_k, sigma_m) and a step back is free (Floyd-Warshall).
+    It depends on the space and the ordering, not on kappa.  Its bit identity
+    with the former frontier DP of _od_exact is empirical (hypothesis, 2-8
+    points): both add the same edges but may group the sums differently."""
+    idx = np.arange(perms.shape[1])
+    paths = np.where(idx[:, None] < idx, d[perms[:, :, None], perms[:, None, :]], 0.0)
+    for k in range(len(idx)):
+        paths = np.minimum(paths, paths[:, :, k, None] + paths[:, None, k, :])
+    return paths
+
+
 def _od_exact(space: FiniteMMSpace, kappa: float):
     """Exact observable diameter for n <= EXACT_OD_BOUND points.
 
@@ -133,11 +147,9 @@ def _od_exact(space: FiniteMMSpace, kappa: float):
     weigh -t.  It is feasible while every cycle through k run edges has
     non-run weight at least k * t, so the largest span is the minimum cycle
     mean (Karp 1978) of the graph on run starts whose edge i -> a costs the
-    lightest non-run path from i to the end of the run at a.  Stepping down
-    an ordering is free, so that path is the cheapest way to push the
-    frontier there: a DP over jump[y, x] = min d(sigma_k, sigma_m) for
-    k <= y < x <= m.  The witness is the Bellman-Ford potential of the best
-    ordering.  All orderings are done at once, O(n^3) each.
+    lightest non-run path from i to the end of the run at a, read from the
+    _ordering_paths table.  The witness is the Bellman-Ford potential of the
+    best ordering.  All orderings are done at once, O(n^3) each.
     """
     n, w, d = space.n, space.weight, space.dist
     target = 1.0 - kappa
@@ -145,23 +157,15 @@ def _od_exact(space: FiniteMMSpace, kappa: float):
         return 0.0, np.zeros(n), {"surrogate": 0.0, "orderings": 0}
 
     perms = _orderings(n)
-    P = len(perms)
     runs = _qualifying_runs(w[perms], target)
-    dsig = d[perms[:, :, None], perms[:, None, :]]
-    # jump[p, y, x]: min d(sigma_k, sigma_m) over k <= y and m >= x
-    suffix = np.minimum.accumulate(dsig[:, :, ::-1], axis=2)[:, :, ::-1]
-    jump = np.minimum.accumulate(suffix, axis=1)
-    # paths[p, s, x]: lightest non-run path from s to x, free for s >= x
-    paths = np.zeros((P, n, n))
-    for x in range(1, n):
-        paths[:, :x, x] = (paths[:, :x, :x] + jump[:, None, :x, x]).min(axis=2)
+    paths = _ordering_paths(d, perms)
     # step[p, i, a]: lightest path from i to the end of the run starting at a, then back to a
-    rows, cols = np.arange(P)[:, None, None], np.arange(n)[None, :, None]
+    rows, cols = np.arange(len(perms))[:, None, None], np.arange(n)[None, :, None]
     step = np.where(runs[:, None, :] >= 0, paths[rows, cols, runs[:, None, :]], np.inf)
 
     # D[k, p, v]: lightest k-edge walk ending at v; the least cycle mean is
     # min over v of max over k < n of (D[n] - D[k]) / (n - k)
-    D = np.zeros((n + 1, P, n))
+    D = np.zeros((n + 1, len(perms), n))
     for k in range(1, n + 1):
         D[k] = (D[k - 1][:, :, None] + step).min(axis=1)
     with np.errstate(invalid="ignore"):
@@ -172,7 +176,7 @@ def _od_exact(space: FiniteMMSpace, kappa: float):
 
     # C[i, j]: the constraint u_j <= u_i + C[i, j] of the best ordering
     idx = np.arange(n)
-    C = np.where(idx[:, None] < idx, dsig[best], np.inf)
+    C = np.where(idx[:, None] < idx, d[perms[best][:, None], perms[best]], np.inf)
     C[idx[1:], idx[:-1]] = 0.0
     has = runs[best] >= 0
     C[runs[best][has], idx[has]] = -t
@@ -181,9 +185,8 @@ def _od_exact(space: FiniteMMSpace, kappa: float):
     u = np.zeros(n)
     for _ in range(n - 1):
         u = np.minimum(u, (u[:, None] + C).min(axis=0))
-    values = np.empty(n)
-    values[perms[best]] = u
-    return t, values, {"surrogate": t, "orderings": P}
+    # values[sigma_i] = u_i
+    return t, u[np.argsort(perms[best])], {"surrogate": t, "orderings": len(perms)}
 
 
 _RANK_BLOCK = 256
@@ -492,24 +495,20 @@ def _levy_radius_exact(space: FiniteMMSpace, kappa: float) -> float:
     """Exact Levy radius on up to EXACT_OD_BOUND points, over all orderings.
 
     Along an ordering sigma the values rise and are 1-Lipschitz: difference
-    constraints, shortest paths SP (Floyd-Warshall) over edges i -> j of
-    d(sigma_i, sigma_j) for i < j and free steps back.  With l and h the
-    first and last median positions, the points at least t from the Levy
-    mean (v_l + v_h) / 2 are a prefix ending at a and a suffix starting at
-    e, and the largest such t, the projection onto a, l, h and e, is
-    min(SP(a, e), SP(a, l) + SP(a, h), SP(l, e) + SP(h, e)) / 2.  Its
+    constraints whose shortest paths SP are the _ordering_paths table.  With
+    l and h the first and last median positions, the points at least t from
+    the Levy mean (v_l + v_h) / 2 are a prefix ending at a and a suffix
+    starting at e, and the largest such t, the projection onto a, l, h and
+    e, is min(SP(a, e), SP(a, l) + SP(a, h), SP(l, e) + SP(h, e)) / 2.  Its
     maximum over every sigma and (a, e) of mass above kappa is the radius.
     """
-    n, perms = space.n, _orderings(space.n)
+    perms = _orderings(space.n)
     mass = space.weight[perms]
     low, high = _median_ends(mass)
-    idx, p = np.arange(n), np.arange(len(perms))
-    # every step back is free, so SP(i, j) = 0 for j <= i
-    sp = np.where(idx[:, None] < idx, space.dist[perms[:, :, None], perms[:, None, :]], 0.0)
-    for k in range(n):
-        sp = np.minimum(sp, sp[:, :, k, None] + sp[:, None, k, :])
+    p = np.arange(len(perms))
     # node n is an empty prefix or suffix: infinitely far, and of no mass
-    sp = np.pad(sp, ((0, 0), (0, 1), (0, 1)), constant_values=np.inf)
+    sp = np.pad(_ordering_paths(space.dist, perms), ((0, 0), (0, 1), (0, 1)),
+                constant_values=np.inf)
     before = (sp[p, :, low] + sp[p, :, high])[:, :, None]
     after = (sp[p, low, :] + sp[p, high, :])[:, None, :]
     t = np.minimum(sp, np.minimum(before, after)) / 2

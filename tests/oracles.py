@@ -634,11 +634,11 @@ def od_exact_closure_loop(space, kappa):
     The library's former exact kernel: the non-run graph of every ordering is
     closed by repeated min-plus squaring, the largest span is the least mean
     of a closed walk through at most n - 1 run starts (k-step walk powers),
-    and the witness comes from an edge-list Bellman-Ford.  Returns
-    (surrogate, witness values, orderings).
+    and the witness comes from an edge-list Bellman-Ford.  The qualifying
+    runs come from running sums of each run's own masses, not from the
+    library's run search.  Returns (surrogate, witness values, orderings).
     """
     from mm_lab.core import MASS_TOL
-    from mm_lab.invariants import _qualifying_runs
 
     big = 1e15
     n, w, d = space.n, space.weight, space.dist
@@ -648,7 +648,13 @@ def od_exact_closure_loop(space, kappa):
     perms = np.array([p for p in itertools.permutations(range(n)) if p[0] < p[-1]],
                      dtype=int)
     P = len(perms)
-    runs = _qualifying_runs(w[perms], target)
+    # runs[p, a]: the first b whose run a..b of ordering p holds mass 1 - kappa
+    runs = np.full((P, n), -1)
+    for a in range(n):
+        mass = np.zeros(P)
+        for b in range(a, n):
+            mass += w[perms[:, b]]
+            runs[:, a] = np.where((runs[:, a] < 0) & (mass >= target - MASS_TOL), b, runs[:, a])
     W = np.full((P, n, n), big)
     idx = np.arange(n)
     W[:, idx, idx] = 0.0
@@ -687,6 +693,24 @@ def od_exact_closure_loop(space, kappa):
     values = np.empty(n)
     values[sigma] = u
     return t, values, P
+
+
+def ordering_paths_dp(d, perms):
+    """Lightest path table of every ordering by the frontier DP that
+    invariants._od_exact used before _ordering_paths: stepping down an
+    ordering is free, so the lightest path from s to x > s is the cheapest
+    way to push the frontier there, a DP over jump[y, x] = min d(sigma_k,
+    sigma_m) for k <= y < x <= m."""
+    P, n = perms.shape
+    dsig = d[perms[:, :, None], perms[:, None, :]]
+    # jump[p, y, x]: min d(sigma_k, sigma_m) over k <= y and m >= x
+    suffix = np.minimum.accumulate(dsig[:, :, ::-1], axis=2)[:, :, ::-1]
+    jump = np.minimum.accumulate(suffix, axis=1)
+    # paths[p, s, x]: lightest non-run path from s to x, free for s >= x
+    paths = np.zeros((P, n, n))
+    for x in range(1, n):
+        paths[:, :x, x] = (paths[:, :x, :x] + jump[:, None, :x, x]).min(axis=2)
+    return paths
 
 
 def lip_domain_subset_loop(gap, w):

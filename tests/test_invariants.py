@@ -20,6 +20,7 @@ from oracles import (
     od_exact_closure_loop,
     od_heuristic_loop,
     od_span_lp,
+    ordering_paths_dp,
     pd_window_oracle,
 )
 from strategies import weighted_deviations
@@ -139,6 +140,23 @@ def test_exact_od_kernel_matches_closure_loop_on_7_and_8_points():
         assert inv._pd_of_values(values, X.weight, 1 - kappa) == pytest.approx(
             inv._pd_of_values(want_values, X.weight, 1 - kappa), abs=tol)
         assert meta["orderings"] == orderings
+
+
+# 8 points once in 13 draws (3 of the 40 examples): their 20 160 orderings
+# cost about 0.2 s a table
+@settings(max_examples=40)
+@given(st.sampled_from((2, 3, 4, 5, 6, 7) * 2 + (8,)), st.integers(0, 2**31 - 1),
+       st.sampled_from(["random", "square_root", "halves"]))
+def test_ordering_paths_match_the_frontier_dp(n, seed, kind):
+    d = core.random_metric_space(n, seed=seed).dist
+    if kind == "square_root":
+        d = np.sqrt(d)
+    elif kind == "halves":  # tied distances
+        d = np.ceil(d * 2) / 2 * (1 - np.eye(n))
+    perms = inv._orderings(n)
+    got = inv._ordering_paths(d, perms)
+    assert got.shape == (len(perms), n, n)
+    assert got.tobytes() == ordering_paths_dp(d, perms).tobytes()
 
 
 def test_observable_diameter_monotone_in_kappa():
