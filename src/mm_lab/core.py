@@ -38,7 +38,9 @@ DEFAULT_POINT_CAP = 4096
 # full cubic triangle sweep up to this size, sampled triplets beyond
 _EXHAUSTIVE_TRIANGLE_N = 512
 _SAMPLED_TRIANGLE_COUNT = 2_000_000
-_TRIANGLE_CHUNK = 1 << 18
+# sampled triplets scored at a time: each float temporary of a chunk is
+# 256 KB, so a chunk's working set stays in a 2 MB L2 cache (BENCH_pr32.json)
+_TRIANGLE_CHUNK = 1 << 15
 # up to this size sweeping every pivot beats the Chebyshev screen
 # (BENCH_pr10.json, triangle_crossover_us), and every triplet is scored at once
 _TRIANGLE_SCREEN_N = 6

@@ -130,13 +130,18 @@ def _bisect_inverse(phi, y):
 
 
 def _eval_unary_piecewise(breaks, segments, s):
+    # the points come from eval_mpf's checked arguments or from a generator's
+    # breaks and brackets, all nonnegative, so each segment goes straight to
+    # _eval without eval_mpf's scan and clip
     s = np.asarray(s, dtype=float)
     idx = np.searchsorted(np.asarray(breaks, dtype=float), s, side="right")
     out = np.empty_like(s)
     for k, seg in enumerate(segments):
+        if seg.arity != 1:
+            raise ArityMismatch(f"{seg.kind} expects {seg.arity} arguments, got 1")
         mask = idx == k
         if mask.any():
-            out[mask] = eval_mpf(seg, [s[mask]])
+            out[mask] = _eval(seg, [s[mask]])
     return out
 
 
@@ -163,11 +168,16 @@ def eval_mpf(F: MPF, args) -> np.ndarray:
     if len(args) != F.arity:
         raise ArityMismatch(f"{F.kind} expects {F.arity} arguments, got {len(args)}")
     xs = [np.asarray(a, dtype=float) for a in args]
-    lo = min(float(x.min(initial=0.0)) for x in xs)
+    los = [float(x.min(initial=_INF)) for x in xs]
+    lo = min(los)
     if lo < -1e-12:
         raise MMLabError(f"negative argument {lo} outside [0, inf)")
-    xs = [np.maximum(x, 0.0) for x in xs]
-    return _eval(F, xs)
+    # clip only an argument holding a negative entry or a -0.0; the others
+    # are passed as they are, and a result that is one of them is copied
+    xs = [x if m > 0.0 or (m == 0.0 and not np.signbit(x).any()) else np.maximum(x, 0.0)
+          for x, m in zip(xs, los)]
+    out = _eval(F, xs)
+    return out.copy() if any(out is x for x in xs) else out
 
 
 def _eval(F: MPF, xs):
@@ -542,32 +552,50 @@ def _boundary_triplets(arity: int, horizon: float) -> np.ndarray:
     return np.tile(base.T, (arity, 1, 1))  # (arity, 3, cases)
 
 
-_BATCH_ROWS = 65536
+_BATCH_ROWS = 16384
 
 
 def _triangle_draws(rng, arity: int, m: int, horizon: float) -> np.ndarray:
     """(arity, 3, m) coordinates of m uniform triangle triplets in [0, horizon]^3.
 
-    Coordinate by coordinate, a contiguous (3, q) block of uniforms is drawn
-    with q a little over twice the rows still needed, the triplets with
-    a <= b + c, b <= a + c and c <= a + b are kept in draw order, the first
-    ones needed are taken, and the block is drawn again while short.  A
-    uniform triplet has a > b + c with probability 1/6 (that simplex fills
-    1/6 of the cube), likewise for b and c, and the three events are
-    disjoint, so half of the draws are kept whatever the arity is.
+    One ``rng.random`` call fills the whole stack on the unit cube, and each
+    triplet is folded onto the cone T = {a <= b + c, b <= a + c, c <= a + b}
+    without rejection: with e = max(a - (b + c), b - (a + c), c - (a + b), 0),
+    every coordinate becomes min(x + e, max(a, b, c)).  Triangle triplets
+    have e = 0 and stay.  On the corner a > b + c the map is
+    (a, b, c) -> (a, a - c, a - b), affine with |det| = 1, and it takes that
+    corner simplex onto the part of T where a is largest; likewise for b and
+    c.  T fills half of the cube and the three corners the other half, so a
+    uniform point of the cube folds to a uniform point of T, and a call uses
+    3 * arity * m uniforms.  On the 2^-53 grid of ``Generator.random``,
+    |a - b| - c and a - c are exact, and c - (a + b) rounds only where it is
+    negative, so the fold is exact.  The stack is then scaled by ``horizon``
+    and checked again in float; a triplet on the boundary of T may round out
+    of it, and each one that does is drawn again the same way.
     """
-    out = np.empty((arity, 3, m))
+    x = rng.random(out=np.empty((arity, 3, m)))
     for k in range(arity):
-        filled = 0
-        while filled < m:
-            need = m - filled
-            x = rng.random((3, 2 * need + 4 * math.isqrt(need) + 8))
-            x *= horizon
-            a, b, c = x
-            kept = np.compress((a <= b + c) & (b <= a + c) & (c <= a + b), x, axis=1)[:, :need]
-            out[k, :, filled:filled + kept.shape[1]] = kept
-            filled += kept.shape[1]
-    return out
+        a, b, c = x[k]
+        e = np.subtract(a, b)
+        np.abs(e, out=e)
+        e -= c                                 # the a or the b corner's excess
+        top = np.add(a, b)
+        np.subtract(c, top, out=top)           # the c corner's
+        np.maximum(e, top, out=e)
+        np.maximum(e, 0.0, out=e)
+        np.maximum(a, b, out=top)
+        np.maximum(top, c, out=top)
+        x[k] += e
+        np.minimum(x[k], top, out=x[k])
+    x *= horizon
+    for k in range(arity):
+        a, b, c = x[k]
+        bad = a > b + c
+        bad |= b > a + c
+        bad |= c > a + b
+        if bad.any():
+            x[k][:, bad] = _triangle_draws(rng, 1, int(bad.sum()), horizon)[0]
+    return x
 
 
 def check_triangle_triplets(F: MPF, samples: int = 100_000, horizon: float = 8.0,
@@ -577,10 +605,12 @@ def check_triangle_triplets(F: MPF, samples: int = 100_000, horizon: float = 8.0
     A row holds one triangle triplet (a_k, b_k, c_k) per coordinate k, and
     F is checked on F(a) <= F(b) + F(c) and its two rotations.  The eight
     deterministic boundary rows are checked first; then ``samples`` random
-    rows follow in batches of at most 65 536, each evaluated by one
-    ``eval_mpf`` call on its (arity, 3, m) stack, until one breaks the
-    inequality by more than METRIC_TOL relative to max(1, |F|).  The witness
-    is the first such row of its batch.  The vanishing locus is probed on
+    rows follow in batches of at most ``_BATCH_ROWS`` = 16 384, each
+    evaluated by one ``eval_mpf`` call on its (arity, 3, m) stack, until one
+    breaks the inequality by more than METRIC_TOL relative to max(1, |F|).
+    A batch row of 16 384 floats is 128 KB, so a batch and the temporaries
+    of its evaluation stay in a core's L2 cache.  The witness is the first
+    such row of its batch in draw order.  The vanishing locus is probed on
     spherical shells last.  ``samples_run`` counts the boundary rows and
     every row evaluated.  A clean verdict falsifies nothing: it only reports
     that no violation was found.
@@ -591,9 +621,13 @@ def check_triangle_triplets(F: MPF, samples: int = 100_000, horizon: float = 8.0
     triplets conditioned on every coordinate lying in T: the event is the
     product T^N of one event per independent coordinate, so conditioning
     keeps the coordinates independent and conditions each on T alone.
-    Rejection sampling per coordinate (``_triangle_draws``) therefore gives
-    the same law, keeping half of the draws where a whole row of N survives
-    with probability 2^-N.
+    ``_triangle_draws`` samples each coordinate on T with no rejection: a
+    uniform triplet of the unit cube outside T lies in one of three corner
+    simplices {a > b + c}, {b > a + c}, {c > a + b}, and the corner a > b + c
+    is folded by (a, b, c) -> (a, a - c, a - b), a volume-preserving affine
+    bijection onto the part of T where a is largest (and likewise for b and
+    c).  T fills half of the cube and the three corners the other half, so
+    the folded point is uniform on T.
     """
     samples = _sample_count(samples)
     if not (math.isfinite(horizon) and horizon > 0):

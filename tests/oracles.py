@@ -998,7 +998,7 @@ def projection_window_floor(coords, tau, u):
 def triangle_draws_whole_row(rng, arity, m, horizon):
     """(m, arity, 3) rows of uniform triangle triplets, rejecting whole rows.
 
-    The sampler that mpf._triangle_draws replaced: it draws 4m rows of arity
+    The sampler that triangle_draws_rejection replaced: it draws 4m rows of arity
     uniform triplets in [0, horizon]^3 at a time and keeps a row only when
     every coordinate is a triangle triplet, until m rows are kept.
     """
@@ -1012,6 +1012,28 @@ def triangle_draws_whole_row(rng, arity, m, horizon):
         rows.append(draw[ok][:m - kept])
         kept += rows[-1].shape[0]
     return np.concatenate(rows)
+
+
+def triangle_draws_rejection(rng, arity, m, horizon):
+    """(arity, 3, m) uniform triangle triplets, rejecting per coordinate.
+
+    The sampler that mpf._triangle_draws replaced: coordinate by coordinate
+    it draws a (3, q) block of uniforms in [0, horizon]^3 with q a little
+    over twice the rows still needed, keeps the triangle triplets in draw
+    order, and draws again while short.  About half of the draws are kept.
+    """
+    out = np.empty((arity, 3, m))
+    for k in range(arity):
+        filled = 0
+        while filled < m:
+            need = m - filled
+            x = rng.random((3, 2 * need + 4 * math.isqrt(need) + 8))
+            x *= horizon
+            a, b, c = x
+            kept = np.compress((a <= b + c) & (b <= a + c) & (c <= a + b), x, axis=1)[:, :need]
+            out[k, :, filled:filled + kept.shape[1]] = kept
+            filled += kept.shape[1]
+    return out
 
 
 def triangle_excess(a, b, c):

@@ -266,6 +266,28 @@ def test_validate_rejects_malformed_coords(coords):
         core.validate_space(dict(_without_coords(X), coords=coords))
 
 
+def _asymmetric_in_a_late_block():
+    d = np.array(core.random_metric_space(300, seed=4).dist)
+    d[260, 10] += 1e-6  # above METRIC_TOL, in the third block of rows
+    return d
+
+
+@pytest.mark.parametrize("record, match", [
+    ({"dist": [[0.0, 1.0]], "weight": [1.0]}, "not square"),
+    ({"dist": [0.0, 1.0], "weight": [1.0]}, "not square"),
+    ({"dist": [[0.0, 1.0], [1.0, 0.0]], "weight": [1.0]}, "sizes disagree"),
+    ({"dist": [[0.0, 1.0], [1.0, 0.0]], "weight": [0.5, 0.5], "labels": ["a"]},
+     "sizes disagree"),
+    ({"dist": [[0.0, 1.0], [1.0, 1e-6]], "weight": [0.5, 0.5]}, "nonzero diagonal"),
+    ({"dist": [[0.0, 1.0], [1.5, 0.0]], "weight": [0.5, 0.5]}, "not symmetric"),
+    ({"dist": _asymmetric_in_a_late_block(), "weight": np.full(300, 1 / 300)}, "not symmetric"),
+], ids=["one_row", "1d", "short_weight", "short_labels", "diagonal", "asymmetric",
+        "asymmetric_late_block"])
+def test_validate_rejects_malformed_matrices(record, match):
+    with pytest.raises(MMLabError, match=match):
+        core.validate_space(record)
+
+
 def test_validation_copies_the_callers_weights_and_values():
     X = core.random_metric_space(10, seed=3)
     d, w, v = np.array(X.dist), np.full(10, 0.1), np.array(X.dist[0])

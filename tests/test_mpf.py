@@ -14,7 +14,7 @@ from scipy.stats import ks_2samp
 from mm_lab import mpf
 from mm_lab.errors import ArityMismatch, MMLabError, NotIncreasing
 from oracles import (defect_table_full, defect_table_outer_sum, refine_local_minima_loop,
-                     triangle_draws_whole_row, triangle_excess)
+                     triangle_draws_rejection, triangle_draws_whole_row, triangle_excess)
 
 
 def test_eval_spot_values():
@@ -36,6 +36,37 @@ def test_eval_arity_and_domain():
         mpf.eval_mpf(mpf.builtin("fp:2"), [np.array(1.0)])
     with pytest.raises(MMLabError):
         mpf.eval_mpf(mpf.builtin("fp:2"), [np.array(-1.0), np.array(0.0)])
+
+
+@pytest.mark.parametrize("token", mpf.GALLERY_TOKENS + ("id", "clamp:2", "dip", "sq"))
+def test_eval_mpf_reads_its_arguments_only(token):
+    # arguments are not written, the result shares no memory with them, and
+    # it has the bits of an evaluation on clipped copies (-0.0 becomes +0.0)
+    F = mpf.builtin(token)
+    rng = np.random.default_rng(3)
+    xs = [rng.random(64) * 8.0 for _ in range(F.arity)]
+    for k, x in enumerate(xs):
+        # a -0.0 with no negative entry beside it, and one with a tiny one
+        x[:3] = (0.0, -0.0, -1e-13 if k else 1.0)
+        x.setflags(write=False)
+    kept = [x.copy() for x in xs]
+    out = mpf.eval_mpf(F, xs)
+    assert not any(np.shares_memory(out, x) for x in xs)
+    assert all(np.array_equal(x, k) for x, k in zip(xs, kept))
+    clipped = [np.maximum(x, 0.0) for x in xs]
+    assert out.tobytes() == mpf.eval_mpf(F, clipped).tobytes()
+
+
+@pytest.mark.parametrize("F", [mpf.maximum(1),
+                               mpf.combine("compose", [None, mpf.maximum(1), None])],
+                         ids=["max", "compose"])
+def test_eval_mpf_never_returns_an_argument(F):
+    x = np.array([0.5, 2.0])
+    out = mpf.eval_mpf(F, [x])
+    assert out is not x and not np.shares_memory(out, x) and np.array_equal(out, x)
+    for z in ([-0.0, 1.0], [-0.0, -1e-13]):
+        out = mpf.eval_mpf(F, [np.array(z)])
+        assert np.array_equal(out, np.maximum(z, 0.0)) and not np.signbit(out).any()
 
 
 def test_mulholland_matches_closed_forms():
@@ -642,7 +673,7 @@ def test_check_triangle_triplets_accepts_python_and_numpy_integers(samples):
 
 
 @pytest.mark.parametrize("arity", [1, 2, 3])
-@pytest.mark.parametrize("horizon", [8.0, 3.7])
+@pytest.mark.parametrize("horizon", [8.0, 3.7, 1.0, 0.3])
 def test_triangle_draws_are_triangle_triplets_in_the_box(arity, horizon):
     x = mpf._triangle_draws(np.random.default_rng(arity), arity, 5000, horizon)
     assert x.shape == (arity, 3, 5000)
@@ -657,20 +688,49 @@ def _triplet_statistics(rows):
             "max": rows.max(axis=1), "sum": rows.sum(axis=1)}
 
 
+def _assert_same_marginals(new, old):
+    # per coordinate, each marginal of the fold against a rejection oracle's;
+    # 5 statistics x 6 coordinates per oracle, each at a 1e-4 level
+    assert new.shape == old.shape
+    for k in range(new.shape[0]):
+        ours = _triplet_statistics(new[k].T)
+        theirs = _triplet_statistics(old[k].T)
+        for name in ours:
+            p = ks_2samp(ours[name], theirs[name]).pvalue
+            assert p > 1e-4, (k, name, p)
+
+
 @pytest.mark.parametrize("arity", [1, 2, 3])
 def test_triangle_draws_match_the_whole_row_sampler(arity):
-    # per coordinate, each marginal against the rejected-whole-row oracle;
-    # 5 statistics x 6 coordinates in all, each at a 1e-4 level
     m = 20_000
     new = mpf._triangle_draws(np.random.default_rng(40 + arity), arity, m, 8.0)
     old = triangle_draws_whole_row(np.random.default_rng(50 + arity), arity, m, 8.0)
     assert old.shape == (m, arity, 3)
-    for k in range(arity):
-        ours = _triplet_statistics(new[k].T)
-        theirs = _triplet_statistics(old[:, k, :])
-        for name in ours:
-            p = ks_2samp(ours[name], theirs[name]).pvalue
-            assert p > 1e-4, (arity, k, name, p)
+    _assert_same_marginals(new, old.transpose(1, 2, 0))
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_triangle_draws_match_the_per_coordinate_rejection_sampler(arity):
+    m = 20_000
+    new = mpf._triangle_draws(np.random.default_rng(40 + arity), arity, m, 8.0)
+    old = triangle_draws_rejection(np.random.default_rng(60 + arity), arity, m, 8.0)
+    _assert_same_marginals(new, old)
+
+
+def test_fold_fixes_the_cone_and_maps_each_corner_by_its_reflection():
+    # on the 2^-53 grid the fold is exact: (a, b, c) -> (a, a - c, a - b)
+    # on the corner a > b + c, and the identity on the cone
+    u = np.random.default_rng(5).random((3, 30_000))
+    x = mpf._triangle_draws(np.random.default_rng(5), 1, 30_000, 1.0)[0]
+    a, b, c = u
+    for j, (p, q, r) in enumerate([(a, b, c), (b, a, c), (c, a, b)]):
+        corner = p > q + r
+        assert corner.any()
+        assert np.array_equal(x[j, corner], p[corner])
+        folded = [p[corner] - r[corner], p[corner] - q[corner]]
+        assert np.array_equal(x[[k for k in range(3) if k != j]][:, corner], np.array(folded))
+    cone = (a <= b + c) & (b <= a + c) & (c <= a + b)
+    assert np.array_equal(x[:, cone], u[:, cone])
 
 
 def test_triangle_draws_coordinates_are_uncorrelated():
@@ -718,12 +778,13 @@ def test_falsifier_catches_a_violation_the_boundary_rows_miss(seed):
 
 
 def _counting_eval(monkeypatch):
-    """Patch mpf.eval_mpf to count top-level calls; nested calls are not counted."""
+    """Patch mpf.eval_mpf to count its top-level calls and all of its calls."""
     real = mpf.eval_mpf
-    calls = {"top": 0, "depth": 0}
+    calls = {"top": 0, "all": 0, "depth": 0}
 
     def counted(F, args):
         calls["top"] += calls["depth"] == 0
+        calls["all"] += 1
         calls["depth"] += 1
         try:
             return real(F, args)
@@ -734,22 +795,36 @@ def _counting_eval(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("token", ["fp:2", "h1", "fcyc", "mul:quad"])
-def test_falsifier_evaluates_each_batch_once(monkeypatch, token):
-    # boundary rows, the two batches of 1e5 samples, the five zero-locus probes
+def _falsifier_eval_calls(monkeypatch, token, samples):
     calls = _counting_eval(monkeypatch)
-    v = mpf.check_triangle_triplets(mpf.builtin(token), samples=100_000, seed=7)
+    v = mpf.check_triangle_triplets(mpf.builtin(token), samples=samples, seed=7)
     assert v.passed
-    assert calls["top"] == 1 + 2 + 5
+    # the pieces of h1 and of petrik's generator are evaluated without eval_mpf
+    assert calls["all"] == calls["top"]
+    return calls["top"]
+
+
+@pytest.mark.parametrize("token", ["fp:2", "h1", "fcyc", "mul:quad", "petrik"])
+def test_falsifier_evaluates_each_batch_once(monkeypatch, token):
+    # the boundary rows, the seven batches of 1e5 samples, the five zero-locus probes
+    assert _falsifier_eval_calls(monkeypatch, token, 100_000) == 1 + 7 + 5
+
+
+@pytest.mark.parametrize("samples", [1, 16_384, 16_385, 100_000])
+def test_falsifier_evaluation_count_follows_the_batches(monkeypatch, samples):
+    batches = -(-samples // mpf._BATCH_ROWS)
+    assert _falsifier_eval_calls(monkeypatch, "fp:2", samples) == 1 + batches + 5
 
 
 class _CountingRng:
+    """A Generator that counts the uniforms its ``random`` calls return."""
+
     def __init__(self, rng):
         self.rng = rng
         self.uniforms = 0
 
-    def random(self, size=None):
-        out = self.rng.random(size)
+    def random(self, size=None, out=None):
+        out = self.rng.random(size, out=out)
         self.uniforms += out.size
         return out
 
@@ -758,7 +833,7 @@ class _CountingRng:
 
 
 @pytest.mark.parametrize("token", ["id", "fp:2", "fcyc"])
-def test_falsifier_draws_about_two_uniform_triplets_per_kept_one(monkeypatch, token):
+def test_falsifier_draws_one_uniform_triplet_per_kept_one(monkeypatch, token):
     made = []
     real = np.random.default_rng
 
@@ -768,10 +843,57 @@ def test_falsifier_draws_about_two_uniform_triplets_per_kept_one(monkeypatch, to
 
     monkeypatch.setattr(mpf.np.random, "default_rng", counting_rng)
     F = mpf.builtin(token)
-    v = mpf.check_triangle_triplets(F, samples=100_000, seed=7)
-    assert v.passed and len(made) == 1
-    per_kept = made[0].uniforms / (3 * F.arity * 100_000)
-    assert 2.0 <= per_kept < 2.2, per_kept
+    for samples in (1, 20_000, 100_000):
+        made.clear()
+        v = mpf.check_triangle_triplets(F, samples=samples, seed=7)
+        assert v.passed and len(made) == 1
+        assert made[0].uniforms == 3 * F.arity * samples
+
+
+class _PlantedRng(_CountingRng):
+    """Its first fill carries a triplet on the boundary of the cone in column 5
+    of coordinate 0: a = b + c exactly, but 3.7 a > 3.7 b + 3.7 c in float."""
+
+    TRIPLET = (float.fromhex("0x1.e85e1aad7907ap-1"), float.fromhex("0x1.b17c7d1779e1cp-2"),
+               float.fromhex("0x1.0f9fdc21bc16cp-1"))
+
+    def random(self, size=None, out=None):
+        first = self.uniforms == 0
+        out = super().random(size, out=out)
+        if first:
+            out[0, :, 5] = self.TRIPLET
+        return out
+
+
+def test_triangle_draws_redraw_a_triplet_that_scaling_pushes_out():
+    a, b, c = _PlantedRng.TRIPLET
+    assert a == b + c and 3.7 * a > 3.7 * b + 3.7 * c
+    rng = _PlantedRng(np.random.default_rng(1))
+    x = mpf._triangle_draws(rng, 2, 1000, 3.7)
+    assert rng.uniforms == 3 * 2 * 1000 + 3
+    a, b, c = x[:, 0], x[:, 1], x[:, 2]
+    assert ((a <= b + c) & (b <= a + c) & (c <= a + b)).all()
+    assert x.min() >= 0.0 and x.max() <= 3.7
+    assert not np.array_equal(x[0, :, 5], 3.7 * np.array(_PlantedRng.TRIPLET))
+    # the other columns are the fold of the same stream, as drawn
+    plain = mpf._triangle_draws(np.random.default_rng(1), 2, 1000, 3.7)
+    assert np.array_equal(np.delete(x, 5, axis=2)[0], np.delete(plain, 5, axis=2)[0])
+    assert np.array_equal(x[1], plain[1])
+
+
+def test_falsifier_batches_stay_small():
+    # the 1e5-sample check of the arity-3 fcyc peaks at one batch and its
+    # evaluation: the (3, 3, 16 384) stack is 1.2 MB
+    F = mpf.builtin("fcyc")
+    mpf.check_triangle_triplets(F, samples=1000, seed=7)
+    tracemalloc.start()
+    try:
+        v = mpf.check_triangle_triplets(F, samples=100_000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.passed
+    assert peak < 3 * 2 ** 20, peak
 
 
 def test_falsifier_verdicts_same_across_hash_seeds():
@@ -792,5 +914,5 @@ def test_falsifier_verdicts_same_across_hash_seeds():
         outs.append(run.stdout)
     lines = outs[0].splitlines()
     assert len(lines) == len(mpf.GALLERY_TOKENS) + 2
-    assert lines[-2].startswith("False 8 ") and lines[-1].startswith("False 65544 ")
+    assert lines[-2].startswith("False 8 ") and lines[-1].startswith("False 16392 ")
     assert outs[0] == outs[1]
