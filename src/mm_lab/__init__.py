@@ -27,7 +27,6 @@ from .core import (
 )
 from .mpf import (
     MPF,
-    PhiSpec,
     GALLERY_TOKENS,
     builtin,
     check_triangle_triplets,

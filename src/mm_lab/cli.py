@@ -68,6 +68,22 @@ def _load_measure(path, space):
     return v
 
 
+def _require(args, command, *options):
+    """Raise MMLabError naming each of ``options`` that ``command`` was not given."""
+    missing = [f"--{o}" for o in options if getattr(args, o) is None]
+    if missing:
+        raise MMLabError(f"{command} needs {' and '.join(missing)}")
+
+
+def _option_list(args, option, convert):
+    """The comma-separated values of --option, each read by ``convert``."""
+    text = getattr(args, option)
+    try:
+        return [convert(x) for x in text.split(",")]
+    except ValueError:
+        raise MMLabError(f"--{option} takes comma-separated numbers, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="mml", description=__doc__)
     ap.add_argument("--version", action="version", version=f"mm-lab {__version__}")
@@ -253,6 +269,7 @@ def _dispatch(args) -> int:
 
 
 def _cmd_mpf(args) -> int:
+    _require(args, f"mpf {args.action}", "family" if args.action == "classify" else "fn")
     if args.action == "show":
         print(json.dumps(mpf_to_json(builtin(args.fn)), indent=2))
         return 0
@@ -268,7 +285,7 @@ def _cmd_mpf(args) -> int:
         return 1
     if args.action == "defect":
         F = builtin(args.fn)
-        D = float(args.D.split(",")[0])
+        D = _option_list(args, "D", float)[0]
         rep = defect_table(F, D=D, h=args.h, probe=args.probe or max(D, 16.0))
         print(f"{args.fn}: sup defect {rep.sup_defect:.6g} on [0,{D}]^{F.arity} "
               f"(h={rep.h}, probe={rep.probe_bound})")
@@ -282,8 +299,8 @@ def _cmd_mpf(args) -> int:
                 write_csv(args.out, ("s", "t", "defect"), rows)
         return 0
     if args.action == "classify":
-        n_list = [int(x) for x in args.n.split(",")]
-        D_list = [float(x) for x in args.D.split(",")]
+        n_list = _option_list(args, "n", int)
+        D_list = _option_list(args, "D", float)
         v = classify_sequence(family(args.family), family_limit(args.family),
                               D_list=D_list, n_list=n_list, h=args.h,
                               probe=args.probe)
@@ -325,6 +342,8 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_dist(args) -> int:
+    need = {"prok": ("space", "mu", "nu"), "box": ("x", "y"), "kyfan": ("space", "f", "g")}
+    _require(args, f"dist {args.what}", *need[args.what])
     if args.what == "prok":
         space = load_space(args.space)
         mu = _load_measure(args.mu, space)

@@ -3,8 +3,8 @@
 A descriptor is a small expression tree that evaluates a function
 F: [0, inf)^N -> [0, inf) in closed form on numpy arrays.  The module ships a
 builtin gallery (l_p sums, exponential sums, piecewise descent functions,
-Mulholland generators, indexed families with moving bumps), combinators, a
-randomized triangle-triplet falsifier, isotone-defect tables, and the
+Mulholland generated sums, indexed families with moving bumps), combinators,
+a randomized triangle-triplet falsifier, isotone-defect tables, and the
 five-condition sequence classifier.
 """
 from __future__ import annotations
@@ -19,130 +19,6 @@ from .errors import ArityMismatch, InconsistentArity, MMLabError, NotIncreasing
 
 _INF = float("inf")
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-# ---------------------------------------------------------------------------
-# strictly increasing generators for Mulholland-style descriptors
-
-@dataclass(frozen=True)
-class PhiSpec:
-    """Homeomorphism of [0, inf) used as a sum generator.
-
-    Known names carry a closed-form inverse.  A piecewise generator finds
-    each point's segment with one searchsorted on phi(breaks) and inverts
-    ``linear`` and ``power_sum`` segments in closed form, clipped to the
-    segment, so an upward jump inverts to the jump point; points on any
-    other segment fall back to vectorized bisection with bracket doubling,
-    tolerance 1e-12.
-    """
-
-    name: str
-    params: dict = field(default_factory=dict)
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.name == "power":
-            return s ** self.params["p"]
-        if self.name == "expm1":
-            return np.expm1(s)
-        if self.name == "sinh":
-            return np.sinh(s)
-        if self.name == "quad":
-            return s * s + 2.0 * s
-        if self.name == "piecewise":
-            return _eval_unary_piecewise(self.params["breaks"], self.params["segments"], s)
-        raise MMLabError(f"unknown generator {self.name!r}")
-
-    def inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        if self.name == "power":
-            return y ** (1.0 / self.params["p"])
-        if self.name == "expm1":
-            return np.log1p(y)
-        if self.name == "sinh":
-            return np.arcsinh(y)
-        if self.name == "quad":
-            return np.sqrt(y + 1.0) - 1.0
-        if self.name == "piecewise":
-            return _piecewise_inverse(self, y)
-        raise MMLabError(f"unknown generator {self.name!r}")
-
-
-def _segment_inverse(seg, y):
-    """Closed-form inverse of one increasing generator segment, or None."""
-    p = seg.params
-    if seg.kind == "linear" and p["a"] > 0:
-        return (y - p["b"]) / p["a"]
-    if seg.kind == "power_sum" and p["alpha"] > 0:
-        return y ** (1.0 / p["alpha"])
-    return None
-
-
-def _piecewise_inverse(phi, y):
-    # side="right" puts y = phi(b) on the segment right of b, as
-    # _eval_unary_piecewise puts s = b there
-    breaks = np.asarray(phi.params["breaks"], dtype=float)
-    seg_of = np.searchsorted(phi(breaks), y, side="right")
-    edges = np.concatenate([[0.0], breaks, [_INF]])
-    out = np.empty_like(y)
-    rest = np.zeros(y.shape, dtype=bool)
-    for j, seg in enumerate(phi.params["segments"]):
-        mask = seg_of == j
-        if not mask.any():
-            continue
-        s = _segment_inverse(seg, y[mask])
-        if s is None:
-            rest |= mask
-        else:
-            out[mask] = np.clip(s, edges[j], edges[j + 1])
-    if rest.any():
-        out[rest] = _bisect_inverse(phi, y[rest])
-    return out
-
-
-def _bisect_inverse(phi, y):
-    y = np.asarray(y, dtype=float)
-    lo = np.zeros_like(y)
-    hi = np.ones_like(y)
-    for _ in range(80):
-        need = phi(hi) < y
-        if not need.any():
-            break
-        hi[need] *= 2.0
-    # bisect the live points only: a point leaves once its own bracket is
-    # within 1e-12, so its value does not depend on the rest of its batch
-    lo, hi, y_flat = lo.ravel(), hi.ravel(), y.ravel()
-    live = np.flatnonzero(hi - lo > 1e-12)
-    a, b, target = lo[live], hi[live], y_flat[live]
-    for _ in range(80):
-        if not live.size:
-            break
-        mid = 0.5 * (a + b)
-        below = phi(mid) < target
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-        keep = b - a > 1e-12
-        if not keep.all():
-            lo[live], hi[live] = a, b
-            live, a, b, target = live[keep], a[keep], b[keep], target[keep]
-    lo[live], hi[live] = a, b
-    return (0.5 * (lo + hi)).reshape(y.shape)
-
-
-def _eval_unary_piecewise(breaks, segments, s):
-    # the points come from eval_mpf's checked arguments or from a generator's
-    # breaks and brackets, all nonnegative, so each segment goes straight to
-    # _eval without eval_mpf's scan and clip
-    s = np.asarray(s, dtype=float)
-    idx = np.searchsorted(np.asarray(breaks, dtype=float), s, side="right")
-    out = np.empty_like(s)
-    for k, seg in enumerate(segments):
-        if seg.arity != 1:
-            raise ArityMismatch(f"{seg.kind} expects {seg.arity} arguments, got 1")
-        mask = idx == k
-        if mask.any():
-            out[mask] = _eval(seg, [s[mask]])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +98,27 @@ def _eval(F: MPF, xs):
         s = xs[0]
         safe = np.where(s > 0, s, 1.0)
         return (1.0 + s + np.sin(s - 1.0) ** 2) / (2.0 * safe)
+    if kind == "expm1":
+        return np.expm1(xs[0])
+    if kind == "sinh":
+        return np.sinh(xs[0])
+    if kind == "quad":
+        s = xs[0]
+        return s * s + 2.0 * s
     if kind == "piecewise":
-        return _eval_unary_piecewise(p["breaks"], F.children, xs[0])
+        # the points come from eval_mpf's checked arguments or from a generator's
+        # breaks and brackets, all nonnegative, so each segment goes straight to
+        # _eval without eval_mpf's scan and clip
+        s = np.asarray(xs[0], dtype=float)
+        idx = np.searchsorted(np.asarray(p["breaks"], dtype=float), s, side="right")
+        out = np.empty_like(s)
+        for k, seg in enumerate(F.children):
+            if seg.arity != 1:
+                raise ArityMismatch(f"{seg.kind} expects {seg.arity} arguments, got 1")
+            mask = idx == k
+            if mask.any():
+                out[mask] = _eval(seg, [s[mask]])
+        return out
     if kind == "sum":
         return sum(_eval(c, xs) for c in F.children)
     if kind == "add_f":
@@ -231,18 +126,88 @@ def _eval(F: MPF, xs):
     if kind == "scale":
         return p["c"] * _eval(F.children[0], xs)
     if kind == "compose":
-        inner = F.children[0]
-        pre = F.children[1:]
+        outer, inner, *pre = F.children
         ys = [x if g is None else _eval(g, [x]) for g, x in zip(pre, xs)]
         out = _eval(inner, ys)
-        outer = p.get("outer")
-        if outer is not None:
-            out = _eval(outer, [out])
-        return out
+        return out if outer is None else _eval(outer, [out])
     if kind == "mulholland":
-        phi: PhiSpec = p["phi"]
-        return phi.inverse(sum(phi(x) for x in xs))
+        phi = F.children[0]
+        y = sum(_eval(phi, [x]) for x in xs)
+        s = _inverse(phi, y)
+        return _bisect_inverse(phi, y) if s is None else s
     raise MMLabError(f"unknown descriptor kind {F.kind!r}")
+
+
+def _inverse(f: MPF, y):
+    """Closed-form inverse of an increasing unary descriptor at y, or None.
+
+    A ``piecewise`` f finds each point's segment by one searchsorted on
+    f(breaks) and inverts it there, clipped to the segment, so an upward jump
+    inverts to the jump point; a segment without a closed form is bisected.
+    """
+    p = f.params
+    if f.kind == "linear" and p["a"] > 0:
+        return (y - p["b"]) / p["a"]
+    if f.kind == "power_sum" and p["alpha"] > 0:
+        return y ** (1.0 / p["alpha"])
+    if f.kind == "expm1":
+        return np.log1p(y)
+    if f.kind == "sinh":
+        return np.arcsinh(y)
+    if f.kind == "quad":
+        return np.sqrt(y + 1.0) - 1.0
+    if f.kind != "piecewise":
+        return None
+    # side="right" puts y = f(b) on the segment right of b, as _eval puts
+    # s = b there
+    y = np.asarray(y, dtype=float)
+    breaks = np.asarray(p["breaks"], dtype=float)
+    seg_of = np.searchsorted(_eval(f, [breaks]), y, side="right")
+    edges = np.concatenate([[0.0], breaks, [_INF]])
+    out = np.empty_like(y)
+    rest = np.zeros(y.shape, dtype=bool)
+    for j, seg in enumerate(f.children):
+        mask = seg_of == j
+        if not mask.any():
+            continue
+        s = _inverse(seg, y[mask])
+        if s is None:
+            rest |= mask
+        else:
+            out[mask] = np.clip(s, edges[j], edges[j + 1])
+    if rest.any():
+        out[rest] = _bisect_inverse(f, y[rest])
+    return out
+
+
+def _bisect_inverse(f: MPF, y):
+    """f^{-1}(y) by bisection on brackets doubled from [0, 1] until they hold y."""
+    y = np.asarray(y, dtype=float)
+    lo = np.zeros_like(y)
+    hi = np.ones_like(y)
+    for _ in range(80):
+        need = _eval(f, [hi]) < y
+        if not need.any():
+            break
+        hi[need] *= 2.0
+    # bisect the live points only: a point leaves once its own bracket is
+    # within 1e-12, so its value does not depend on the rest of its batch
+    lo, hi, y_flat = lo.ravel(), hi.ravel(), y.ravel()
+    live = np.flatnonzero(hi - lo > 1e-12)
+    a, b, target = lo[live], hi[live], y_flat[live]
+    for _ in range(80):
+        if not live.size:
+            break
+        mid = 0.5 * (a + b)
+        below = _eval(f, [mid]) < target
+        a = np.where(below, mid, a)
+        b = np.where(below, b, mid)
+        keep = b - a > 1e-12
+        if not keep.all():
+            lo[live], hi[live] = a, b
+            live, a, b, target = live[keep], a[keep], b[keep], target[keep]
+    lo[live], hi[live] = a, b
+    return (0.5 * (lo + hi)).reshape(y.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -303,31 +268,34 @@ def scale(c: float, F: MPF) -> MPF:
     return MPF("scale", F.arity, {"c": float(c)}, (F,))
 
 
-def make_mulholland(phi: PhiSpec, arity: int = 2) -> MPF:
-    """Descriptor for phi^{-1}(phi(s_1) + ... + phi(s_N)).
+def make_mulholland(phi: MPF, arity: int = 2) -> MPF:
+    """Descriptor for phi^{-1}(phi(s_1) + ... + phi(s_N)), phi its only child.
 
-    The generator must vanish at 0 and be strictly increasing; both are
-    checked on a grid of [0, 10], and a NotIncreasing error carries a witness.
+    The generator is a unary descriptor that must vanish at 0 and be
+    strictly increasing; both are checked on a grid of [0, 10], and a
+    NotIncreasing error carries a witness.
     """
-    v0 = float(phi(np.array(0.0)))
+    if phi.arity != 1:
+        raise ArityMismatch(f"a generator must be unary, got a {phi.kind} of arity {phi.arity}")
+    v0 = float(_eval(phi, [np.array(0.0)]))
     if abs(v0) > 1e-12:
         raise MMLabError(f"generator must vanish at 0, got {v0}")
     grid = np.concatenate([[0.0], np.geomspace(1e-6, 10.0, 200)])
-    vals = phi(grid)
+    vals = _eval(phi, [grid])
     diffs = np.diff(vals)
     bad = np.nonzero(diffs <= 0)[0]
     if bad.size:
         k = int(bad[0])
         raise NotIncreasing(float(grid[k]), float(grid[k + 1]), float(vals[k]), float(vals[k + 1]))
-    return MPF("mulholland", arity, {"phi": phi})
+    return MPF("mulholland", arity, children=(phi,))
 
 
 def combine(kind: str, parts) -> MPF:
     """Combinators closed under metric preservation.
 
     add_F sums same-arity descriptors, add_f sums one unary descriptor per
-    coordinate, compose builds outer(F(f_1(s_1), ..., f_N(s_N))) from
-    (outer, F, f_1, ..., f_N) where outer or any f_i may be None.
+    coordinate, compose builds outer(F(f_1(s_1), ..., f_N(s_N))) from its
+    children (outer, F, f_1, ..., f_N), where outer or any f_i may be None.
     """
     parts = list(parts)
     if kind == "add_F":
@@ -347,7 +315,7 @@ def combine(kind: str, parts) -> MPF:
             raise ArityMismatch("compose pre-maps must be unary")
         if outer is not None and outer.arity != 1:
             raise ArityMismatch("compose outer map must be unary")
-        return MPF("compose", inner.arity, {"outer": outer}, (inner, *pre))
+        return MPF("compose", inner.arity, children=tuple(parts))
     raise MMLabError(f"unknown combinator {kind!r}")
 
 
@@ -362,9 +330,9 @@ def descent_h2() -> MPF:
     return piecewise([1.0], [identity(), MPF("sine_taper", 1)])
 
 
-def petrik_phi() -> PhiSpec:
-    segs = (linear(5.0 / 3.0), linear(7.0 / 3.0, -2.0 / 3.0), power_sum(2.0, arity=1))
-    return PhiSpec("piecewise", {"breaks": (1.0, 2.0), "segments": segs})
+def petrik_phi() -> MPF:
+    return piecewise([1.0, 2.0], [linear(5.0 / 3.0), linear(7.0 / 3.0, -2.0 / 3.0),
+                                  power_sum(2.0, arity=1)])
 
 
 def bump_family_1(n: int) -> MPF:
@@ -384,23 +352,42 @@ def bump_family_3(n: int) -> MPF:
                      [identity(), const(2.0), linear(-1.0, n + 4.0), const(1.0)])
 
 
-_UNARY_FAMILIES = {"fn1": bump_family_1, "fn2": bump_family_2, "fn3": bump_family_3}
+# 'fnK' is bump family K, and 'gnK' its planar sum f_n(s) + f_n(t)
+_BUMP_FAMILIES = {"fn1": bump_family_1, "fn2": bump_family_2, "fn3": bump_family_3,
+                  "gn1": bump_family_1, "gn2": bump_family_2, "gn3": bump_family_3}
+
+
+def _args(token: str, rest: str, defaults: tuple) -> list:
+    """A token's comma-separated numbers ``rest``, padded with ``defaults``;
+    a default of None must be given.  'oo' reads as infinity."""
+    texts = rest.split(",") if rest else []
+    if len(texts) > len(defaults) or None in defaults[len(texts):]:
+        raise MMLabError(f"descriptor token {token!r} takes {len(defaults)} number(s), "
+                         f"got {len(texts)}")
+    try:
+        return [_INF if t == "oo" else float(t) for t in texts] + list(defaults[len(texts):])
+    except ValueError:
+        raise MMLabError(f"descriptor token {token!r}: {rest!r} is not a number list") from None
 
 
 def builtin(token: str) -> MPF:
-    """Resolve a gallery token such as 'fp:2', 'h1', 'gn3:5', or 'mul:sinh'."""
-    name, _, arg = token.partition(":")
+    """Resolve a gallery token such as 'fp:2', 'h1', 'gn3:5', or 'mul:power,3'.
+
+    After the name and ':' come comma-separated numbers, an index n >= 1 for
+    'fnK' and 'gnK', or for 'mul' a generator token 'power[,p]', 'expm1'
+    ('exp'), 'sinh', 'quad' or 'petrik'.  A malformed token raises MMLabError.
+    """
+    name, _, rest = token.partition(":")
     if name in ("fp", "lp"):
-        return lp(_INF if arg in ("inf", "oo") else float(arg))
+        return lp(*_args(token, rest, (None,)))
     if name == "fexp":
         return exp_log()
     if name == "falpha":
-        return power_sum(float(arg))
+        return power_sum(*_args(token, rest, (None,)))
     if name == "fpq":
-        a, b = arg.split(",")
-        return pq(float(a), float(b))
+        return pq(*_args(token, rest, (None, None)))
     if name == "mul":
-        return make_mulholland(_named_phi(arg))
+        return make_mulholland(_named_phi(rest, token))
     if name == "petrik":
         return make_mulholland(petrik_phi())
     if name == "h1":
@@ -410,33 +397,30 @@ def builtin(token: str) -> MPF:
     if name == "fcyc":
         return cyclic_sum_max()
     if name == "dip":
-        return dip2d(float(arg) if arg else 1.0)
+        return dip2d(*_args(token, rest, (1.0,)))
     if name == "id":
         return identity()
     if name == "clamp":
-        return min_clamp(float(arg) if arg else 2.0)
+        return min_clamp(*_args(token, rest, (2.0,)))
     if name == "sq":
         return power_sum(2.0, arity=1)
-    if name in _UNARY_FAMILIES:
-        return _UNARY_FAMILIES[name](int(arg))
-    if name in ("gn1", "gn2", "gn3"):
-        f = _UNARY_FAMILIES["fn" + name[-1]](int(arg))
-        return combine("add_f", [f, f])
+    if name in _BUMP_FAMILIES:
+        if not (rest.isdecimal() and int(rest) >= 1):
+            raise MMLabError(f"descriptor token {token!r} needs an integer index n >= 1")
+        f = _BUMP_FAMILIES[name](int(rest))
+        return f if name.startswith("fn") else combine("add_f", [f, f])
     raise MMLabError(f"unknown builtin token {token!r}")
 
 
-def _named_phi(name: str) -> PhiSpec:
-    if name.startswith("power"):
-        return PhiSpec("power", {"p": float(name.split(",")[1])}) if "," in name else PhiSpec("power", {"p": 2.0})
-    if name in ("expm1", "exp"):
-        return PhiSpec("expm1")
-    if name == "sinh":
-        return PhiSpec("sinh")
-    if name == "quad":
-        return PhiSpec("quad")
+def _named_phi(gen: str, token: str) -> MPF:
+    name, _, rest = gen.partition(",")
+    if name == "power":
+        return power_sum(*_args(token, rest, (2.0,)), arity=1)
+    if name in ("expm1", "exp", "sinh", "quad"):
+        return MPF("expm1" if name == "exp" else name, 1)
     if name == "petrik":
         return petrik_phi()
-    raise MMLabError(f"unknown generator token {name!r}")
+    raise MMLabError(f"unknown generator in descriptor token {token!r}")
 
 
 #: the twelve gallery descriptors exercised by the falsifier battery
@@ -447,32 +431,25 @@ GALLERY_TOKENS = (
 
 
 def family(token: str):
-    """Indexed descriptor family n -> MPF for classify_sequence and the CLI."""
-    name, _, arg = token.partition(":")
-    if name in _UNARY_FAMILIES:
-        return _UNARY_FAMILIES[name]
-    if name in ("gn1", "gn2", "gn3"):
-        base = _UNARY_FAMILIES["fn" + name[-1]]
-
-        def make(n, base=base):
-            f = base(n)
-            return combine("add_f", [f, f])
-
-        return make
+    """Indexed descriptor family n -> MPF for classify_sequence and the CLI:
+    'fnK' is n -> builtin(f'fnK:{n}'), likewise 'gnK', and 'const:TOKEN'
+    is n -> builtin('TOKEN')."""
+    name, _, rest = token.partition(":")
     if name == "const":
-        F = builtin(arg)
+        F = builtin(rest)
         return lambda n: F
+    if name in _BUMP_FAMILIES and not rest:
+        return lambda n: builtin(f"{name}:{n}")
     raise MMLabError(f"unknown family token {token!r}")
 
 
 def family_limit(token: str) -> MPF:
-    name, _, arg = token.partition(":")
-    if name in _UNARY_FAMILIES:
-        return min_clamp(2.0)
-    if name in ("gn1", "gn2", "gn3"):
-        return combine("add_f", [min_clamp(2.0), min_clamp(2.0)])
+    name, _, rest = token.partition(":")
     if name == "const":
-        return builtin(arg)
+        return builtin(rest)
+    if name in _BUMP_FAMILIES and not rest:
+        f = min_clamp(2.0)  # the pointwise limit of every bump family
+        return f if name.startswith("fn") else combine("add_f", [f, f])
     raise MMLabError(f"unknown family token {token!r}")
 
 
@@ -480,47 +457,24 @@ def family_limit(token: str) -> MPF:
 # JSON form
 
 def mpf_to_json(F: MPF) -> dict:
-    out = {"kind": F.kind, "arity": F.arity}
-    for k, v in F.params.items():
-        if k == "phi":
-            out["phi"] = {"name": v.name,
-                          "params": _phi_params_json(v)}
-        elif k == "outer":
-            out["outer"] = None if v is None else mpf_to_json(v)
-        else:
-            out[k] = v
+    """Kind, arity, params, and every sub-descriptor or None under 'children'."""
+    out = {"kind": F.kind, "arity": F.arity, **F.params}
     if F.children:
         out["children"] = [None if c is None else mpf_to_json(c) for c in F.children]
     return out
 
 
-def _phi_params_json(phi: PhiSpec):
-    if phi.name == "piecewise":
-        return {"breaks": list(phi.params["breaks"]),
-                "segments": [mpf_to_json(s) for s in phi.params["segments"]]}
-    return dict(phi.params)
-
-
 def mpf_from_json(obj: dict) -> MPF:
+    """Inverse of ``mpf_to_json``; a param that is an object or null raises."""
     obj = dict(obj)
     kind = obj.pop("kind")
     arity = obj.pop("arity")
     children = tuple(None if c is None else mpf_from_json(c)
                      for c in obj.pop("children", ()))
-    params = {}
     for k, v in obj.items():
-        if k == "phi":
-            pp = v["params"]
-            if v["name"] == "piecewise":
-                pp = {"breaks": tuple(pp["breaks"]),
-                      "segments": tuple(mpf_from_json(s) for s in pp["segments"])}
-            params["phi"] = PhiSpec(v["name"], pp)
-        elif k == "outer":
-            params["outer"] = None if v is None else mpf_from_json(v)
-        elif isinstance(v, list):
-            params[k] = tuple(v)
-        else:
-            params[k] = v
+        if v is None or isinstance(v, dict):
+            raise MMLabError(f"{kind} descriptor holds {k!r} outside 'children'")
+    params = {k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()}
     return MPF(kind, arity, params, children)
 
 
@@ -938,6 +892,8 @@ def classify_sequence(F_seq, F_limit: MPF, D_list, n_list, h: float = 1.0 / 64.0
     D_list = sorted(float(D) for D in D_list)
     if not n_list or n_list[0] < 1:
         raise MMLabError("n_list must contain positive indices")
+    if not D_list:
+        raise MMLabError("D_list must contain at least one window")
     Dmax = D_list[-1]
     arity = F_limit.arity
     descriptors = {}

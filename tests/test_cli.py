@@ -179,6 +179,30 @@ def test_mpf_classify(capsys):
     assert "(5)Y" in text and "(4)n" in text
 
 
+@pytest.mark.parametrize("token", ["fp:abc", "fpq:2", "falpha:", "gn3:x", "mul:power,z", "fn1:0"])
+def test_malformed_descriptor_token_is_an_error(capsys, token):
+    assert main(["mpf", "show", "--fn", token]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(token) in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["dist", "box", "--x", "{space}"], "--y"),
+    (["dist", "prok", "--space", "{space}"], "--mu and --nu"),
+    (["dist", "kyfan", "--space", "{space}"], "--f and --g"),
+    (["mpf", "check"], "--fn"),
+    (["mpf", "defect"], "--fn"),
+    (["mpf", "show"], "--fn"),
+    (["mpf", "classify"], "--family"),
+    (["mpf", "classify", "--family", "gn1", "--D", ""], "--D"),
+    (["mpf", "classify", "--family", "gn1", "--n", "1,x"], "--n"),
+])
+def test_missing_or_malformed_option_is_an_error(space_file, capsys, argv, option):
+    assert main([a.format(space=space_file) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and option in err and err.count("\n") == 1
+
+
 def test_product_transform_invariant_dist(tmp_path, space_file, capsys):
     two = tmp_path / "two.json"
     assert main(["gallery", "two-point", "--s", "2", "-o", str(two)]) == 0

@@ -72,11 +72,11 @@ def test_eval_mpf_never_returns_an_argument(F):
 def test_mulholland_matches_closed_forms():
     grid = np.linspace(0.0, 5.0, 20)
     S, T = np.meshgrid(grid, grid)
-    m2 = mpf.make_mulholland(mpf.PhiSpec("power", {"p": 2.0}))
+    m2 = mpf.make_mulholland(mpf.power_sum(2.0, arity=1))
     gap = np.abs(mpf.eval_mpf(m2, [S, T]) - mpf.eval_mpf(mpf.builtin("fp:2"), [S, T]))
     assert gap.max() < 1e-9
 
-    mexp = mpf.make_mulholland(mpf.PhiSpec("expm1"))
+    mexp = mpf.make_mulholland(mpf.MPF("expm1", 1))
     gap = np.abs(mpf.eval_mpf(mexp, [S, T]) - mpf.eval_mpf(mpf.builtin("fexp"), [S, T]))
     assert gap.max() < 1e-9
 
@@ -84,10 +84,9 @@ def test_mulholland_matches_closed_forms():
     assert mq(1.0, 1.0) == pytest.approx(math.sqrt(7.0) - 1.0, abs=1e-9)
 
 
-def _opaque(phi: mpf.PhiSpec) -> mpf.PhiSpec:
+def _opaque(phi: mpf.MPF) -> mpf.MPF:
     """phi with every segment behind scale(1, .): the same values, no closed-form inverse."""
-    segs = tuple(mpf.scale(1.0, seg) for seg in phi.params["segments"])
-    return mpf.PhiSpec("piecewise", {"breaks": phi.params["breaks"], "segments": segs})
+    return mpf.piecewise(phi.params["breaks"], [mpf.scale(1.0, seg) for seg in phi.children])
 
 
 def test_bisected_inverse_does_not_depend_on_its_batch():
@@ -109,7 +108,7 @@ def test_gallery_generators_invert_in_closed_form(monkeypatch):
     calls = []
     bisect = mpf._bisect_inverse
     monkeypatch.setattr(mpf, "_bisect_inverse",
-                        lambda phi, y: calls.append(np.size(y)) or bisect(phi, y))
+                        lambda f, y: calls.append(np.size(y)) or bisect(f, y))
     for token in mpf.GALLERY_TOKENS:
         assert mpf.check_triangle_triplets(mpf.builtin(token), samples=5000, seed=1).passed
     assert calls == []
@@ -150,7 +149,7 @@ def piecewise_generators(draw):
         segs.append(seg)
         if j < len(breaks):
             end = float(mpf.eval_mpf(seg, [edges[j + 1]]))
-    return mpf.PhiSpec("piecewise", {"breaks": tuple(breaks), "segments": tuple(segs)})
+    return mpf.piecewise(breaks, segs)
 
 
 @settings(max_examples=60)
@@ -160,32 +159,32 @@ def test_piecewise_inverse_matches_bisection(phi, fracs):
     at = phi(breaks)
     # y = 0, phi at every break (the right segment's value), the left
     # segment's value there, the middle of every jump, and points up to phi(12)
-    left = [float(mpf.eval_mpf(seg, [b])) for seg, b in zip(phi.params["segments"], breaks)]
-    y = np.concatenate([[0.0], at, left, (at + left) / 2, np.array(fracs) * float(phi(12.0))])
-    got = phi.inverse(y)
+    left = [float(mpf.eval_mpf(seg, [b])) for seg, b in zip(phi.children, breaks)]
+    y = np.concatenate([[0.0], at, left, (at + left) / 2, np.array(fracs) * phi(12.0)])
+    got = mpf._inverse(phi, y)
     want = mpf._bisect_inverse(phi, y)
     assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, want)).all()
-    assert got[0] == 0.0 or phi.params["segments"][0].kind == "sum"
+    assert got[0] == 0.0 or phi.children[0].kind == "sum"
 
 
 def test_piecewise_inverse_maps_jumps_to_the_jump_point():
     # s on [0, 1), s + 1 on [1, 2), s^2 from 2: up by 1 at s = 1 and s = 2
-    phi = mpf.PhiSpec("piecewise", {"breaks": (1.0, 2.0), "segments": (
-        mpf.identity(), mpf.linear(1.0, 1.0), mpf.power_sum(2.0, arity=1))})
+    phi = mpf.piecewise([1.0, 2.0], [mpf.identity(), mpf.linear(1.0, 1.0),
+                                     mpf.power_sum(2.0, arity=1)])
     y = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 9.0])
-    got = phi.inverse(y)
+    got = mpf._inverse(phi, y)
     assert got.tolist() == [0.0, 0.5, 1.0, 1.0, 1.0, 1.5, 2.0, 2.0, 2.0, 3.0]
     assert np.abs(got - mpf._bisect_inverse(phi, y)).max() <= 1e-12
-    assert phi.inverse(np.array(3.5)).shape == () and float(phi.inverse(3.5)) == 2.0
+    assert mpf._inverse(phi, np.array(3.5)).shape == () and float(mpf._inverse(phi, 3.5)) == 2.0
 
 
 def test_mulholland_rejects_nonincreasing_generator():
-    bad = mpf.PhiSpec("piecewise", {
-        "breaks": (1.0,),
-        "segments": (mpf.linear(1.0), mpf.linear(-0.5, 1.5)),
-    })
+    bad = mpf.piecewise([1.0], [mpf.linear(1.0), mpf.linear(-0.5, 1.5)])
     with pytest.raises(NotIncreasing):
         mpf.make_mulholland(bad)
+    # a generator is unary
+    with pytest.raises(ArityMismatch):
+        mpf.make_mulholland(mpf.lp(2.0))
 
 
 def test_combine_reconstructs_gallery_members():
@@ -559,6 +558,13 @@ def test_limit_is_zero_decides_each_column_alone():
     assert mpf._limit_is_zero(seqs.T.reshape(4, 2, 3)).tolist() == [want[:3], want[3:]]
 
 
+@pytest.mark.parametrize("D_list, n_list", [((4.0,), ()), ((), (1, 2))], ids=["no n", "no D"])
+def test_classifier_rejects_an_empty_list(D_list, n_list):
+    with pytest.raises(MMLabError):
+        mpf.classify_sequence(mpf.family("gn1"), mpf.family_limit("gn1"),
+                              D_list=D_list, n_list=n_list)
+
+
 def test_classifier_reproduces_separations():
     n_list = (1, 2, 4, 8)
     D_list = (4.0,)
@@ -630,13 +636,36 @@ def test_petrik_generator_breaks_log_exp_convexity():
     assert v.passed
 
 
+_COMPOSE = mpf.combine("compose", [mpf.power_sum(0.5, arity=1), mpf.lp(2.0), None, None])
+
+
 def test_descriptor_json_round_trip():
-    for token in ("fp:2", "h1", "gn3:5", "mul:quad", "petrik", "fcyc", "dip"):
-        F = mpf.builtin(token)
-        back = mpf.mpf_from_json(mpf.mpf_to_json(F))
+    tokens = ("fp:2", "h1", "gn3:5", "mul:quad", "petrik", "fcyc", "dip",
+              "mul:sinh", "mul:power,3", "mul:exp")
+    opaque = mpf.make_mulholland(_opaque(mpf.petrik_phi()))
+    for F in [mpf.builtin(t) for t in tokens] + [_COMPOSE, opaque]:
+        back = mpf.mpf_from_json(json.loads(json.dumps(mpf.mpf_to_json(F))))
+        assert back == F
         rng = np.random.default_rng(0)
         args = [rng.random(32) * 5.0 for _ in range(F.arity)]
         assert np.array_equal(mpf.eval_mpf(F, args), mpf.eval_mpf(back, args))
+    # a generator and a compose map are children like every sub-descriptor
+    assert mpf.mpf_to_json(mpf.builtin("mul:sinh")) == {
+        "kind": "mulholland", "arity": 2, "children": [{"kind": "sinh", "arity": 1}]}
+    assert mpf.mpf_to_json(_COMPOSE) == {
+        "kind": "compose", "arity": 2, "children": [
+            {"kind": "power_sum", "arity": 1, "alpha": 0.5},
+            {"kind": "lp", "arity": 2, "p": 2.0}, None, None]}
+
+
+@pytest.mark.parametrize("record", [
+    {"kind": "mulholland", "arity": 2, "phi": {"name": "sinh", "params": {}}},
+    {"kind": "compose", "arity": 2, "outer": None,
+     "children": [{"kind": "lp", "arity": 2, "p": 2.0}, None, None]},
+], ids=["phi", "outer"])
+def test_descriptor_json_rejects_a_sub_descriptor_outside_children(record):
+    with pytest.raises(MMLabError, match="outside 'children'"):
+        mpf.mpf_from_json(record)
 
 
 def test_verdict_zero_locus_check():
