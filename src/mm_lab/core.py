@@ -48,15 +48,13 @@ _TRIANGLE_SCREEN_N = 6
 # (BENCH_pr26.json, euclid_crossover_us)
 _EUCLID_CERT_N = 6
 _U = 2.0**-53  # unit roundoff of float64
-# up to this many (row, pair) entries comparing every pair in float64 beats
-# the Lipschitz screen, and the screen casts blocks of this many matrix rows
-# (BENCH_pr25.json, lip_screen_crossover_us); _projection_flags rechecks at
-# most _LIP_BLOCK pairs per point of a row, the screen's block, before
-# handing the row to the screen
+# (row, pair) entries that _exceeds_lip1 compares at a time, a 512 KB float
+# temporary; _projection_flags compares at most _LIP_BLOCK pairs per point
+# of a row before handing the row to _exceeds_lip1
 _LIP_BROADCAST = 1 << 16
 _LIP_BLOCK = 128
 # rows of each temporary of the n x n passes that need one: the Gram form
-# and the symmetry checks
+# and the symmetry check
 _ROW_BLOCK = 128
 
 
@@ -83,16 +81,6 @@ def _sample_count(samples, name: str = "samples", least: int = 1) -> int:
     if count < least:
         raise MMLabError(f"{name} must be >= {least}")
     return count
-
-
-def _transposed_blocks(d: np.ndarray):
-    """Each block of _ROW_BLOCK rows of d beside the same rows of d.T, as views.
-
-    Comparing them block by block compares d with d.T with temporaries of
-    _ROW_BLOCK rows, not of n.
-    """
-    for lo in range(0, len(d), _ROW_BLOCK):
-        yield d[lo: lo + _ROW_BLOCK], d[:, lo: lo + _ROW_BLOCK].T
 
 
 @dataclass(frozen=True)
@@ -210,23 +198,21 @@ def _triangle_pivots(d: np.ndarray, tol: float):
     """Ascending pivots j at which d[i, k] - (d[i, j] + d[j, k]) > tol can hold,
     and a bound on the slacks at every other pivot.
 
-    A violation at pivot j gives |d[i, k] - d[j, k]| > d[i, j] + tol, so the
-    Chebyshev distance between rows i and j exceeds min(d[i, j], d[j, i]) + tol,
-    up to a rounding margin; a pivot equal to i or k needs d[j, j] < -tol, which
-    the zero Chebyshev diagonal flags in the same comparison.  Every slack at
-    an unreturned pivot j is at most the largest excess
-    cheb(i, j) - min(d[i, j], d[j, i]) over its row, which is returned, up to
-    its own float rounding of at most 5.01 u max|d|.
+    d is a canonical matrix of validate_space.  A violation at pivot j gives
+    |d[i, k] - d[j, k]| > d[i, j] + tol, so the Chebyshev distance between
+    rows i and j exceeds d[i, j] + tol, up to a rounding margin; a pivot equal
+    to i or k leaves a slack of exactly 0.  Every slack at an unreturned
+    pivot j is at most the largest excess cheb(i, j) - d[i, j] over its row,
+    which is returned, up to its own float rounding of at most 5.01 u max d.
     """
     # imported here, not at module level: scipy.spatial would add tens of
     # milliseconds to every import of mm_lab (BENCH_pr10.json)
     from scipy.spatial.distance import pdist, squareform
 
-    margin = 8 * np.finfo(float).eps * max(1.0, float(np.abs(d).max()))
+    margin = 8 * np.finfo(float).eps * max(1.0, float(d.max()))
     cheb = squareform(pdist(d, "chebyshev"))
-    low = np.minimum(d, d.T)
-    flagged = (cheb > low + (tol - margin)).any(axis=1)
-    cheb -= low
+    flagged = (cheb > d + (tol - margin)).any(axis=1)
+    cheb -= d
     return np.flatnonzero(flagged), float(cheb[~flagged].max(initial=-np.inf))
 
 
@@ -294,7 +280,7 @@ def _triangle_check(d: np.ndarray, tol: float):
     one n x n buffer; its witness is the same, with the same slack bits, as
     a sweep over every pivot.  When there is none, every exact slack is at
     most the larger of the largest float slack over the swept pivots and
-    the screen's bound over the rest, plus 6 u max|d|, and _slack_bound makes
+    the screen's bound over the rest, plus 6 u max d, and _slack_bound makes
     that a triangle_slack.
 
     Beyond that size a fixed sample of _SAMPLED_TRIANGLE_COUNT triplets,
@@ -316,7 +302,7 @@ def _triangle_check(d: np.ndarray, tol: float):
         return (i, int(ij[at]) % n, k, best), None
     if n <= _TRIANGLE_SCREEN_N:
         # slack[j, i, k], with the float operations of the sweep
-        slack = d[None] - (d.T[:, :, None] + d[:, None, :])
+        slack = d[None] - (d[:, :, None] + d[:, None, :])
         worst = float(slack.max(initial=-np.inf))
         if worst > tol:
             j, i, k = np.argwhere(slack > tol)[0]
@@ -332,13 +318,8 @@ def _triangle_check(d: np.ndarray, tol: float):
                 i, k = np.argwhere(slack > tol)[0]
                 return (int(i), int(j), int(k), float(slack[i, k])), None
             worst = max(worst, top)
-    scale = _abs_max(d)
+    scale = float(d.max())
     return None, _slack_bound(worst + 6 * _U * scale, scale)
-
-
-def _abs_max(d: np.ndarray) -> float:
-    """max |d| without an n x n temporary."""
-    return max(float(d.max(initial=0.0)), -float(d.min(initial=0.0)))
 
 
 def _round_up(x: float) -> float:
@@ -441,7 +422,7 @@ def _euclidean_slack(d: np.ndarray, x: np.ndarray):
     np.subtract(d, c, out=c)
     np.abs(c, out=c)
     delta = float(c.max()) * (1.0 + 2.0 * _U)
-    return _slack_bound(3.0 * (eps + delta), _abs_max(d)), _round_up(eps + delta)
+    return _slack_bound(3.0 * (eps + delta), float(d.max())), _round_up(eps + delta)
 
 
 def _numbers(value, what: str, dtype=float) -> np.ndarray:
@@ -466,8 +447,13 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
     _triangle_check when nothing does.  Dropping points keeps coords_error,
     a bound over pairs, which holds on any subset.  Symmetry is checked on
     blocks of _ROW_BLOCK rows against the same rows of the transpose, so no
-    check makes an n x n float temporary.  The weights are copied; dist and
-    coords are frozen in place, since a copy of dist is 8 MB at 1000 points.
+    check makes an n x n float temporary.  The stored dist is canonical:
+    min(d, d.T) with every entry raised to at least +0.0 and a zero diagonal,
+    so it equals its transpose bit for bit and has no sign bit set.  Only a
+    dist that is not canonical already is copied, and then the triangle_slack
+    and coords_error of a FiniteMMSpace are derived again.  The weights are
+    copied; a canonical dist and the coords are frozen in place, since a
+    copy of dist is 8 MB at 1000 points.
     """
     if isinstance(candidate, FiniteMMSpace):
         labels = list(candidate.labels)
@@ -510,13 +496,23 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
         raise MMLabError(f"space coords of shape {coords.shape} are not a finite "
                          f"array of one row per point")
 
-    if np.abs(np.diagonal(dist)).max(initial=0.0) > METRIC_TOL:
+    diag = float(np.abs(np.diagonal(dist)).max(initial=0.0))
+    if diag > METRIC_TOL:
         raise MMLabError("distance matrix has a nonzero diagonal entry")
-    if any(np.abs(rows - cols).max(initial=0.0) > METRIC_TOL
-           for rows, cols in _transposed_blocks(dist)):
+    skew = max((float(np.abs(dist[lo: lo + _ROW_BLOCK] - dist[:, lo: lo + _ROW_BLOCK].T).max())
+                for lo in range(0, n, _ROW_BLOCK)), default=0.0)
+    if skew > METRIC_TOL:
         raise MMLabError("distance matrix is not symmetric")
-    if dist.min(initial=0.0) < -METRIC_TOL:
+    # a float64 is negative or -0.0 exactly when its top bit, the sign, is set
+    signed = bool(dist.view(np.uint64).max(initial=0) >> 63)
+    if signed and dist.min() < -METRIC_TOL:
         raise MMLabError("distance matrix has a negative entry")
+    if skew > 0.0 or signed or diag > 0.0:
+        dist = np.minimum(dist, dist.T)
+        np.maximum(dist, 0.0, out=dist)
+        dist += 0.0  # -0.0 + 0.0 is +0.0
+        np.fill_diagonal(dist, 0.0)
+        slack = coords_error = None
 
     if slack is None and coords is not None and n > _EUCLID_CERT_N:
         slack, error = _euclidean_slack(dist, coords)
@@ -563,84 +559,62 @@ def validate_space(candidate, cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
 # observables
 
 def lip_constant(space: FiniteMMSpace, values) -> float:
-    """Smallest L with |v_i - v_j| <= L d(i,j); inf if values split a zero distance."""
+    """Smallest L with |v_i - v_j| <= L d(i,j); inf if values split a zero distance.
+
+    The zero diagonal of d splits nothing: |v_i - v_i| is 0, or nan.
+    """
     v = np.asarray(values, dtype=float)
     d = space.dist
     dv = np.abs(v[:, None] - v[None, :])
-    off = ~np.eye(space.n, dtype=bool)
-    zero = off & (d <= 0)
-    if np.any(dv[zero] > 1e-15):
+    pos = d > 0
+    if np.any(dv[~pos] > 1e-15):
         return float("inf")
-    pos = off & (d > 0)
     if not pos.any():
         return 0.0
     return float((dv[pos] / d[pos]).max())
 
 
 def _breaks_lip1(d: np.ndarray, v: np.ndarray, i: np.ndarray, j: np.ndarray) -> bool:
-    """Whether a pair (i[k], j[k]) with i[k] != j[k] has |v_i - v_j| > d(i, j) or > d(j, i).
+    """Whether a pair (i[k], j[k]) has |v_i - v_j| > d(i, j).
 
-    The float64 comparison of lip_constant's pairs, on the given pairs only.
+    The float64 comparison of _exceeds_lip1, on the given pairs only.
     """
-    gap = np.abs(v[i] - v[j])
-    return bool((((gap > d[i, j]) | (gap > d[j, i])) & (i != j)).any())
+    return bool((np.abs(v[i] - v[j]) > d[i, j]).any())
 
 
 def _exceeds_lip1(space: FiniteMMSpace, rows) -> np.ndarray:
-    """Flag each row v of a 2-D array having a pair i != j with |v_i - v_j| > d(i, j).
+    """Flag each row v of a 2-D array having a pair i < j with |v_i - v_j| > d(i, j).
 
     For positive floats fl(a / b) > 1 exactly when a > b, so every row whose
     lip_constant exceeds 1 is flagged, and so is every row that splits a zero
     distance (lip_constant inf).  An unflagged row is 1-Lipschitz, and
     project_to_lip1 returns it unchanged.
 
-    Up to _LIP_BROADCAST (row, pair) entries every pair is compared at once,
-    against min(d(i, j), d(j, i)).  Beyond, a float32 min-plus screen
-    decides most points, and a float64 recheck of the rest gives the flags
-    of the exact comparison.  The screen casts blocks of _LIP_BLOCK matrix
-    rows once and bounds, for every point i, the least slack
-    d(i, j) + v_j - v_i over j != i.  A violating pair leaves a slack of at
-    most the asymmetry METRIC_TOL at one of its ends, and float32 rounding
-    moves a slack by less than 4 eps32 (max|d| + 2 max|v|).  So at each
-    point whose least slack is not above their sum, the pairs whose slack
-    is not above it are rechecked against d(i, j) and d(j, i) (_breaks_lip1).
-    Every pair of a row too large for float32, or holding a nan, is
-    rechecked.  A flagged row skips later blocks.
+    The canonical matrix of validate_space is symmetric with a zero
+    diagonal, so its upper triangle decides.  One loop runs over blocks of
+    points i, each compared with every point j from the block's first on,
+    at once for every row not yet flagged; a block holds one point, or as
+    many as keep that comparison within _LIP_BROADCAST (row, pair) entries.
     """
     n = space.n
     rows = np.asarray(rows, dtype=float).reshape(len(rows), n)
-    d = space.dist
-    if len(rows) * n * n <= _LIP_BROADCAST:
-        lim = np.minimum(d, d.T)
-        np.fill_diagonal(lim, np.inf)
-        return (np.abs(rows[:, :, None] - rows[:, None, :]) > lim).any(axis=(1, 2))
     flagged = np.zeros(len(rows), dtype=bool)
-    f32 = np.finfo(np.float32)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # |d| <= diam + METRIC_TOL: validate_space allows entries down to -METRIC_TOL
-        scale = space.diam + METRIC_TOL + 2.0 * np.abs(rows).max(axis=1)
-        # float64, so the float32 slacks are compared with it exactly
-        margin = np.where(scale < f32.max / 4, 4 * float(f32.eps) * scale + METRIC_TOL, np.inf)
-        v32 = rows.astype(np.float32)
-        for lo in range(0, n, _LIP_BLOCK):
-            d32 = d[lo: lo + _LIP_BLOCK].astype(np.float32)
-            b = len(d32)
-            d32[np.arange(b), np.arange(lo, lo + b)] = np.inf
-            plus = np.empty_like(d32)
-            for r in np.flatnonzero(~flagged):
-                np.add(d32, v32[r], out=plus)
-                own = v32[r, lo: lo + b]
-                undecided = np.flatnonzero(~(plus.min(axis=1) - own > margin[r]))
-                if undecided.size:
-                    pairs = ~(plus[undecided] - own[undecided, None] > margin[r])
-                    k, j = np.divmod(np.flatnonzero(pairs), n)
-                    flagged[r] = _breaks_lip1(d, rows[r], undecided[k] + lo, j)
+    live = np.arange(len(rows))
+    lo = 0
+    while lo < n and live.size:
+        hi = lo + max(1, _LIP_BROADCAST // (len(live) * (n - lo)))
+        gap = np.abs(rows[:, lo:hi, None] - rows[:, None, lo:])
+        hit = (gap > space.dist[lo:hi, lo:]).any(axis=(1, 2))
+        if hit.any():
+            flagged[live[hit]] = True
+            rows, live = rows[~hit], live[~hit]
+        lo = hi
     return flagged
 
 
 def _projection_windows(space: FiniteMMSpace, dirs):
     """Keys t and widths h such that every pair (i, j) that a projection
-    fl(coords @ dirs[k]) stretches past d(i, j) or d(j, i) has
+    fl(coords @ dirs[k]) stretches past d(i, j) has
     |t[k, i] - t[k, j]| <= h[k] as floats; h[k] is nan or inf where no
     finite width is proved.  Needs coords_error and coords of dims >= 2.
 
@@ -650,8 +624,8 @@ def _projection_windows(space: FiniteMMSpace, dirs):
     each v_i = fl(<x_i, d_k>) is within alpha = g sqrt(R) |d_k| of the
     exact value, in any order of the sum, and the comparison reads
     fl|v_i - v_j| <= (1 + u) |v_i - v_j|.  With e = x_i - x_j, a pair
-    breaks only if (1 + u)(|<e, d_k>| + 2 alpha) > d(i, j) >= |e| - tau
-    (d(j, i) alike), that is |e| < L |e_par| + beta, with e_par = <e, d^>
+    breaks only if (1 + u)(|<e, d_k>| + 2 alpha) > d(i, j) >= |e| - tau,
+    that is |e| < L |e_par| + beta, with e_par = <e, d^>
     along d^ = d_k / |d_k|, L = (1 + u)|d_k| and beta = 2 (1 + u) alpha + tau.
     Squared, and with |e_par| <= |e| <= 2 sqrt(R), the part e_perp of e
     perpendicular to d_k has |e_perp|^2 < rho^2 =
@@ -696,7 +670,7 @@ def _projection_flags(space: FiniteMMSpace, dirs, rows) -> np.ndarray:
     When coords_error certifies the distances, each row's keys t from
     _projection_windows are sorted, one searchsorted finds every pair within
     its width h, and only those pairs are compared in float64 against d(i, j)
-    and d(j, i) (_breaks_lip1): every other pair is proved not to break.  A
+    (_breaks_lip1): every other pair is proved not to break.  A
     row goes to _exceeds_lip1 when coords_error is None, when dims = 1 (no
     perpendicular space), when h is not finite, or when its windows hold
     more than n * _LIP_BLOCK pairs.  Either way the flags are _exceeds_lip1's.

@@ -14,7 +14,6 @@ import numpy as np
 from .core import (
     METRIC_TOL,
     FiniteMMSpace,
-    _abs_max,
     _gram_distances,
     _sample_count,
     _slack_bound,
@@ -80,7 +79,7 @@ def sample_sphere(n: int, r: float, N: int, metric: str = "chordal",
         np.clip(dist, 0.0, 1.0, out=dist)
         np.arcsin(dist, out=dist)
         dist *= two_r
-    elif (slack := _slack_bound(3.0 * eps, _abs_max(dist))) <= METRIC_TOL:
+    elif (slack := _slack_bound(3.0 * eps, float(dist.max()))) <= METRIC_TOL:
         record = FiniteMMSpace(labels=tuple(labels), dist=dist, weight=weight,
                                triangle_check="certified", coords=pts, triangle_slack=slack,
                                coords_error=eps)

@@ -23,7 +23,6 @@ from .core import (
     _readonly,
     _sample_count,
     _subset_table,
-    _transposed_blocks,
     as_lip,
     project_to_lip1,
     tail_mass,
@@ -205,13 +204,12 @@ def _candidate_observables(space: FiniteMMSpace, count: int, seed):
     its offsets; cone k takes the first 1 + k % 3 of each.  Both tables
     fill row by row, so a pool is a prefix of any larger pool with the same
     seed.  Each block of cones is built one arity at a time, straight into
-    its rows, from rows of d when d equals its transpose bit for bit (one
-    blockwise comparison) and from rows of one transposed copy otherwise,
-    so every cone is the same float as d's column gives.  The coordinate
+    its rows, from rows of d, which equal its columns bit for bit (the
+    canonical matrix of validate_space).  The coordinate
     projections are flagged together by _projection_flags, with the flags
     of _exceeds_lip1: when coords_error certifies the distances, only pairs
     nearly parallel to a direction are compared, and every other pair is
-    proved 1-Lipschitz; otherwise the float32 screen of _exceeds_lip1
+    proved 1-Lipschitz; otherwise the float64 comparison of _exceeds_lip1
     decides.  Only the directions flagged are rescaled by project_to_lip1;
     the others are 1-Lipschitz already and are used as they are.
     """
@@ -229,13 +227,10 @@ def _candidate_observables(space: FiniteMMSpace, count: int, seed):
         extra /= np.linalg.norm(extra, axis=1, keepdims=True)
         dirs.extend(extra)
         dirs = dirs[: max(0, count - len(anchors) - n_cones)]
-    yield d.T[anchors[:count]]
+    yield d[anchors[:count]]
     if n_cones:
         a = np.random.default_rng([key, 202]).integers(0, n, (n_cones, 3))
         c = np.random.default_rng([key, 203]).random((n_cones, 3)) * space.diam
-        bits = d.view(np.int64)
-        symmetric = all(np.array_equal(rows, cols) for rows, cols in _transposed_blocks(bits))
-        columns = d if symmetric else np.ascontiguousarray(d.T)
         for lo in range(0, n_cones, _RANK_BLOCK):
             block = np.empty((min(_RANK_BLOCK, n_cones - lo), n))
             for r in range(3):
@@ -243,9 +238,9 @@ def _candidate_observables(space: FiniteMMSpace, count: int, seed):
                 first = lo + (r - lo) % 3
                 ar, cr = a[first: lo + len(block): 3], c[first: lo + len(block): 3]
                 rows = block[first - lo:: 3]
-                np.add(cr[:, 0, None], columns[ar[:, 0]], out=rows)
+                np.add(cr[:, 0, None], d[ar[:, 0]], out=rows)
                 for i in range(1, r + 1):
-                    cone = columns[ar[:, i]]
+                    cone = d[ar[:, i]]
                     cone += cr[:, i, None]
                     np.minimum(rows, cone, out=rows)
             yield block
@@ -534,9 +529,6 @@ def levy_radius(space: FiniteMMSpace, kappa: float, budget: int = 8000, seed=0,
     if mode != "heuristic_lb":
         raise MMLabError(f"unknown mode {mode!r}")
     blocks = _candidate_observables(space, max(16, budget // 2), seed)
-    if space.n <= EXACT_OD_BOUND:
-        witness = observable_diameter(space, kappa, mode="exact_tiny").witness
-        blocks = itertools.chain(blocks, [witness.values[None]])
     return max(float(_levy_radius_of_rows(rows, space.weight, kappa).max()) for rows in blocks)
 
 

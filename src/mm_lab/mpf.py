@@ -359,15 +359,18 @@ _BUMP_FAMILIES = {"fn1": bump_family_1, "fn2": bump_family_2, "fn3": bump_family
 
 def _args(token: str, rest: str, defaults: tuple) -> list:
     """A token's comma-separated numbers ``rest``, padded with ``defaults``;
-    a default of None must be given.  'oo' reads as infinity."""
+    a default of None must be given.  'oo' reads as infinity; a nan is refused."""
     texts = rest.split(",") if rest else []
     if len(texts) > len(defaults) or None in defaults[len(texts):]:
         raise MMLabError(f"descriptor token {token!r} takes {len(defaults)} number(s), "
                          f"got {len(texts)}")
     try:
-        return [_INF if t == "oo" else float(t) for t in texts] + list(defaults[len(texts):])
+        values = [_INF if t == "oo" else float(t) for t in texts]
     except ValueError:
-        raise MMLabError(f"descriptor token {token!r}: {rest!r} is not a number list") from None
+        values = None
+    if values is None or any(math.isnan(v) for v in values):
+        raise MMLabError(f"descriptor token {token!r}: {rest!r} is not a number list")
+    return values + list(defaults[len(texts):])
 
 
 def builtin(token: str) -> MPF:
@@ -599,7 +602,8 @@ def check_triangle_triplets(F: MPF, samples: int = 100_000, horizon: float = 8.0
         np.maximum(guard, np.abs(fb), out=guard)
         np.maximum(guard, np.abs(fc), out=guard)
         guard = METRIC_TOL * np.maximum(1.0, guard, out=guard)
-        idx = np.nonzero(slack > guard)[0]
+        # a nan slack or guard is a violation too
+        idx = np.nonzero(~(slack <= guard))[0]
         if idx.size:
             i = int(idx[0])
             return {
@@ -626,15 +630,18 @@ def check_triangle_triplets(F: MPF, samples: int = 100_000, horizon: float = 8.0
 
 def _zero_locus_check(F: MPF, rng) -> tuple[bool, str]:
     at0 = float(eval_mpf(F, [np.array(0.0)] * F.arity))
-    if abs(at0) > 1e-9:
+    if not abs(at0) <= 1e-9:
         return False, f"F(0,...,0) = {at0}"
     for radius in (1e-6, 1e-3, 1.0, 10.0):
         dirs = np.abs(rng.normal(size=(64, F.arity)))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         pts = radius * dirs
         vals = eval_mpf(F, list(pts.T))
-        if float(vals.min()) <= 0.0:
+        low = float(vals.min())
+        if low <= 0.0:
             return False, f"F vanishes on the shell of radius {radius}"
+        if not low > 0.0:
+            return False, f"F is nan on the shell of radius {radius}"
     return True, "zero set looks like the origin on sampled shells"
 
 

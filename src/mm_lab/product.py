@@ -104,19 +104,17 @@ def _lp_slack(F: MPF, factors, dist: np.ndarray) -> float | None:
     It needs p in {1, 2, inf}, for which numpy evaluates F with correctly
     rounded square, +, sqrt and max (``x ** 2.0`` and ``x ** 0.5`` are
     np.square and np.sqrt, ``x ** 1.0`` is exact), and factors with a proved
-    slack and no negative entry.  With s the largest factor slack, the
-    factor distances satisfy d(x, z) <= d(x, y) + d(y, z) + s 1 coordinatewise
-    on the nonnegative orthant, where the k-ary lp norm is isotone and
-    subadditive, so in exact arithmetic
+    slack, whose canonical matrices have no negative entry.  With s the
+    largest factor slack, the factor distances satisfy d(x, z) <= d(x, y) +
+    d(y, z) + s 1 coordinatewise on the nonnegative orthant, where the k-ary
+    lp norm is isotone and subadditive, so in exact arithmetic
     F(d(x, z)) <= F(d(x, y)) + F(d(y, z)) + F(s 1) = ... + k^(1/p) s.
     Each computed entry takes at most k + 1 roundings, a relative
     gamma_{k+1} of F, plus sqrt(k) 2^-537 where squares underflow; three
     entries of a slack add that thrice.
     """
     p = F.params.get("p") if F.kind == "lp" else None
-    if p not in (1.0, 2.0, _INF):
-        return None
-    if any(X.triangle_slack is None or X.dist.min(initial=0.0) < 0.0 for X in factors):
+    if p not in (1.0, 2.0, _INF) or any(X.triangle_slack is None for X in factors):
         return None
     k = len(factors)
     s = max(X.triangle_slack for X in factors)

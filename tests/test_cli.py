@@ -186,6 +186,16 @@ def test_malformed_descriptor_token_is_an_error(capsys, token):
     assert err.startswith("error: ") and repr(token) in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("token", ["fp:nan", "falpha:NaN", "fpq:2,-nan"])
+def test_nan_descriptor_token_is_an_error(capsys, token):
+    # every comparison with a nan is false, so no falsifier check may see one
+    assert main(["mpf", "check", "--fn", token, "--samples", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(token) in err and err.count("\n") == 1
+    # infinity stays a number: fp:inf is a gallery token
+    assert main(["mpf", "show", "--fn", "fp:oo"]) == main(["mpf", "show", "--fn", "fp:inf"]) == 0
+
+
 @pytest.mark.parametrize("argv, option", [
     (["dist", "box", "--x", "{space}"], "--y"),
     (["dist", "prok", "--space", "{space}"], "--mu and --nu"),

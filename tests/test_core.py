@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mm_lab import core, gallery, invariants as inv, mpf
-from mm_lab.product import metric_transform
+from mm_lab.product import ProductSpec, lp_product, metric_transform, product
 from mm_lab.errors import (
     HostMismatch,
     MMLabError,
@@ -304,6 +305,105 @@ def test_validation_copies_the_callers_weights_and_values():
     assert spaces[0].coords is X.coords and not X.coords.flags.writeable
 
 
+def _assert_canonical(dist):
+    """dist equals its transpose bit for bit, with a +0.0 diagonal and no sign bit set."""
+    assert dist.tobytes() == dist.T.copy().tobytes()
+    assert not np.signbit(dist).any()
+    assert (np.diagonal(dist) == 0.0).all()
+
+
+@st.composite
+def perturbed_metrics(draw):
+    """A Euclidean matrix whose points 0 and 1 coincide, moved within METRIC_TOL.
+
+    Each drawn move is one that validation allows: a one-sided change of
+    +-5e-10 in the last row, so in the last block of rows at 300 points; a
+    diagonal entry of +-1e-10; d(0, 1) = -1e-13, on one side or both; or a
+    -0.0 planted on the diagonal or at d(0, 1).  The matrix is returned with
+    the set of moves made.
+    """
+    n = draw(st.sampled_from([3, 8, 40, 300]))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, 3))
+    x[1] = x[0]
+    diff = x[:, None, :] - x[None, :, :]
+    d = np.sqrt((diff * diff).sum(axis=2))
+    moves = draw(st.sets(st.sampled_from(["skew", "diagonal", "negative", "minus_zero"])))
+    if "skew" in moves:
+        j = draw(st.integers(0, n - 2))
+        d[n - 1, j] += draw(st.sampled_from([5e-10, -5e-10]))
+    if "diagonal" in moves:
+        k = draw(st.integers(0, n - 1))
+        d[k, k] = draw(st.sampled_from([1e-10, -1e-10]))
+    if "negative" in moves:
+        d[0, 1] = -1e-13
+        if draw(st.booleans()):
+            d[1, 0] = -1e-13
+    if "minus_zero" in moves:
+        i, j = draw(st.sampled_from([(2, 2), (0, 1), (1, 0)]))
+        d[i, j] = -0.0
+    return d, moves
+
+
+@settings(max_examples=80, deadline=None)
+@given(perturbed_metrics())
+def test_validation_stores_the_canonical_matrix(case):
+    d, moves = case
+    before = d.copy()
+    X = core.validate_space({"dist": d, "weight": np.full(len(d), 1.0 / len(d))})
+    _assert_canonical(X.dist)
+    assert d.tobytes() == before.tobytes()
+    want = np.maximum(np.minimum(before, before.T), 0.0) + 0.0
+    np.fill_diagonal(want, 0.0)
+    assert X.dist.tobytes() == want.tobytes()
+    # only a matrix that is not canonical already is copied
+    assert np.shares_memory(X.dist, d) == (not moves)
+
+
+def test_validation_keeps_the_proof_of_a_canonical_space():
+    sph = gallery.sample_sphere(4, 1.0, 300, seed=3).space
+    X = core.random_metric_space(40, seed=2)
+    with mock.patch.object(core, "_triangle_check", None):
+        for space in (sph, X):
+            again = core.validate_space(space)
+            assert np.shares_memory(again.dist, space.dist)
+            assert (again.triangle_check, again.triangle_slack, again.coords_error) == (
+                space.triangle_check, space.triangle_slack, space.coords_error)
+    # a copied matrix drops the proofs it came with and derives them again
+    d = np.array(X.dist)
+    np.fill_diagonal(d, -1e-10)
+    bogus = replace(X, dist=d, triangle_slack=0.0, coords_error=0.0)
+    again = core.validate_space(bogus)
+    assert again.dist.tobytes() == X.dist.tobytes()
+    assert (again.triangle_slack, again.coords_error) == (X.triangle_slack, X.coords_error)
+
+
+def test_constructors_store_canonical_matrices():
+    X = core.random_metric_space(30, seed=5)
+    Y = gallery.two_point(1.5)
+    coords = np.random.default_rng(1).normal(size=(12, 3))
+    sphere = coords / np.linalg.norm(coords, axis=1, keepdims=True)
+    spaces = [
+        X, Y, gallery.four_point_Z(1.0, 1.5, 2.0),
+        gallery.sample_sphere(3, 1.0, 200, metric="chordal", seed=1).space,
+        gallery.sample_sphere(3, 1.0, 200, metric="geodesic", seed=1).space,
+        gallery.example_5_1(2, 40, seed=1).space,
+        product(ProductSpec((X, Y), mpf.builtin("fexp"))),
+        lp_product(X, Y, 2.0),
+        metric_transform(X, mpf.power_sum(0.5, 1)),
+        X.reweighted(np.full(30, 1 / 30)),
+        core.space_from_json({"coords": coords.tolist(), "weight": [1 / 12] * 12}),
+        core.space_from_json({"coords": sphere.tolist(), "weight": [1 / 12] * 12,
+                              "metric": "geodesic_sphere", "radius": 1.0}),
+    ]
+    for space in spaces:
+        _assert_canonical(space.dist)
+    # a factor's -1e-13 entries are stored as 0, so its l2 product is certified
+    neg = core.validate_space({"dist": [[0.0, -1e-13], [-1e-13, 0.0]], "weight": [0.5, 0.5]})
+    _assert_canonical(neg.dist)
+    assert neg.dist.max() == 0.0 and neg.triangle_check == "exhaustive"
+    assert lp_product(neg, Y, 2.0).triangle_check == "certified"
+
+
 @given(st.integers(2, 7), st.integers(0, 10_000))
 def test_validate_idempotent(n, seed):
     s = core.random_metric_space(n, seed=seed)
@@ -481,18 +581,9 @@ def test_lip1_screen_passes_chordal_sphere_directions():
     assert not core._exceeds_lip1(sph, [sph.coords @ u for u in dirs]).any()
 
 
-def _screen_both_ways(space, rows):
-    """_exceeds_lip1 as it dispatches, and forced onto the float32 screen."""
-    whole = core._exceeds_lip1(space, rows)
-    with mock.patch.object(core, "_LIP_BROADCAST", 0):
-        screened = core._exceeds_lip1(space, rows)
-    return whole, screened
-
-
 def _assert_oracle_flags(space, rows):
     want = exceeds_lip1_broadcast(space, np.asarray(rows, dtype=float))
-    for got in _screen_both_ways(space, rows):
-        assert got.tolist() == want.tolist()
+    assert core._exceeds_lip1(space, rows).tolist() == want.tolist()
     return want
 
 
@@ -533,8 +624,7 @@ def test_lip1_screen_decides_exact_ties_on_a_line():
     flags = _assert_oracle_flags(X, rows)
     # |v_i - v_j| = d(i, j) bit for bit is no violation; any stretch is one
     assert flags.tolist() == [False, False, False, True, True, False]
-    # off the float32 grid the casts move a slack by up to about 1e-6, so a
-    # pair broken by 4e-12 can read as slack: only the margin catches it
+    # off the dyadic grid a pair broken by 4e-12 is still flagged
     X, x = _line(300, step=0.1)
     rows = []
     for c in (0.3, 1.7, 2.9, 5.3, 7.1, 9.7, 13.3, 29.9):
@@ -559,29 +649,29 @@ def test_lip1_screen_matches_oracle_on_zero_distance_splits():
 
 @pytest.mark.parametrize("scale", [2.0 ** 997, 2.0 ** -997])
 def test_lip1_screen_is_exact_beyond_float32_range(scale):
-    # about 1e300 the float32 casts overflow (inf - inf is nan), about 1e-300
-    # they underflow to zero; power-of-two scales keep the float64 flags
+    # distances about 1e300 and 1e-300, which float32 cannot hold;
+    # power-of-two scales keep the flags of the dyadic line
     X, x = _line(300, scale=scale)
     rows = [x, x * (1 + 1e-12), -x, x[::-1].copy(), 2 * x]
     assert _assert_oracle_flags(X, rows).tolist() == [False, True, False, False, True]
 
 
 def test_lip1_screen_finds_a_violation_near_float32_max():
-    # d(0, 1) casts to inf in float32, so the screen alone would see no pair
-    # (0, 1); points 0 and 1 keep finite slacks through point 2
+    # d(0, 1) lies above the float32 maximum; the row breaks only pair (0, 1)
     X = core.validate_space({"dist": [[0, 3.5e38, 1e38], [3.5e38, 0, 3e38], [1e38, 3e38, 0]],
                              "weight": [1 / 3] * 3})
     assert _assert_oracle_flags(X, [[0.6e38, -3e38, 0.0], [0.5e38, -3e38, 0.0]]).tolist() == [
         True, False]
 
 
-def test_lip1_screen_allows_for_the_asymmetry_of_the_metric():
-    # v breaks d(0, 1) but not d(1, 0) = d(0, 1) + 5e-10; its slack at point 1
-    # is 2.5e-10, far above float32 rounding at this scale
+def test_validation_stores_the_smaller_of_two_asymmetric_entries():
+    # v breaks d(0, 1) but not d(1, 0) = d(0, 1) + 5e-10: the stored matrix
+    # holds the smaller entry both ways, so v is flagged
     X, x = _line(300, step=2.0 ** -22)
     d = X.dist.copy()
     d[0, 1] -= 5e-10
     Y = core.validate_space({"dist": d, "weight": X.weight})
+    assert Y.dist[0, 1] == Y.dist[1, 0] == d[0, 1]
     v = 0.5 * x
     v[1] = x[1] - 2.5e-10
     assert _assert_oracle_flags(Y, [v, 0.5 * x]).tolist() == [True, False]
@@ -600,12 +690,14 @@ def test_lip1_screen_matches_broadcast_oracle(n, seed, c):
     _assert_oracle_flags(scaled, rows)
 
 
-def test_lip1_screen_ignores_a_negative_diagonal():
+def test_validation_stores_a_negative_diagonal_as_zero():
     X = core.random_metric_space(30, seed=1)
     d = X.dist.copy()
     np.fill_diagonal(d, -1e-10)
     Y = core.validate_space({"dist": d, "weight": X.weight, "coords": X.coords})
-    # a nan sends every pair of its row to the recheck, the diagonal too
+    assert Y.dist.tobytes() == X.dist.tobytes()
+    assert (np.diagonal(d) == -1e-10).all()
+    # a comparison with a nan is false: only the row's other pairs can flag it
     with_nan = np.zeros(30)
     with_nan[3] = np.nan
     rows = np.vstack([np.zeros(30), Y.coords.T, 0.5 * Y.coords.T, with_nan])
@@ -618,23 +710,8 @@ def test_lip1_screen_ignores_a_negative_diagonal():
 
 def test_lip1_screen_of_no_rows_is_empty():
     X = core.random_metric_space(5, seed=0)
-    for got in _screen_both_ways(X, np.empty((0, 5))):
-        assert got.shape == (0,) and got.dtype == bool
-
-
-def test_lip1_screen_rechecks_no_sphere_direction(monkeypatch):
-    sph = gallery.sample_sphere(8, 1.0, 1000, metric="chordal", seed=7).space
-    rechecks = []
-    original = core._breaks_lip1
-
-    def counted(d, v, i, j):
-        rechecks.append(len(i))
-        return original(d, v, i, j)
-
-    monkeypatch.setattr(core, "_breaks_lip1", counted)
-    # the coordinate directions, without the distance columns and their ties
-    assert not core._exceeds_lip1(sph, _sphere_rows(sph, 7)[:-4]).any()
-    assert rechecks == []
+    got = core._exceeds_lip1(X, np.empty((0, 5)))
+    assert got.shape == (0,) and got.dtype == bool
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +735,7 @@ def _pool_projections(space, count, seed):
 
 def _assert_projection_flags(space, dirs, rows):
     got = core._projection_flags(space, dirs, rows)
-    for want in _screen_both_ways(space, rows):
-        assert got.tolist() == want.tolist()
+    assert got.tolist() == core._exceeds_lip1(space, rows).tolist()
     return got
 
 
@@ -739,12 +815,11 @@ def test_projection_flags_leave_uncertified_spaces_to_the_screen(monkeypatch):
         dirs = np.vstack([np.eye(dims), rng.normal(size=(5, dims))])
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         rows = [space.coords @ u for u in dirs]
-        want = _screen_both_ways(space, rows)
+        want = core._exceeds_lip1(space, rows)
         calls.clear()
         got = core._projection_flags(space, dirs, rows)
         assert calls == [len(dirs)], name
-        for flags in want:
-            assert got.tolist() == flags.tolist(), name
+        assert got.tolist() == want.tolist(), name
     # the shrunk metric breaks every direction, as the pool test above sees
     assert core._projection_flags(cases["shrunk"], np.eye(3), cases["shrunk"].coords.T).all()
 

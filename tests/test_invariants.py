@@ -245,9 +245,9 @@ def test_candidate_pool_blocks_match_loop_oracle_across_block_edges():
     X = core.random_metric_space(40, seed=4)
     small = core.random_metric_space(12, seed=5)
     d = X.dist.copy()
-    d[5, 9] += 1e-12  # asymmetric within METRIC_TOL: cones read a transposed copy
+    d[5, 9] += 1e-12  # asymmetric within METRIC_TOL: validation stores min(d, d.T)
     skew = core.validate_space({"dist": d, "weight": X.weight, "coords": X.coords})
-    assert not np.array_equal(skew.dist, skew.dist.T)
+    assert skew.dist.tobytes() == skew.dist.T.copy().tobytes()
     spaces = [X, core.validate_space({"dist": X.dist, "weight": X.weight}), skew, small]
     for space in spaces:
         anchors = min(space.n, 32)
@@ -542,6 +542,16 @@ def test_levy_radius_exact_between_heuristic_and_od():
         exact = inv.levy_radius(X, kappa, mode="exact_tiny")
         assert exact >= inv.levy_radius(X, kappa, budget=2000, seed=t) - 1e-12
         assert exact <= inv.observable_diameter(X, kappa).value + 1e-9
+
+
+def test_heuristic_levy_radius_is_a_pool_bound_at_every_size(monkeypatch):
+    # on up to EXACT_OD_BOUND points it adds no exact OD witness to its pool
+    X = core.random_metric_space(6, seed=3)
+    exact = inv.levy_radius(X, 0.2, mode="exact_tiny")
+    monkeypatch.setattr(inv, "observable_diameter", None)
+    pool = np.vstack(list(inv._candidate_observables(X, 1000, 0)))
+    want = float(inv._levy_radius_of_rows(pool, X.weight, 0.2).max())
+    assert inv.levy_radius(X, 0.2, budget=2000) == want <= exact
 
 
 def test_kappa_distance_examples_and_oracle():

@@ -677,6 +677,18 @@ def test_verdict_zero_locus_check():
     assert not v2.zero_ok
 
 
+def test_falsifier_fails_a_nan_descriptor(monkeypatch):
+    # a nan slack is a violation, and a nan at the origin fails the zero locus
+    v = mpf.check_triangle_triplets(mpf.MPF("lp", 2, {"p": float("nan")}), 1000)
+    assert not v.passed and not v.zero_ok and v.samples_run == 8
+    assert math.isnan(v.counterexample["slack"]) and v.zero_note == "F(0,...,0) = nan"
+    # a nan on a shell fails it too
+    real = mpf.eval_mpf
+    monkeypatch.setattr(mpf, "eval_mpf", lambda F, xs: np.where(real(F, xs) > 0, np.nan, 0.0))
+    ok, note = mpf._zero_locus_check(mpf.lp(2.0), np.random.default_rng(0))
+    assert not ok and note == "F is nan on the shell of radius 1e-06"
+
+
 @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0, -1.0])
 def test_check_triangle_triplets_rejects_bad_horizon(horizon):
     with pytest.raises(MMLabError, match="horizon must be finite and positive"):
