@@ -41,8 +41,7 @@ from .mpf import (
     mpf_to_json,
 )
 from .invariants import (
-    KappaDistance,
-    ODEstimate,
+    Estimate,
     concentration_function,
     kappa_distance,
     levy_mean,

@@ -60,9 +60,9 @@ def box_product_check(x, y, z, w, F_or_p) -> dict:
         lp_form = False
     pxz = product(ProductSpec((x, z), F, check_samples=0))
     pyw = product(ProductSpec((y, w), F, check_samples=0))
-    lhs = box_distance(pxz, pyw, mode="exact_tiny")
-    bxy = box_distance(x, y, mode="exact_tiny")
-    bzw = box_distance(z, w, mode="exact_tiny")
+    lhs = box_distance(pxz, pyw)
+    bxy = box_distance(x, y)
+    bzw = box_distance(z, w)
     if lp_form:
         rhs = bxy + bzw
     else:
@@ -245,14 +245,14 @@ def _trial_box_le_2prok(rng):
     denom = (4, 6, 8)[int(rng.integers(0, 3))] if X.n <= 3 else 4
     mu = _rational_weights(rng, X.n, denom=denom)
     nu = _rational_weights(rng, X.n, denom=denom)
-    lhs = box_distance(X.reweighted(mu), X.reweighted(nu), mode="exact_tiny")
+    lhs = box_distance(X.reweighted(mu), X.reweighted(nu))
     return lhs, 2.0 * _prokhorov_eps(X, mu, nu, 1.0), {}
 
 
 def _trial_lr_le_od(rng):
     X = _tiny_space(rng, n=int(rng.integers(2, 6)))
     kappa = float(rng.uniform(0.05, 0.45))
-    lhs = levy_radius(X, kappa, mode="exact_tiny")
+    lhs = levy_radius(X, kappa, mode="exact").value
     rhs = _od_value(X, kappa)
     return lhs, rhs, {"kappa": kappa}
 

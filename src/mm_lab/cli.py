@@ -126,8 +126,7 @@ def main(argv=None) -> int:
     p.add_argument("--kappa", type=float, default=0.1)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--mode", default="auto",
-                   choices=["auto", "exact", "exact_tiny", "heuristic", "heuristic_lb"])
+    p.add_argument("--mode", default="auto", choices=["auto", "exact", "bounds"])
     p.add_argument("--budget", type=int, default=20_000)
     _add_common(p)
 
@@ -311,13 +310,19 @@ def _cmd_mpf(args) -> int:
         return 0
 
 
+def _print_estimate(label: str, est) -> None:
+    if est.lower == est.upper:
+        print(f"{label} = {est.value:.9g} [{est.regime}]")
+    else:
+        print(f"{label} in [{est.lower:.9g}, {est.upper:.9g}] [{est.regime}]")
+
+
 def _cmd_invariant(args) -> int:
     space = load_space(args.space)
-    if args.what == "od":
-        mode = {"exact": "exact_tiny", "heuristic": "heuristic_lb"}.get(args.mode, args.mode)
-        est = observable_diameter(space, args.kappa, mode=mode,
-                                  budget=args.budget, seed=args.seed)
-        print(f"od(kappa={args.kappa}) = {est.value:.9g} [{est.mode}]")
+    if args.what in ("od", "lr"):
+        estimator = observable_diameter if args.what == "od" else levy_radius
+        _print_estimate(f"{args.what}(kappa={args.kappa})", estimator(
+            space, args.kappa, mode=args.mode, budget=args.budget, seed=args.seed))
         return 0
     if args.what == "pd":
         ident = as_lip(space, space.dist[0], lip_const=1.0)
@@ -325,14 +330,7 @@ def _cmd_invariant(args) -> int:
         print(f"pd of anchor observable at alpha={args.alpha}: {val:.9g}")
         return 0
     if args.what == "conc":
-        mode = {"exact_tiny": "exact", "heuristic_lb": "heuristic"}.get(args.mode, args.mode)
-        res = concentration_function(space, args.r, mode=mode)
-        print(f"alpha({args.r}) in [{res.lower:.9g}, {res.upper:.9g}] [{res.mode}]")
-        return 0
-    if args.what == "lr":
-        mode = "exact_tiny" if args.mode in ("exact", "exact_tiny") else "heuristic_lb"
-        val = levy_radius(space, args.kappa, budget=args.budget, seed=args.seed, mode=mode)
-        print(f"levy radius at kappa={args.kappa} [{mode}]: {val:.9g}")
+        _print_estimate(f"alpha({args.r})", concentration_function(space, args.r, mode=args.mode))
         return 0
     if args.what == "lm":
         ident = as_lip(space, space.dist[0], lip_const=1.0)
@@ -359,10 +357,10 @@ def _cmd_dist(args) -> int:
         x = load_space(args.x)
         y = load_space(args.y)
         res = box_distance(x, y, mode=args.mode, seed=args.seed)
-        if args.mode == "exact_tiny":
-            print(f"box = {res:.9g}")
-        else:
+        if args.mode == "bound":
             print(f"box in [{res[0]:.9g}, {res[1]:.9g}]")
+        else:
+            print(f"box = {res:.9g}")
         return 0
     if args.what == "kyfan":
         space = load_space(args.space)

@@ -100,7 +100,7 @@ def _suite_sphere_od_decay(params):
     rows, ods = [], []
     for n in n_list:
         sph = sample_sphere(n, 1.0, N, metric="chordal", seed=seed)
-        est = observable_diameter(sph.space, 0.1, mode="heuristic_lb",
+        est = observable_diameter(sph.space, 0.1, mode="bounds",
                                   budget=budget, seed=seed)
         rows.append((n, est.value))
         ods.append(est.value)
@@ -180,7 +180,7 @@ def _suite_box_convergence(params):
         nu = np.round(nu * 8) / 8.0
         nu[0] += 1.0 - nu.sum()
         try:
-            b = box_distance(X.reweighted(base), X.reweighted(nu), mode="exact_tiny")
+            b = box_distance(X.reweighted(base), X.reweighted(nu))
         except NotRational:
             continue
         p = _prokhorov_eps(X, base, nu, 1.0)

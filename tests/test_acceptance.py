@@ -70,7 +70,7 @@ def test_criterion_3_sphere_levy_decay():
     ods = []
     for n in n_list:
         sph = gallery.sample_sphere(n, 1.0, 2000, metric="chordal", seed=7)
-        est = inv.observable_diameter(sph.space, 0.1, mode="heuristic_lb",
+        est = inv.observable_diameter(sph.space, 0.1, mode="bounds",
                                       budget=20_000, seed=7)
         ods.append(est.value)
     lx = np.log(n_list)
@@ -201,7 +201,7 @@ def test_criterion_8_od_oracle_agreement():
         X = core.random_metric_space(n, seed=9000 + trial)
         kappa = float(rng.uniform(0.1, 0.6))
         delta = X.diam / 8.0
-        exact = inv.observable_diameter(X, kappa, mode="exact_tiny").value
+        exact = inv.observable_diameter(X, kappa, mode="exact").value
         oracle = od_grid_oracle(X, kappa, delta)
         assert oracle <= exact + 1e-9, (trial, exact, oracle)
         assert exact - oracle <= 2 * delta + 1e-9, (trial, exact, oracle, delta)

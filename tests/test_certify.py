@@ -232,7 +232,7 @@ def test_heuristic_od_on_a_sphere_draws_no_triplet_sample():
     core._sampled_triplets.cache_clear()
     sph = gallery.sample_sphere(8, 1.0, 1000, seed=7)
     assert sph.space.triangle_check == "certified"
-    inv.observable_diameter(sph.space, 0.1, mode="heuristic_lb", budget=2000, seed=7)
+    inv.observable_diameter(sph.space, 0.1, mode="bounds", budget=2000, seed=7)
     assert core._sampled_triplets.cache_info().misses == 0
 
 

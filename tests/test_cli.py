@@ -257,7 +257,7 @@ def test_invariant_pd_conc_lm_and_dist_kyfan(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert core.load_space(four).labels == ("z00", "z10", "z01", "z11")
     for what, line in (("pd", "pd of anchor observable at alpha=0.5: 0"),
-                       ("conc", "alpha(1.0) in [0.5, 0.5] [exact]"),
+                       ("conc", "alpha(1.0) = 0.5 [exact]"),
                        ("lm", "levy mean of anchor observable: 1 (medians [1, 1])")):
         assert main(["invariant", what, "--space", str(four)]) == 0
         assert capsys.readouterr().out == line + "\n", what
@@ -318,14 +318,20 @@ def test_invariant_lr_routes_mode(tmp_path, capsys):
     path = tmp_path / "x.json"
     core.save_space(X, path)
     args = ["invariant", "lr", "--space", str(path), "--kappa", "0.3"]
-    exact = inv.levy_radius(X, 0.3, mode="exact_tiny")
-    heuristic = inv.levy_radius(X, 0.3, budget=20_000, seed=7)
-    assert f"{exact:.9g}" != f"{heuristic:.9g}"
-    for mode, label, want in (("exact", "exact_tiny", exact), ("exact_tiny", "exact_tiny", exact),
-                              ("auto", "heuristic_lb", heuristic),
-                              ("heuristic", "heuristic_lb", heuristic)):
+    exact = inv.levy_radius(X, 0.3, mode="exact").value
+    pool = inv.levy_radius(X, 0.3, budget=20_000, seed=7, mode="bounds").value
+    assert f"{exact:.9g}" != f"{pool:.9g}"
+    # auto on 5 points takes the exact path
+    for mode, want in (("exact", f"= {exact:.9g} [exact]"), ("auto", f"= {exact:.9g} [exact]"),
+                       ("bounds", f"in [{pool:.9g}, inf] [lower]")):
         assert main(args + ["--mode", mode]) == 0
-        assert capsys.readouterr().out == f"levy radius at kappa=0.3 [{label}]: {want:.9g}\n", mode
+        assert capsys.readouterr().out == f"lr(kappa=0.3) {want}\n", mode
+
+
+def test_invariant_modes_are_auto_exact_and_bounds(capsys):
+    with pytest.raises(SystemExit):
+        main(["invariant", "--help"])
+    assert "--mode {auto,exact,bounds}" in capsys.readouterr().out
 
 
 def test_nan_horizon_and_empty_battery_are_errors(capsys):

@@ -855,7 +855,7 @@ def test_sphere_od_pools_make_no_screen_call(monkeypatch):
     for dims in (2, 4, 8, 16, 32):
         sph = gallery.sample_sphere(dims, 1.0, 1000, seed=7).space
         calls.clear()
-        inv.observable_diameter(sph, 0.1, mode="heuristic_lb", budget=20_000, seed=7)
+        inv.observable_diameter(sph, 0.1, mode="bounds", budget=20_000, seed=7)
         # only as_lip's one row, the witness; the 48 directions are proved
         assert calls == [1], dims
 
@@ -889,7 +889,7 @@ def test_heuristic_od_loads_no_scipy_subpackage():
     code = ("import sys\n"
             "from mm_lab import gallery, invariants\n"
             "sph = gallery.sample_sphere(8, 1.0, 1000, metric='chordal', seed=7)\n"
-            "invariants.observable_diameter(sph.space, 0.1, mode='heuristic_lb', seed=7)\n"
+            "invariants.observable_diameter(sph.space, 0.1, mode='bounds', seed=7)\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy.')))\n")
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("MML_CACHE_DIR", None)

@@ -60,7 +60,7 @@ def test_sphere_sample_and_its_heuristic_od_peak_memory():
         _, sample_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         live, _ = tracemalloc.get_traced_memory()
-        inv.observable_diameter(sph.space, 0.1, mode="heuristic_lb", budget=20_000, seed=7)
+        inv.observable_diameter(sph.space, 0.1, mode="bounds", budget=20_000, seed=7)
         _, od_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -289,7 +289,7 @@ def test_sphere_od_decreases_with_dimension():
     vals = []
     for n in (2, 8, 32):
         sph = gallery.sample_sphere(n, 1.0, 600, metric="chordal", seed=9)
-        est = inv.observable_diameter(sph.space, 0.1, mode="heuristic_lb",
+        est = inv.observable_diameter(sph.space, 0.1, mode="bounds",
                                       budget=4000, seed=9)
         vals.append(est.value)
     assert vals[0] > vals[1] > vals[2]

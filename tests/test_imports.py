@@ -1,7 +1,8 @@
 """Every module-level import of the library is used in its module, every
 module-level private name is read somewhere in the library, every relative
 import sits at the top of its module, the modules import each other
-without a cycle, and every public oracle of the tests is called."""
+without a cycle, every public oracle of the tests is called, and the
+former mode spellings stay where they are read."""
 import ast
 import graphlib
 from pathlib import Path
@@ -90,6 +91,23 @@ def find_cycle(graph: dict) -> list:
     return []
 
 
+def spelling_homes(sources: dict, spellings) -> set:
+    """(module, function, spelling) of every line of ``sources`` (module name
+    -> text) that holds one of ``spellings``, named by the innermost
+    function around it, or None at module level."""
+    homes = set()
+    for module, source in sources.items():
+        spans = sorted((node.lineno, node.end_lineno, node.name)
+                       for node in ast.walk(ast.parse(source))
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        for line, text in enumerate(source.splitlines(), 1):
+            for word in spellings:
+                if word in text:
+                    names = [name for lo, hi, name in spans if lo <= line <= hi]
+                    homes.add((module, names[-1] if names else None, word))
+    return homes
+
+
 def _called_names(tree) -> set:
     """Names of the functions that the calls inside ``tree`` name."""
     return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
@@ -133,6 +151,22 @@ def test_module_imports_are_acyclic():
 def test_every_public_oracle_is_called_from_a_test():
     tests = [p.read_text() for p in sorted(_TESTS.glob("test_*.py"))]
     assert uncalled_oracles((_TESTS / "oracles.py").read_text(), tests) == []
+
+
+def test_former_mode_spellings_stay_in_the_mode_resolver():
+    # invariants._mode maps exact_tiny and heuristic_lb to exact and bounds;
+    # exact_tiny is also the box distance's own mode and its CLI option
+    package = sorted(Path(mm_lab.__file__).parent.glob("*.py"))
+    homes = spelling_homes({p.stem: p.read_text() for p in package}, ("exact_tiny", "heuristic_lb"))
+    resolver = {("invariants", "_mode", "exact_tiny"), ("invariants", "_mode", "heuristic_lb")}
+    box = {("distances", "box_distance", "exact_tiny"), ("cli", "main", "exact_tiny")}
+    assert resolver <= homes <= resolver | box
+
+
+def test_checker_finds_the_home_of_a_spelling():
+    source = "A = 'x'\n\n\ndef f():\n    def g():\n        return 'x'\n    return 'y'\n"
+    assert spelling_homes({"m": source}, ("x", "y")) == {("m", None, "x"), ("m", "g", "x"),
+                                                          ("m", "f", "y")}
 
 
 def test_checker_flags_an_uncalled_oracle():

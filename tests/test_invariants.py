@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mm_lab import batteries, core, gallery, invariants as inv, mpf
-from mm_lab.errors import BadAlpha, BadKappa, MMLabError
+from mm_lab.errors import BadAlpha, BadKappa, MMLabError, TooLarge
 from mm_lab.product import ProductSpec, product
 
 from oracles import (
@@ -79,7 +79,7 @@ def test_exact_od_early_exit_reports_zero_orderings():
     # one point, or an atom of mass >= 1 - kappa: no ordering is examined
     one = core.validate_space({"dist": [[0.0]], "weight": [1.0]})
     for X, kappa in ((gallery.two_point(2.0), 0.6), (one, 0.5)):
-        est = inv.observable_diameter(X, kappa, mode="exact_tiny")
+        est = inv.observable_diameter(X, kappa, mode="exact")
         assert est.value == 0.0
         assert est.meta["orderings"] == 0
 
@@ -102,7 +102,7 @@ def test_exact_od_matches_lp_oracle():
             X = core.validate_space({"dist": np.ceil(X.dist * 2) / 2 * (1 - np.eye(n)),
                                      "weight": np.full(n, 1.0 / n)})
         kappa = float(rng.choice([0.1, 0.25, 0.4, 0.6]))
-        got = inv.observable_diameter(X, kappa, mode="exact_tiny").meta["surrogate"]
+        got = inv.observable_diameter(X, kappa, mode="exact").meta["surrogate"]
         assert got == pytest.approx(od_span_lp(X, kappa), abs=1e-9 * max(1.0, X.diam))
 
 
@@ -120,7 +120,7 @@ def _exact_od_cases(count, sizes, seed):
 def test_exact_od_matches_closure_loop():
     for X, kappa in _exact_od_cases(300, range(2, 7), seed=23):
         want, want_values, orderings = od_exact_closure_loop(X, kappa)
-        est = inv.observable_diameter(X, kappa, mode="exact_tiny")  # as_lip certifies the witness
+        est = inv.observable_diameter(X, kappa, mode="exact")  # as_lip certifies the witness
         tol = 1e-12 * max(1.0, X.diam)
         assert est.meta["surrogate"] == pytest.approx(want, abs=tol)
         assert est.value == pytest.approx(inv._pd_of_values(want_values, X.weight, 1 - kappa),
@@ -171,15 +171,15 @@ def test_heuristic_od_is_a_lower_bound():
     for seed in range(6):
         X = core.random_metric_space(5, seed=70 + seed)
         exact = inv.observable_diameter(X, 0.2).value
-        lb = inv.observable_diameter(X, 0.2, mode="heuristic_lb",
+        lb = inv.observable_diameter(X, 0.2, mode="bounds",
                                      budget=2500, seed=seed).value
         assert lb <= exact + 1e-9
 
 
 def test_heuristic_od_deterministic_given_seed():
     X = core.random_metric_space(24, seed=5)
-    a = inv.observable_diameter(X, 0.15, mode="heuristic_lb", budget=1500, seed=9).value
-    b = inv.observable_diameter(X, 0.15, mode="heuristic_lb", budget=1500, seed=9).value
+    a = inv.observable_diameter(X, 0.15, mode="bounds", budget=1500, seed=9).value
+    b = inv.observable_diameter(X, 0.15, mode="bounds", budget=1500, seed=9).value
     assert a == b
 
 
@@ -203,20 +203,20 @@ def _heuristic_cases():
 def test_heuristic_od_matches_loop_oracle():
     for name, X, budget in _heuristic_cases():
         value, witness, evals = od_heuristic_loop(X, 0.1, budget, seed=7)
-        est = inv.observable_diameter(X, 0.1, mode="heuristic_lb", budget=budget, seed=7)
+        est = inv.observable_diameter(X, 0.1, mode="bounds", budget=budget, seed=7)
         assert est.meta["surrogate"] == value, name
         assert np.array_equal(est.witness.values, witness), name
         assert est.meta["evaluations"] == evals, name
 
 
 def test_heuristic_od_witness_owns_its_values():
-    # ranked from views of the pool, the winner is copied out: an ODEstimate
+    # ranked from views of the pool, the winner is copied out: an Estimate
     # must not keep the whole pool alive
     sph = gallery.sample_sphere(4, 1.0, 450, metric="chordal", seed=4).space
     for X in (sph, core.random_metric_space(40, seed=2)):
         _, values, _ = inv._od_heuristic(X, 0.1, 4000, seed=7)
         assert values.base is None
-        est = inv.observable_diameter(X, 0.1, mode="heuristic_lb", budget=4000, seed=7)
+        est = inv.observable_diameter(X, 0.1, mode="bounds", budget=4000, seed=7)
         assert est.witness.values.base is None
 
 
@@ -265,17 +265,18 @@ def test_candidate_pool_blocks_match_loop_oracle_across_block_edges():
 def test_heuristic_budget_must_be_a_positive_integer(budget):
     X = core.random_metric_space(12, seed=1)
     with pytest.raises(MMLabError, match="budget"):
-        inv.observable_diameter(X, 0.1, mode="heuristic_lb", budget=budget)
+        inv.observable_diameter(X, 0.1, mode="bounds", budget=budget)
     with pytest.raises(MMLabError, match="budget"):
         inv.levy_radius(X, 0.1, budget=budget)
 
 
 def test_heuristic_budget_takes_numpy_integers():
     X = core.random_metric_space(12, seed=1)
-    est = inv.observable_diameter(X, 0.1, mode="heuristic_lb", budget=np.int64(400), seed=2)
-    want = inv.observable_diameter(X, 0.1, mode="heuristic_lb", budget=400, seed=2)
+    est = inv.observable_diameter(X, 0.1, mode="bounds", budget=np.int64(400), seed=2)
+    want = inv.observable_diameter(X, 0.1, mode="bounds", budget=400, seed=2)
     assert (est.value, est.meta["evaluations"]) == (want.value, want.meta["evaluations"])
-    assert inv.levy_radius(X, 0.1, budget=np.int32(400)) == inv.levy_radius(X, 0.1, budget=400)
+    assert (inv.levy_radius(X, 0.1, budget=np.int32(400), mode="bounds")
+            == inv.levy_radius(X, 0.1, budget=400, mode="bounds"))
 
 
 def test_candidate_pool_is_a_prefix_of_larger_pools():
@@ -334,7 +335,7 @@ def test_heuristic_od_certifies_only_the_witness(monkeypatch):
     monkeypatch.setattr(core, "_exceeds_lip1", counting("screen", core._exceeds_lip1))
     monkeypatch.setattr(inv, "_projection_flags", counting("proof", core._projection_flags))
     sph = gallery.sample_sphere(8, 1.0, 500, metric="chordal", seed=5)
-    inv.observable_diameter(sph.space, 0.1, mode="heuristic_lb", budget=4000, seed=5)
+    inv.observable_diameter(sph.space, 0.1, mode="bounds", budget=4000, seed=5)
     # the pool's directions are proved from coords_error without a screen;
     # one screen of the witness, no lip_constant
     assert calls == ["proof", "screen"]
@@ -376,7 +377,7 @@ def test_concentration_function_examples():
     assert inv.concentration_function(one, 0.5).value == 0.0
 
 
-@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+@pytest.mark.parametrize("mode", ["exact", "bounds"])
 @pytest.mark.parametrize("r", [float("nan"), 0.0, -1.0])
 def test_concentration_function_rejects_radius_that_is_not_positive(mode, r):
     with pytest.raises(MMLabError, match="radius must be positive"):
@@ -387,22 +388,40 @@ def test_concentration_heuristic_sandwich():
     X = core.random_metric_space(12, seed=13)
     r = 0.8 * X.diam
     exact = inv.concentration_function(X, r, mode="exact").value
-    sand = inv.concentration_function(X, r, mode="heuristic")
+    sand = inv.concentration_function(X, r, mode="bounds")
+    assert sand.regime == "bracket"
     assert sand.lower <= exact + 1e-9 <= sand.upper + 2e-9
 
 
-def test_unknown_modes_raise():
+def _same_estimate(a, b):
+    """Two estimates of one mode: the same regime, meta and bits of every
+    bound and witness value."""
+    key = [(e.lower.hex(), e.upper.hex(), e.regime, e.meta) for e in (a, b)]
+    wa, wb = (getattr(e.witness, "values", e.witness) for e in (a, b))
+    return key[0] == key[1] and (wa is wb or wa.tobytes() == wb.tobytes())
+
+
+@pytest.mark.parametrize("estimator, bound, arg", [
+    (inv.observable_diameter, inv.EXACT_OD_BOUND, 0.3),
+    (inv.levy_radius, inv.EXACT_OD_BOUND, 0.3),
+    (inv.concentration_function, inv._EXACT_SUBSET_BOUND, 0.5),
+], ids=["od", "lr", "conc"])
+def test_modes_are_auto_exact_or_bounds(estimator, bound, arg):
     X = core.random_metric_space(5, seed=3)
-    with pytest.raises(MMLabError, match="unknown mode 'exact_tiny'"):
-        inv.concentration_function(X, 0.5, mode="exact_tiny")
-    with pytest.raises(MMLabError, match="unknown mode 'exact'"):
-        inv.levy_radius(X, 0.3, mode="exact")
+    with pytest.raises(MMLabError, match="unknown mode 'fast'"):
+        estimator(X, arg, mode="fast")
+    with pytest.raises(TooLarge):
+        estimator(core.random_metric_space(bound + 1, seed=3), arg, mode="exact")
+    # the former spellings read as exact and bounds, bit for bit
+    for old, new in (("exact_tiny", "exact"), ("heuristic_lb", "bounds")):
+        assert _same_estimate(estimator(X, arg, mode=old), estimator(X, arg, mode=new)), old
+    assert _same_estimate(estimator(X, arg), estimator(X, arg, mode="exact"))
 
 
 def test_levy_radius_examples():
     one = core.validate_space({"labels": ["o"], "dist": [[0.0]], "weight": [1.0]})
-    assert inv.levy_radius(one, 0.3) == 0.0
-    assert inv.levy_radius(two_point(2.0), 0.3) == pytest.approx(1.0)
+    assert inv.levy_radius(one, 0.3).value == 0.0
+    assert inv.levy_radius(two_point(2.0), 0.3).value == pytest.approx(1.0)
 
 
 @settings(max_examples=300)
@@ -455,13 +474,14 @@ def test_levy_radius_below_od():
     for seed in range(5):
         X = core.random_metric_space(4, seed=90 + seed)
         kappa = 0.2 + 0.05 * seed
-        lr = inv.levy_radius(X, kappa, budget=1500, seed=seed)
+        lr = inv.levy_radius(X, kappa, budget=1500, seed=seed, mode="bounds").value
         od = inv.observable_diameter(X, kappa).value
         assert lr <= od + 1e-6
 
 
 def test_levy_radius_exact_tiny_grid():
-    assert inv.levy_radius(two_point(2.0), 0.3, mode="exact_tiny") == 1.0
+    est = inv.levy_radius(two_point(2.0), 0.3, mode="exact")
+    assert (est.lower, est.upper, est.regime) == (1.0, 1.0, "exact")
 
 
 def test_orderings_table_is_shared_and_read_only():
@@ -509,9 +529,9 @@ def levy_cases(draw, max_n):
 @given(levy_cases(max_n=4))
 def test_levy_radius_exact_matches_lp(case):
     X, kappa = case
-    got = inv.levy_radius(X, kappa, mode="exact_tiny")
+    got = inv.levy_radius(X, kappa, mode="exact").value
     assert got == pytest.approx(levy_radius_lp(X, kappa), abs=1e-9)
-    assert got >= inv.levy_radius(X, kappa, budget=2000, seed=1) - 1e-12
+    assert got >= inv.levy_radius(X, kappa, budget=2000, seed=1, mode="bounds").value - 1e-12
 
 
 _HALVES = [0.25, 0.25, 0.25, 0.125, 0.125]
@@ -528,7 +548,7 @@ def test_levy_radius_exact_matches_lp_on_five_points(weight, kappa):
     X = core.random_metric_space(5, seed=0)
     if weight is not None:
         X = X.reweighted(weight)
-    got = inv.levy_radius(X, kappa, mode="exact_tiny")
+    got = inv.levy_radius(X, kappa, mode="exact").value
     assert got == pytest.approx(levy_radius_lp(X, kappa), abs=1e-9)
 
 
@@ -539,19 +559,20 @@ def test_levy_radius_exact_between_heuristic_and_od():
         if t % 3 == 1:
             X = X.reweighted(np.full(X.n, 1.0 / X.n))
         kappa = float(rng.uniform(0.01, 0.5))
-        exact = inv.levy_radius(X, kappa, mode="exact_tiny")
-        assert exact >= inv.levy_radius(X, kappa, budget=2000, seed=t) - 1e-12
+        exact = inv.levy_radius(X, kappa, mode="exact").value
+        assert exact >= inv.levy_radius(X, kappa, budget=2000, seed=t, mode="bounds").value - 1e-12
         assert exact <= inv.observable_diameter(X, kappa).value + 1e-9
 
 
 def test_heuristic_levy_radius_is_a_pool_bound_at_every_size(monkeypatch):
     # on up to EXACT_OD_BOUND points it adds no exact OD witness to its pool
     X = core.random_metric_space(6, seed=3)
-    exact = inv.levy_radius(X, 0.2, mode="exact_tiny")
+    exact = inv.levy_radius(X, 0.2, mode="exact").value
     monkeypatch.setattr(inv, "observable_diameter", None)
     pool = np.vstack(list(inv._candidate_observables(X, 1000, 0)))
     want = float(inv._levy_radius_of_rows(pool, X.weight, 0.2).max())
-    assert inv.levy_radius(X, 0.2, budget=2000) == want <= exact
+    est = inv.levy_radius(X, 0.2, budget=2000, mode="bounds")
+    assert (est.value, est.upper, est.regime) == (want, np.inf, "lower") and want <= exact
 
 
 def test_kappa_distance_examples_and_oracle():
@@ -566,7 +587,7 @@ def test_kappa_distance_examples_and_oracle():
     kd = inv.kappa_distance(X, [0, 1], [2, 3], 0.25)
     want = kappa_distance_oracle(X, [0, 1], [2, 3], 0.25)
     assert kd.value == pytest.approx(want)
-    assert kd.mode == "exact"
+    assert kd.regime == "exact" and kd.upper == kd.value
     b1, b2 = kd.witness
     assert min(X.dist[i, j] for i in b1 for j in b2) == pytest.approx(kd.value)
 
@@ -576,6 +597,14 @@ def test_kappa_distance_rejects_kappa_outside_unit_interval():
     for kappa in (-0.5, 0.0, 1.0, 1.5, float("nan")):
         with pytest.raises(BadKappa):
             inv.kappa_distance(ts, [0], [1], kappa)
+
+
+@pytest.mark.parametrize("bad", [-1, 6, 0.7], ids=["negative", "n", "fraction"])
+def test_kappa_distance_rejects_a_point_index_outside_the_space(bad):
+    X = core.random_metric_space(6, seed=1)
+    for A1, A2 in (([bad], [0, 1]), ([0, 1], [2, bad])):
+        with pytest.raises(MMLabError, match="point index"):
+            inv.kappa_distance(X, A1, A2, 0.05)
 
 
 @given(st.integers(0, 120))
@@ -599,7 +628,7 @@ def test_kappa_distance_greedy_is_a_witnessed_lower_bound(seed):
     A1, A2 = np.sort(perm[:17]), np.sort(perm[17:34])
     kappa = float(rng.uniform(0.05, 0.3))
     kd = inv.kappa_distance(X, A1, A2, kappa)
-    assert kd.mode == "heuristic_lb"
+    assert (kd.regime, kd.upper) == ("lower", np.inf)
     assert kd.value <= inv._kappa_distance_exact(X, A1, A2, kappa).value + 1e-12
     b1, b2 = kd.witness
     assert set(b1) <= set(A1.tolist()) and set(b2) <= set(A2.tolist())
